@@ -21,9 +21,6 @@ from .montecarlo import (
     ExperimentConfig,
     MonteCarloReport,
     coupled_difference_sample,
-    estimate_cost,
-    estimate_msq,
-    occupation_estimate,
     occupation_sample,
     occupation_values,
     run_experiment,
@@ -78,14 +75,11 @@ __all__ = [
     "bump",
     "coupled_difference_sample",
     "em_step",
-    "estimate_cost",
-    "estimate_msq",
     "example_names",
     "fit_rate",
     "get_example",
     "interpolate",
     "keyed_normals",
-    "occupation_estimate",
     "occupation_sample",
     "occupation_values",
     "path_key",

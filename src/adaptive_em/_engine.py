@@ -1,12 +1,31 @@
 """Vectorized lockstep kernels behind the Monte Carlo estimators.
 
-Each kernel advances a batch of independent paths in lockstep, retiring
-lanes as they reach the horizon.  All Gaussian draws go through the same
-keyed counters as the sequential classes (BrownianPath, simulate_adaptive,
-interpolate), and every floating-point expression mirrors the sequential
-code, so a batched run reproduces the per-sample results bit for bit.
-In particular Brownian increments are always formed as a difference of
-materialized knot values, never as the raw scaled normal.
+One driver, :func:`_adaptive_lockstep`, advances a batch of independent
+paths through the adaptive scheme in lockstep, retiring lanes as they reach
+the horizon.  It holds the only copy of the step: the step budget, the step
+size from the distance to the surface, the Euler update, the finiteness
+check, the horizon crossing and the update of the live lanes.  Each pass
+supplies three parts:
+
+- a Brownian source for the path value at the next grid time: a fresh
+  increment, recorded as a knot by :func:`forward_pass` and followed by a
+  midpoint draw in :func:`occupation_pass`, or a bridge against the knots
+  of an earlier forward pass in :func:`bridged_pass`;
+- the path value at the horizon for lanes whose last step overshoots it:
+  a bridge draw inserted as a knot, the recorded value, or a bridge from
+  the step's midpoint;
+- an optional observer of each step, which accumulates the trapezoidal
+  occupation time.
+
+:func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
+transformed coordinates and shares the knot walker and the bridge rule.
+
+All Gaussian draws go through the same keyed counters as the sequential
+classes (BrownianPath, simulate_adaptive, interpolate), and every
+floating-point expression mirrors the sequential code, so a batched run
+reproduces the per-sample results bit for bit.  In particular Brownian
+increments are always formed as a difference of materialized knot values,
+never as the raw scaled normal.
 """
 
 from __future__ import annotations
@@ -14,7 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from .brownian import keyed_normals, path_key, time_bits
-from .solver import RunawaySimulationError, StepSizeParams, step_size_from_distance
+from .solver import (
+    RunawaySimulationError,
+    StepSizeParams,
+    _step_budget,
+    step_size_from_distance,
+)
 
 _U1 = np.uint64(1)
 
@@ -27,8 +51,8 @@ def _diffusion(problem, x):
     return np.asarray(problem.diffusion(x), dtype=float)
 
 
-def _budget(problem, params):
-    return int(10.0 * problem.horizon / params.delta_sq) + 1
+def _euler(x, mu, sig, dt, dw):
+    return x + mu * dt[:, None] + np.einsum("bij,bj->bi", sig, dw)
 
 
 def _sample_name(labels, lane):
@@ -54,6 +78,114 @@ def _raise_budget(labels, act, budget, params):
     )
 
 
+def _adaptive_lockstep(problem, params, keys, labels, draw, horizon_value, observe=None):
+    """Run the adaptive scheme on every lane until it reaches the horizon.
+
+    The callables see arrays aligned with the active lanes ``act``:
+    ``draw(act, tc, wc, h, t_next)`` returns the path values at the next
+    grid time; ``horizon_value(act, sel, tc, wc, t_next, wn)`` returns the
+    path values at the horizon of the lanes ``act[sel]``, whose step
+    overshoots it; ``observe(act, tc, wc, x, mu, sig, dist, dist_end)`` sees
+    each step with the distances to the surface at its start and at its end,
+    the end being cut at the horizon under the frozen coefficients.
+
+    Returns per-lane step counts and the state and path value at the horizon.
+    """
+    n = keys.size
+    d = problem.dimension
+    horizon = problem.horizon
+    budget = _step_budget(problem, params)
+    t = np.zeros(n)
+    x_cur = np.tile(problem.x0, (n, 1))
+    w_cur = np.zeros((n, d))
+    steps = np.zeros(n, dtype=np.int64)
+    x_T = np.empty((n, d))
+    w_T = np.empty((n, d))
+    alive = np.ones(n, dtype=bool)
+    dist = np.asarray(problem.surface.distance(x_cur), dtype=float)
+    while True:
+        act = np.flatnonzero(alive)
+        if act.size == 0:
+            break
+        if int(steps[act].max()) + 1 > budget:
+            _raise_budget(labels, act, budget, params)
+        x = x_cur[act]
+        tc = t[act]
+        wc = w_cur[act]
+        dist_act = dist[act]
+        h = step_size_from_distance(dist_act, params)
+        t_next = tc + h
+        wn = draw(act, tc, wc, h, t_next)
+        mu = _drift(problem, x)
+        sig = _diffusion(problem, x)
+        xn = _euler(x, mu, sig, h, wn - wc)
+        _check_finite(xn, act, labels)
+        steps[act] += 1
+        x_end = xn
+        crossed = t_next >= horizon
+        if crossed.any():
+            sel = np.flatnonzero(crossed)
+            lanes = act[sel]
+            exact = t_next[sel] == horizon
+            w_hor = wn[sel]
+            if not exact.all():
+                w_hor[~exact] = horizon_value(act, sel[~exact], tc, wc, t_next, wn)
+            x_end = xn.copy()
+            x_end[sel] = _euler(x[sel], mu[sel], sig[sel], horizon - tc[sel], w_hor - wc[sel])
+            # an exact hit keeps the grid value: horizon - tc can differ from h
+            x_T[lanes] = np.where(exact[:, None], xn[sel], x_end[sel])
+            w_T[lanes] = w_hor
+            alive[lanes] = False
+        dist_end = np.asarray(problem.surface.distance(x_end), dtype=float)
+        if observe is not None:
+            observe(act, tc, wc, x, mu, sig, dist_act, dist_end)
+        # finished lanes are written too; nothing reads them again
+        t[act] = t_next
+        x_cur[act] = xn
+        w_cur[act] = wn
+        dist[act] = dist_end
+    return steps, x_T, w_T
+
+
+def _normals(act, t, keys, kc, dim):
+    """Keyed normals inserting time ``t`` on lanes ``act``; advances their counters."""
+    z = keyed_normals(keys[act], kc[act], time_bits(t), dim)
+    kc[act] += _U1
+    return z
+
+
+def _fresh(act, tc, wc, t, keys, kc, dim):
+    """Path values at ``t`` past the last known values ``wc`` at ``tc``."""
+    return wc + np.sqrt(t - tc)[:, None] * _normals(act, t, keys, kc, dim)
+
+
+def _bridge(act, pt, pw, u_t, u_w, t, keys, kc, dim):
+    """Path values at ``t`` between the known values at ``pt`` and ``u_t``."""
+    frac = (t - pt) / (u_t - pt)
+    z = _normals(act, t, keys, kc, dim)
+    return pw + frac[:, None] * (u_w - pw) + np.sqrt(frac * (u_t - t))[:, None] * z
+
+
+def _bridged_values(act, pt, pw, u_t, u_w, has_right, t_next, keys, kc, dim):
+    """Sample path values at ``t_next`` given brackets; no draw on exact hits.
+
+    Lanes without a right bracket draw a free increment.
+    """
+    exact = pt == t_next
+    drew = ~exact
+    denom = np.where(has_right, u_t - pt, 1.0)
+    frac = (t_next - pt) / denom
+    mean = np.where(
+        has_right[:, None], pw + frac[:, None] * (u_w - pw), pw
+    )
+    var = np.where(has_right, frac * (u_t - t_next), t_next - pt)
+    wn = pw.copy()
+    if drew.any():
+        z = _normals(act[drew], t_next[drew], keys, kc, dim)
+        wn[drew] = mean[drew] + np.sqrt(var[drew])[:, None] * z
+    return wn
+
+
 def forward_pass(problem, params: StepSizeParams, keys, labels=None):
     """Adaptive scheme on fresh paths, recording every knot.
 
@@ -65,96 +197,41 @@ def forward_pass(problem, params: StepSizeParams, keys, labels=None):
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
-    budget = _budget(problem, params)
-    t = np.zeros(n)
-    x_cur = np.tile(problem.x0, (n, 1))
-    w_cur = np.zeros((n, d))
     kc = np.ones(n, dtype=np.uint64)
     length = np.ones(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    cap = 256
-    kt = np.zeros((n, cap))
-    kw = np.zeros((n, cap, d))
-    x_T = np.empty((n, d))
-    w_T = np.empty((n, d))
-    alive = np.ones(n, dtype=bool)
-    dist = np.asarray(problem.surface.distance(x_cur), dtype=float)
-    while True:
-        act = np.flatnonzero(alive)
-        if act.size == 0:
-            break
-        if int(steps[act].max()) + 1 > budget:
-            _raise_budget(labels, act, budget, params)
-        if int(length[act].max()) + 2 >= cap:
-            grow = cap
-            kt = np.concatenate([kt, np.zeros((n, grow))], axis=1)
-            kw = np.concatenate([kw, np.zeros((n, grow, d))], axis=1)
-            cap += grow
-        x = x_cur[act]
-        tc = t[act]
-        wc = w_cur[act]
-        h = step_size_from_distance(dist[act], params)
-        t_next = tc + h
-        z = keyed_normals(keys[act], kc[act], time_bits(t_next), d)
-        wn = wc + np.sqrt(t_next - tc)[:, None] * z
-        dw = wn - wc
-        mu = _drift(problem, x)
-        sig = _diffusion(problem, x)
-        xn = x + mu * h[:, None] + np.einsum("bij,bj->bi", sig, dw)
-        _check_finite(xn, act, labels)
-        kc[act] += _U1
+    kt = np.zeros((n, 256))
+    kw = np.zeros((n, 256, d))
+
+    def draw(act, tc, wc, h, t_next):
+        nonlocal kt, kw
+        wn = _fresh(act, tc, wc, t_next, keys, kc, d)
+        # room for this knot and a horizon knot slotted in before it
+        if int(length[act].max()) + 2 >= kt.shape[1]:
+            kt = np.concatenate([kt, np.zeros(kt.shape)], axis=1)
+            kw = np.concatenate([kw, np.zeros(kw.shape)], axis=1)
         kt[act, length[act]] = t_next
         kw[act, length[act]] = wn
         length[act] += 1
-        steps[act] += 1
-        crossed = t_next >= horizon
-        if crossed.any():
-            sub = act[crossed]
-            exact = t_next[crossed] == horizon
-            if exact.any():
-                se = sub[exact]
-                x_T[se] = xn[crossed][exact]
-                w_T[se] = wn[crossed][exact]
-            if (~exact).any():
-                sb = sub[~exact]
-                s_t = tc[crossed][~exact]
-                s_w = wc[crossed][~exact]
-                u_t = t_next[crossed][~exact]
-                u_w = wn[crossed][~exact]
-                frac = (horizon - s_t) / (u_t - s_t)
-                mean = s_w + frac[:, None] * (u_w - s_w)
-                var = frac * (u_t - horizon)
-                z_T = keyed_normals(
-                    keys[sb], kc[sb], time_bits(np.full(sb.size, horizon)), d
-                )
-                wt = mean + np.sqrt(var)[:, None] * z_T
-                kc[sb] += _U1
-                # shift the overshooting knot right and slot the horizon in
-                p = length[sb]
-                kt[sb, p] = kt[sb, p - 1]
-                kw[sb, p] = kw[sb, p - 1]
-                kt[sb, p - 1] = horizon
-                kw[sb, p - 1] = wt
-                length[sb] += 1
-                w_T[sb] = wt
-                xb = x[crossed][~exact]
-                mu_b = mu[crossed][~exact]
-                sig_b = sig[crossed][~exact]
-                x_T[sb] = (
-                    xb
-                    + mu_b * (horizon - s_t)[:, None]
-                    + np.einsum("bij,bj->bi", sig_b, wt - s_w)
-                )
-            alive[sub] = False
-        live = ~crossed
-        if live.any():
-            upd = act[live]
-            t[upd] = t_next[live]
-            x_cur[upd] = xn[live]
-            w_cur[upd] = wn[live]
-            dist[upd] = np.asarray(
-                problem.surface.distance(xn[live]), dtype=float
-            )
+        return wn
+
+    def bridge_to_horizon(act, sel, tc, wc, t_next, wn):
+        lanes = act[sel]
+        wt = _bridge(
+            lanes, tc[sel], wc[sel], t_next[sel], wn[sel],
+            np.full(sel.size, horizon), keys, kc, d,
+        )
+        # shift the overshooting knot right and slot the horizon in
+        p = length[lanes]
+        kt[lanes, p] = kt[lanes, p - 1]
+        kw[lanes, p] = kw[lanes, p - 1]
+        kt[lanes, p - 1] = horizon
+        kw[lanes, p - 1] = wt
+        length[lanes] += 1
+        return wt
+
+    steps, x_T, w_T = _adaptive_lockstep(
+        problem, params, keys, labels, draw, bridge_to_horizon
+    )
     return {
         "n": steps,
         "x_T": x_T,
@@ -210,26 +287,6 @@ class _KnotWalker:
         return pt, pw, u_t, u_w, has_right
 
 
-def _bridged_values(pt, pw, u_t, u_w, has_right, t_next, keys, kc, dim):
-    """Sample path values at ``t_next`` given brackets; no draw on exact hits.
-
-    Returns (values, drew) where ``drew`` marks lanes that consumed a draw.
-    """
-    exact = pt == t_next
-    drew = ~exact
-    denom = np.where(has_right, u_t - pt, 1.0)
-    frac = (t_next - pt) / denom
-    mean = np.where(
-        has_right[:, None], pw + frac[:, None] * (u_w - pw), pw
-    )
-    var = np.where(has_right, frac * (u_t - t_next), t_next - pt)
-    wn = pw.copy()
-    if drew.any():
-        z = keyed_normals(keys[drew], kc[drew], time_bits(t_next[drew]), dim)
-        wn[drew] = mean[drew] + np.sqrt(var[drew])[:, None] * z
-    return wn, drew
-
-
 def bridged_pass(problem, params: StepSizeParams, keys, prior, labels=None):
     """Adaptive scheme on paths conditioned on previously recorded knots.
 
@@ -238,68 +295,17 @@ def bridged_pass(problem, params: StepSizeParams, keys, prior, labels=None):
     are bridged against them.  Returns per-lane step counts and the state
     at the horizon.
     """
-    n = keys.size
-    d = problem.dimension
-    horizon = problem.horizon
-    budget = _budget(problem, params)
     kc = prior["kc"].copy()
-    w_horizon = prior["w_T"]
     walker = _KnotWalker(prior["kt"], prior["kw"], prior["length"])
-    t = np.zeros(n)
-    x_cur = np.tile(problem.x0, (n, 1))
-    w_cur = np.zeros((n, d))
-    steps = np.zeros(n, dtype=np.int64)
-    x_T = np.empty((n, d))
-    alive = np.ones(n, dtype=bool)
-    dist = np.asarray(problem.surface.distance(x_cur), dtype=float)
-    while True:
-        act = np.flatnonzero(alive)
-        if act.size == 0:
-            break
-        if int(steps[act].max()) + 1 > budget:
-            _raise_budget(labels, act, budget, params)
-        x = x_cur[act]
-        tc = t[act]
-        wc = w_cur[act]
-        h = step_size_from_distance(dist[act], params)
-        t_next = tc + h
-        pt, pw, u_t, u_w, has_right = walker.bracket(act, tc, wc, t_next)
-        wn, drew = _bridged_values(pt, pw, u_t, u_w, has_right, t_next, keys[act], kc[act], d)
-        kc[act[drew]] += _U1
-        dw = wn - wc
-        mu = _drift(problem, x)
-        sig = _diffusion(problem, x)
-        xn = x + mu * h[:, None] + np.einsum("bij,bj->bi", sig, dw)
-        _check_finite(xn, act, labels)
-        steps[act] += 1
-        crossed = t_next >= horizon
-        if crossed.any():
-            sub = act[crossed]
-            exact = t_next[crossed] == horizon
-            if exact.any():
-                x_T[sub[exact]] = xn[crossed][exact]
-            if (~exact).any():
-                sb = sub[~exact]
-                s_t = tc[crossed][~exact]
-                s_w = wc[crossed][~exact]
-                xb = x[crossed][~exact]
-                mu_b = mu[crossed][~exact]
-                sig_b = sig[crossed][~exact]
-                x_T[sb] = (
-                    xb
-                    + mu_b * (horizon - s_t)[:, None]
-                    + np.einsum("bij,bj->bi", sig_b, w_horizon[sb] - s_w)
-                )
-            alive[sub] = False
-        live = ~crossed
-        if live.any():
-            upd = act[live]
-            t[upd] = t_next[live]
-            x_cur[upd] = xn[live]
-            w_cur[upd] = wn[live]
-            dist[upd] = np.asarray(
-                problem.surface.distance(xn[live]), dtype=float
-            )
+
+    def draw(act, tc, wc, h, t_next):
+        bracket = walker.bracket(act, tc, wc, t_next)
+        return _bridged_values(act, *bracket, t_next, keys, kc, problem.dimension)
+
+    def recorded(act, sel, *_):
+        return prior["w_T"][act[sel]]
+
+    steps, x_T, _ = _adaptive_lockstep(problem, params, keys, labels, draw, recorded)
     return {"n": steps, "x_T": x_T}
 
 
@@ -330,99 +336,33 @@ def occupation_pass(problem, params: StepSizeParams, epsilon, keys, labels=None)
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
-    budget = _budget(problem, params)
-    t = np.zeros(n)
-    x_cur = np.tile(problem.x0, (n, 1))
-    w_cur = np.zeros((n, d))
     kc = np.ones(n, dtype=np.uint64)
-    steps = np.zeros(n, dtype=np.int64)
     occ = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    dist = np.asarray(problem.surface.distance(x_cur), dtype=float)
-    while True:
-        act = np.flatnonzero(alive)
-        if act.size == 0:
-            break
-        if int(steps[act].max()) + 1 > budget:
-            _raise_budget(labels, act, budget, params)
-        x = x_cur[act]
-        tc = t[act]
-        wc = w_cur[act]
-        in_l = dist[act] < epsilon
-        h = step_size_from_distance(dist[act], params)
-        t_next = tc + h
-        z = keyed_normals(keys[act], kc[act], time_bits(t_next), d)
-        wn = wc + np.sqrt(t_next - tc)[:, None] * z
-        kc[act] += _U1
-        dw = wn - wc
-        mu = _drift(problem, x)
-        sig = _diffusion(problem, x)
-        xn = x + mu * h[:, None] + np.einsum("bij,bj->bi", sig, dw)
-        _check_finite(xn, act, labels)
-        steps[act] += 1
-        crossed = t_next >= horizon
-        live = ~crossed
-        if live.any():
-            sel = np.flatnonzero(live)
-            lanes = act[sel]
-            tm = tc[sel] + 0.5 * h[sel]
-            zm = keyed_normals(keys[lanes], kc[lanes], time_bits(tm), d)
-            kc[lanes] += _U1
-            frac = (tm - tc[sel]) / (t_next[sel] - tc[sel])
-            mean = wc[sel] + frac[:, None] * (wn[sel] - wc[sel])
-            var = frac * (t_next[sel] - tm)
-            wm = mean + np.sqrt(var)[:, None] * zm
-            xm = (
-                x[sel]
-                + mu[sel] * (tm - tc[sel])[:, None]
-                + np.einsum("bij,bj->bi", sig[sel], wm - wc[sel])
-            )
-            in_m = np.asarray(problem.surface.distance(xm)) < epsilon
-            dist_next = np.asarray(problem.surface.distance(xn[sel]), dtype=float)
-            in_r = dist_next < epsilon
-            occ[lanes] += h[sel] * (in_l[sel] + 2.0 * in_m + in_r) * 0.25
-            t[lanes] = t_next[sel]
-            x_cur[lanes] = xn[sel]
-            w_cur[lanes] = wn[sel]
-            dist[lanes] = dist_next
-        if crossed.any():
-            sel = np.flatnonzero(crossed)
-            lanes = act[sel]
-            h_T = horizon - tc[sel]
-            tm = tc[sel] + 0.5 * h_T
-            zm = keyed_normals(keys[lanes], kc[lanes], time_bits(tm), d)
-            kc[lanes] += _U1
-            frac = (tm - tc[sel]) / (t_next[sel] - tc[sel])
-            mean = wc[sel] + frac[:, None] * (wn[sel] - wc[sel])
-            var = frac * (t_next[sel] - tm)
-            wm = mean + np.sqrt(var)[:, None] * zm
-            xm = (
-                x[sel]
-                + mu[sel] * (tm - tc[sel])[:, None]
-                + np.einsum("bij,bj->bi", sig[sel], wm - wc[sel])
-            )
-            exact = t_next[sel] == horizon
-            wt = wn[sel].copy()
-            if (~exact).any():
-                ii = np.flatnonzero(~exact)
-                lb = lanes[ii]
-                frac2 = (horizon - tm[ii]) / (t_next[sel][ii] - tm[ii])
-                mean2 = wm[ii] + frac2[:, None] * (wn[sel][ii] - wm[ii])
-                var2 = frac2 * (t_next[sel][ii] - horizon)
-                z_T = keyed_normals(
-                    keys[lb], kc[lb], time_bits(np.full(lb.size, horizon)), d
-                )
-                wt[ii] = mean2 + np.sqrt(var2)[:, None] * z_T
-                kc[lb] += _U1
-            xt = (
-                x[sel]
-                + mu[sel] * h_T[:, None]
-                + np.einsum("bij,bj->bi", sig[sel], wt - wc[sel])
-            )
-            in_m = np.asarray(problem.surface.distance(xm)) < epsilon
-            in_t = np.asarray(problem.surface.distance(xt)) < epsilon
-            occ[lanes] += h_T * (in_l[sel] + 2.0 * in_m + in_t) * 0.25
-            alive[lanes] = False
+    h_cut = t_mid = w_mid = None
+
+    # the midpoint is drawn with the step: a horizon value bridges from it
+    def draw(act, tc, wc, h, t_next):
+        nonlocal h_cut, t_mid, w_mid
+        wn = _fresh(act, tc, wc, t_next, keys, kc, d)
+        h_cut = np.where(t_next >= horizon, horizon - tc, h)
+        t_mid = tc + 0.5 * h_cut
+        w_mid = _bridge(act, tc, wc, t_next, wn, t_mid, keys, kc, d)
+        return wn
+
+    def bridge_from_midpoint(act, sel, tc, wc, t_next, wn):
+        return _bridge(
+            act[sel], t_mid[sel], w_mid[sel], t_next[sel], wn[sel],
+            np.full(sel.size, horizon), keys, kc, d,
+        )
+
+    def trapezoid(act, tc, wc, x, mu, sig, dist, dist_end):
+        xm = _euler(x, mu, sig, t_mid - tc, w_mid - wc)
+        in_m = np.asarray(problem.surface.distance(xm)) < epsilon
+        occ[act] += h_cut * ((dist < epsilon) + 2.0 * in_m + (dist_end < epsilon)) * 0.25
+
+    _adaptive_lockstep(
+        problem, params, keys, labels, draw, bridge_from_midpoint, trapezoid
+    )
     return occ
 
 
@@ -444,11 +384,8 @@ def equidistant_transformed_pass(transform, z0, horizon, n_steps, keys, prior, l
     for k in range(n_steps):
         tk1 = horizon if k == n_steps - 1 else (k + 1) * dt
         t_next = np.full(n, tk1)
-        pt, pw, u_t, u_w, has_right = walker.bracket(act, t, w_cur, t_next)
-        wn, drew = _bridged_values(
-            pt, pw, u_t, u_w, has_right, t_next, keys, kc, 1
-        )
-        kc[drew] += _U1
+        bracket = walker.bracket(act, t, w_cur, t_next)
+        wn = _bridged_values(act, *bracket, t_next, keys, kc, 1)
         mu_g, sig_g = transform.transformed_coeffs(z_cur)
         h = t_next - t
         dw = wn[:, 0] - w_cur[:, 0]

@@ -25,6 +25,7 @@ from .brownian import BrownianPath
 from .geometry import surface_from_config
 from .montecarlo import (
     ExperimentConfig,
+    _mean_stderr,
     occupation_values,
     run_experiment,
     verify_transform,
@@ -367,8 +368,7 @@ def cmd_occupation(example, config_path, epsilons, delta, samples, seed, workers
         except Exception as exc:
             click.echo(f"occupation failed: {exc}", err=True)
             sys.exit(1)
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+        mean, stderr = _mean_stderr(vals)
         lines.append(f"{eps!r},{mean!r},{stderr!r}")
     target = out / "occupation.csv"
     target.write_text("\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ implementations the batched kernels are tested against.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +40,8 @@ from .solver import (
 from .transform1d import Transform1D
 
 _BATCH = 512
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -253,12 +256,32 @@ def _mean_stderr(values):
     return m, se
 
 
+def _warn_outside_regime(params):
+    """Warn once per distinct step-size parameter set outside the analyzed regime.
+
+    Called in the parent process, so worker processes and repeated pools
+    add no warnings of their own.
+    """
+    for p in dict.fromkeys(params):
+        if not p.framework_valid:
+            logger.warning(
+                "outer band eps1=%.4g exceeds eps0/4=%.4g at delta=%.4g; "
+                "proceeding outside the analyzed regime",
+                p.eps1, p.eps0 / 4.0, p.delta,
+            )
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
     """Coupled-difference and cost estimates for every configured delta.
 
     Identical configs give bit-identical rows regardless of ``workers``.
     """
     problem = config.resolve_problem()
+    _warn_outside_regime(
+        StepSizeParams.for_problem(problem, f * delta)
+        for delta in config.deltas
+        for f in (2.0, 1.0)
+    )
     t0 = time.perf_counter()
     rows = []
     for delta in config.deltas:
@@ -296,18 +319,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
     )
 
 
-def estimate_msq(config: ExperimentConfig, workers: int = 1):
-    """Rows of (delta, mean squared coupled difference, standard error)."""
-    report = run_experiment(config, workers)
-    return [(r["delta"], r["msq"], r["msq_stderr"]) for r in report.rows]
-
-
-def estimate_cost(config: ExperimentConfig, workers: int = 1):
-    """Rows of (delta, mean step count of the fine run, standard error)."""
-    report = run_experiment(config, workers)
-    return [(r["delta"], r["cost_mean"], r["cost_stderr"]) for r in report.rows]
-
-
 def occupation_values(problem, params, epsilon, samples, master_seed, workers=1):
     """Per-sample occupation times near the surface, in index order.
 
@@ -316,15 +327,11 @@ def occupation_values(problem, params, epsilon, samples, master_seed, workers=1)
     """
     if not 0.0 < epsilon < 0.5 * problem.eps0:
         raise ValueError(f"epsilon {epsilon} outside (0, eps0/2)")
+    _warn_outside_regime([params])
     (vals,) = _map_batches(
         _occupation_job, (problem, params, epsilon, master_seed), samples, workers
     )
     return vals
-
-
-def occupation_estimate(problem, params, epsilon, samples, master_seed, workers=1):
-    """Mean occupation time of the epsilon-tube around the surface."""
-    return float(np.mean(occupation_values(problem, params, epsilon, samples, master_seed, workers)))
 
 
 def verify_transform(problem, transform: Transform1D, deltas, samples, master_seed, workers=1):
@@ -337,6 +344,7 @@ def verify_transform(problem, transform: Transform1D, deltas, samples, master_se
     """
     if problem.dimension != 1:
         raise ValueError("transform verification requires a one-dimensional problem")
+    _warn_outside_regime(StepSizeParams.for_problem(problem, float(d)) for d in deltas)
     rows = []
     for delta in deltas:
         (vals,) = _map_batches(

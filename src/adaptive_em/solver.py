@@ -11,7 +11,6 @@ horizon is recovered from the final overshooting step.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -21,10 +20,6 @@ import numpy as np
 
 from .brownian import BrownianPath
 from .geometry import Hypersurface
-
-logger = logging.getLogger(__name__)
-
-_WARNED_PARAMS = set()
 
 
 class RunawaySimulationError(RuntimeError):
@@ -65,15 +60,6 @@ class StepSizeParams:
         object.__setattr__(self, "eps2", scale * self.delta)
         object.__setattr__(self, "delta_sq", self.delta * self.delta)
         object.__setattr__(self, "framework_valid", self.eps1 < self.eps0 / 4.0)
-        if not self.framework_valid:
-            tag = (self.delta, self.eps0, self.sigma_sup)
-            if tag not in _WARNED_PARAMS:
-                _WARNED_PARAMS.add(tag)
-                logger.warning(
-                    "outer band eps1=%.4g exceeds eps0/4=%.4g at delta=%.4g; "
-                    "proceeding outside the analyzed regime",
-                    self.eps1, self.eps0 / 4.0, self.delta,
-                )
 
     @classmethod
     def for_problem(cls, problem: "SdeProblem", delta: float) -> "StepSizeParams":

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptive_em import _engine
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
     ExperimentConfig,
@@ -12,9 +13,6 @@ from adaptive_em.montecarlo import (
     _verify_job,
     coupled_difference_sample,
     equidistant_steps,
-    estimate_cost,
-    estimate_msq,
-    occupation_estimate,
     occupation_sample,
     occupation_values,
     run_experiment,
@@ -22,7 +20,7 @@ from adaptive_em.montecarlo import (
     verify_transform_sample,
 )
 from adaptive_em.problems import get_example
-from adaptive_em.solver import SdeProblem, StepSizeParams
+from adaptive_em.solver import RunawaySimulationError, SdeProblem, StepSizeParams
 
 EX1 = get_example("example1").problem
 EX2 = get_example("example2").problem
@@ -116,6 +114,36 @@ def test_batched_verify_matches_sequential():
             assert vals[i] == verify_transform_sample(entry.problem, tr, 0.125, i, 31)
 
 
+def test_batched_budget_guard_names_the_sample(monkeypatch):
+    monkeypatch.setattr(_engine, "_step_budget", lambda p, s: 2)
+    params = StepSizeParams.for_problem(EX1, 0.125)
+    with pytest.raises(RunawaySimulationError, match=r"^sample 700 exceeded 2 steps"):
+        _coupled_job((EX1, 0.125, 3), 700, 710)
+    with pytest.raises(RunawaySimulationError, match=r"^sample 700 exceeded 2 steps"):
+        _occupation_job((EX1, params, 0.1, 3), 700, 710)
+
+
+def test_batched_finite_guard_names_the_sample():
+    # deterministic drift that turns infinite once the state passes 0.5
+    prob = SdeProblem(
+        dimension=1,
+        drift=lambda x: np.where(x > 0.5, np.inf, 1.0),
+        diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
+        surface=PointSet1D(points=(10.0,)),
+        x0=np.array([0.0]),
+        horizon=1.0,
+        eps0=1.0,
+        sigma_sup=1.0,
+        mu_sup=1.0,
+    )
+    params = StepSizeParams.for_problem(prob, 0.125)
+    message = r"^non-finite state during simulation in sample 300$"
+    with pytest.raises(ValueError, match=message):
+        _coupled_job((prob, 0.125, 3), 300, 305)
+    with pytest.raises(ValueError, match=message):
+        _occupation_job((prob, params, 0.1, 3), 300, 305)
+
+
 def test_frozen_problem_gives_zero_difference_and_fixed_cost():
     report = run_experiment(
         ExperimentConfig(problem=_constant_problem(10.0), deltas=(0.125,), samples=4)
@@ -130,11 +158,11 @@ def test_frozen_problem_gives_zero_difference_and_fixed_cost():
 def test_additive_noise_far_from_surface_couples_exactly():
     # constant unit diffusion: fine and coarse runs both telescope to
     # x0 + W(T), so the gap is pure floating-point noise
-    rows = estimate_msq(
+    rows = run_experiment(
         ExperimentConfig(problem=_pure_bm_problem(), deltas=(0.25, 0.125), samples=32)
-    )
-    for _, msq, _ in rows:
-        assert msq < 1e-25
+    ).rows
+    for r in rows:
+        assert r["msq"] < 1e-25
 
 
 def test_smooth_problem_coupled_rate_is_order_one():
@@ -144,11 +172,11 @@ def test_smooth_problem_coupled_rate_is_order_one():
         samples=512,
         master_seed=5,
     )
-    rows = estimate_msq(cfg)
+    rows = run_experiment(cfg).rows
     # pairwise slopes instead of the 3-parameter fit: over this short range
     # the log-correction exponent and the power trade off too freely
-    slopes = np.diff(np.log2([r[1] for r in rows])) / np.diff(
-        np.log2([r[0] for r in rows])
+    slopes = np.diff(np.log2([r["msq"] for r in rows])) / np.diff(
+        np.log2([r["delta"] for r in rows])
     )
     assert 0.6 < float(np.mean(slopes)) < 1.6
 
@@ -157,11 +185,11 @@ def test_cost_grows_as_delta_shrinks():
     cfg = ExperimentConfig(
         problem="example1", deltas=(0.125, 0.0625, 0.03125), samples=2000
     )
-    rows = estimate_cost(cfg)
-    for (da, ca, se_a), (db, cb, se_b) in zip(rows, rows[1:]):
-        assert cb - ca > 2.0 * (se_a + se_b)
-    for delta, cost, _ in rows:
-        assert cost >= EX1.horizon / delta - 1e-9
+    rows = run_experiment(cfg).rows
+    for a, b in zip(rows, rows[1:]):
+        assert b["cost_mean"] - a["cost_mean"] > 2.0 * (a["cost_stderr"] + b["cost_stderr"])
+    for r in rows:
+        assert r["cost_mean"] >= EX1.horizon / r["delta"] - 1e-9
 
 
 def test_stderr_shrinks_like_root_samples():
@@ -170,7 +198,7 @@ def test_stderr_shrinks_like_root_samples():
         cfg = ExperimentConfig(
             problem=_gbm_problem(), deltas=(0.125,), samples=m, master_seed=3
         )
-        stderrs.append(estimate_msq(cfg)[0][2])
+        stderrs.append(run_experiment(cfg).rows[0]["msq_stderr"])
     assert 1.4 < stderrs[0] / stderrs[1] < 2.8
     assert 1.4 < stderrs[1] / stderrs[2] < 2.8
 
@@ -201,7 +229,7 @@ def test_equidistant_steps_matches_finest_resolution():
 def test_occupation_zero_far_from_surface():
     prob = _constant_problem(10.0)
     params = StepSizeParams.for_problem(prob, 0.125)
-    assert occupation_estimate(prob, params, 0.02, 8, 1) == 0.0
+    assert np.mean(occupation_values(prob, params, 0.02, 8, 1)) == 0.0
 
 
 def test_occupation_covers_horizon_on_surface():
@@ -221,8 +249,8 @@ def test_occupation_epsilon_precondition():
 
 def test_occupation_grows_with_tube_width():
     params = StepSizeParams.for_problem(EX1, 2.0 ** -4)
-    wide = occupation_estimate(EX1, params, 0.1, 1500, 12)
-    narrow = occupation_estimate(EX1, params, 0.05, 1500, 12)
+    wide = np.mean(occupation_values(EX1, params, 0.1, 1500, 12))
+    narrow = np.mean(occupation_values(EX1, params, 0.05, 1500, 12))
     assert 0.0 < narrow < wide < EX1.horizon
 
 
@@ -258,10 +286,10 @@ def test_engine_cost_levels_match_fitted_bands():
     # at delta = 2^-6 the fitted mean costs are about 217 for the scalar
     # double-well and 350 for the planar problem; stay within factor 2
     cfg2 = ExperimentConfig(problem="example2", deltas=(2.0 ** -6,), samples=400)
-    cost2 = estimate_cost(cfg2)[0][1]
+    cost2 = run_experiment(cfg2).rows[0]["cost_mean"]
     assert 108.0 < cost2 < 435.0
     cfg3 = ExperimentConfig(problem="example3", deltas=(2.0 ** -6,), samples=400)
-    cost3 = estimate_cost(cfg3)[0][1]
+    cost3 = run_experiment(cfg3).rows[0]["cost_mean"]
     assert 175.0 < cost3 < 700.0
 
 

@@ -8,6 +8,12 @@ import pytest
 import adaptive_em.solver as solver_mod
 from adaptive_em.brownian import BrownianPath
 from adaptive_em.geometry import PointSet1D
+from adaptive_em.montecarlo import (
+    ExperimentConfig,
+    occupation_values,
+    run_experiment,
+    verify_transform,
+)
 from adaptive_em.problems import get_example
 from adaptive_em.solver import (
     RunawaySimulationError,
@@ -126,16 +132,34 @@ def test_params_validation():
 
 
 def test_band_warning_emitted_once(caplog):
-    with caplog.at_level(logging.WARNING, logger="adaptive_em.solver"):
-        first = StepSizeParams(delta=0.043, eps0=0.017, sigma_sup=1.0)
-        StepSizeParams(delta=0.043, eps0=0.017, sigma_sup=1.0)
-    assert not first.framework_valid
-    hits = [r for r in caplog.records if "analyzed regime" in r.getMessage()]
-    assert len(hits) == 1
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="adaptive_em.solver"):
-        ok = _params()
-    assert ok.framework_valid and not caplog.records
+    def regime_warnings(call):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="adaptive_em"):
+            call()
+        hits = [r.getMessage() for r in caplog.records if "analyzed regime" in r.getMessage()]
+        return sorted(m.rsplit("delta=", 1)[1].split(";")[0] for m in hits)
+
+    with caplog.at_level(logging.WARNING, logger="adaptive_em"):
+        assert not StepSizeParams(delta=0.043, eps0=0.017, sigma_sup=1.0).framework_valid
+        assert _params().framework_valid
+    assert not caplog.records
+    # two batches, so workers=2 runs a fresh pool for every delta
+    cfg = ExperimentConfig(problem="example1", deltas=(0.25, 0.125), samples=600)
+    for workers in (1, 2):
+        for _ in range(2):
+            hits = regime_warnings(lambda: run_experiment(cfg, workers=workers))
+            assert hits == ["0.125", "0.25", "0.5"]
+    prob = get_example("example1").problem
+    params = StepSizeParams.for_problem(prob, 0.125)
+    for _ in range(2):
+        hits = regime_warnings(lambda: occupation_values(prob, params, 0.05, 600, 0, workers=2))
+        assert hits == ["0.125"]
+    entry = get_example("example2")
+    for _ in range(2):
+        hits = regime_warnings(
+            lambda: verify_transform(entry.problem, entry.transform(), (0.25, 0.125), 8, 0)
+        )
+        assert hits == ["0.125", "0.25"]
 
 
 def test_for_problem_reads_problem_constants():
