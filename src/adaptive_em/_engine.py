@@ -40,9 +40,6 @@ from .solver import (
     step_size_from_distance,
 )
 
-_U1 = np.uint64(1)
-
-
 def _drift(problem, x):
     return np.asarray(problem.drift(x), dtype=float)
 
@@ -87,7 +84,9 @@ def _adaptive_lockstep(problem, params, keys, labels, draw, horizon_value, obser
     path values at the horizon of the lanes ``act[sel]``, whose step
     overshoots it; ``observe(act, tc, wc, x, mu, sig, dist, dist_end)`` sees
     each step with the distances to the surface at its start and at its end,
-    the end being cut at the horizon under the frozen coefficients.
+    the end being cut at the horizon under the frozen coefficients.  The
+    arrays they see are the driver's own state, so they must not write to
+    them.
 
     Returns per-lane step counts and the state and path value at the horizon.
     """
@@ -95,62 +94,60 @@ def _adaptive_lockstep(problem, params, keys, labels, draw, horizon_value, obser
     d = problem.dimension
     horizon = problem.horizon
     budget = _step_budget(problem, params)
-    t = np.zeros(n)
-    x_cur = np.tile(problem.x0, (n, 1))
-    w_cur = np.zeros((n, d))
-    steps = np.zeros(n, dtype=np.int64)
+    steps = np.empty(n, dtype=np.int64)
     x_T = np.empty((n, d))
     w_T = np.empty((n, d))
-    alive = np.ones(n, dtype=bool)
-    dist = np.asarray(problem.surface.distance(x_cur), dtype=float)
-    while True:
-        act = np.flatnonzero(alive)
-        if act.size == 0:
-            break
-        if int(steps[act].max()) + 1 > budget:
+    # state of the live lanes act only, compacted when a lane retires
+    act = np.arange(n)
+    t = np.zeros(n)
+    x = np.tile(problem.x0, (n, 1))
+    w = np.zeros((n, d))
+    dist = np.asarray(problem.surface.distance(x), dtype=float)
+    # live lanes start together and step once per iteration, so they all
+    # have taken k steps
+    k = 0
+    while act.size:
+        if k >= budget:
             _raise_budget(labels, act, budget, params)
-        x = x_cur[act]
-        tc = t[act]
-        wc = w_cur[act]
-        dist_act = dist[act]
-        h = step_size_from_distance(dist_act, params)
-        t_next = tc + h
-        wn = draw(act, tc, wc, h, t_next)
+        k += 1
+        h = step_size_from_distance(dist, params)
+        t_next = t + h
+        wn = draw(act, t, w, h, t_next)
         mu = _drift(problem, x)
         sig = _diffusion(problem, x)
-        xn = _euler(x, mu, sig, h, wn - wc)
+        xn = _euler(x, mu, sig, h, wn - w)
         _check_finite(xn, act, labels)
-        steps[act] += 1
         x_end = xn
         crossed = t_next >= horizon
-        if crossed.any():
+        retire = crossed.any()
+        if retire:
             sel = np.flatnonzero(crossed)
             lanes = act[sel]
             exact = t_next[sel] == horizon
             w_hor = wn[sel]
             if not exact.all():
-                w_hor[~exact] = horizon_value(act, sel[~exact], tc, wc, t_next, wn)
+                w_hor[~exact] = horizon_value(act, sel[~exact], t, w, t_next, wn)
             x_end = xn.copy()
-            x_end[sel] = _euler(x[sel], mu[sel], sig[sel], horizon - tc[sel], w_hor - wc[sel])
+            x_end[sel] = _euler(x[sel], mu[sel], sig[sel], horizon - t[sel], w_hor - w[sel])
             # an exact hit keeps the grid value: horizon - tc can differ from h
             x_T[lanes] = np.where(exact[:, None], xn[sel], x_end[sel])
             w_T[lanes] = w_hor
-            alive[lanes] = False
+            steps[lanes] = k
         dist_end = np.asarray(problem.surface.distance(x_end), dtype=float)
         if observe is not None:
-            observe(act, tc, wc, x, mu, sig, dist_act, dist_end)
-        # finished lanes are written too; nothing reads them again
-        t[act] = t_next
-        x_cur[act] = xn
-        w_cur[act] = wn
-        dist[act] = dist_end
+            observe(act, t, w, x, mu, sig, dist, dist_end)
+        t, x, w, dist = t_next, xn, wn, dist_end
+        if retire:
+            live = ~crossed
+            act, t, x, w, dist = act[live], t[live], x[live], w[live], dist[live]
     return steps, x_T, w_T
 
 
 def _normals(act, t, keys, kc, dim):
     """Keyed normals inserting time ``t`` on lanes ``act``; advances their counters."""
-    z = keyed_normals(keys[act], kc[act], time_bits(t), dim)
-    kc[act] += _U1
+    idx = kc[act]
+    z = keyed_normals(keys[act], idx, time_bits(t), dim)
+    kc[act] = idx + 1
     return z
 
 
@@ -171,19 +168,23 @@ def _bridged_values(act, pt, pw, u_t, u_w, has_right, t_next, keys, kc, dim):
 
     Lanes without a right bracket draw a free increment.
     """
-    exact = pt == t_next
-    drew = ~exact
-    denom = np.where(has_right, u_t - pt, 1.0)
-    frac = (t_next - pt) / denom
-    mean = np.where(
-        has_right[:, None], pw + frac[:, None] * (u_w - pw), pw
-    )
-    var = np.where(has_right, frac * (u_t - t_next), t_next - pt)
+    frac = (t_next - pt) / np.where(has_right, u_t - pt, 1.0)
+    # without a right bracket frac is t_next - pt, the free variance
+    mean = np.where(has_right[:, None], pw + frac[:, None] * (u_w - pw), pw)
+    var = np.where(has_right, frac * (u_t - t_next), frac)
     wn = pw.copy()
-    if drew.any():
+    drew = (pt != t_next).nonzero()[0]
+    if drew.size:
         z = _normals(act[drew], t_next[drew], keys, kc, dim)
         wn[drew] = mean[drew] + np.sqrt(var[drew])[:, None] * z
     return wn
+
+
+def _grown(buf):
+    """``buf`` with its knot axis doubled; fresh pages of the new half stay unwritten."""
+    out = np.zeros((buf.shape[0], 2 * buf.shape[1]) + buf.shape[2:])
+    out[:, : buf.shape[1]] = buf
+    return out
 
 
 def forward_pass(problem, params: StepSizeParams, keys, labels=None):
@@ -206,12 +207,13 @@ def forward_pass(problem, params: StepSizeParams, keys, labels=None):
         nonlocal kt, kw
         wn = _fresh(act, tc, wc, t_next, keys, kc, d)
         # room for this knot and a horizon knot slotted in before it
-        if int(length[act].max()) + 2 >= kt.shape[1]:
-            kt = np.concatenate([kt, np.zeros(kt.shape)], axis=1)
-            kw = np.concatenate([kw, np.zeros(kw.shape)], axis=1)
-        kt[act, length[act]] = t_next
-        kw[act, length[act]] = wn
-        length[act] += 1
+        pos = length[act]
+        if int(pos.max()) + 2 >= kt.shape[1]:
+            kt = _grown(kt)
+            kw = _grown(kw)
+        kt[act, pos] = t_next
+        kw[act, pos] = wn
+        length[act] = pos + 1
         return wn
 
     def bridge_to_horizon(act, sel, tc, wc, t_next, wn):
@@ -254,7 +256,7 @@ class _KnotWalker:
     def __init__(self, kt, kw, length):
         self.kt = kt
         self.kw = kw
-        self.length = length
+        self.last = length - 1
         self.ptr = np.ones(kt.shape[0], dtype=np.int64)
 
     def bracket(self, act, t_node, w_node, t_next):
@@ -262,29 +264,27 @@ class _KnotWalker:
 
         Returns (left time, left value, right time, right value, has_right)
         where the left side accounts for any recorded knots passed during
-        this step.  Arrays are aligned with ``act``.
+        this step.  Arrays are aligned with ``act``; the left side may be
+        ``t_node`` and ``w_node`` themselves, so callers must not write to it.
         """
-        pt = t_node.copy()
-        pw = w_node.copy()
-        ptr = self.ptr
-        length = self.length
-        guard = np.minimum(ptr[act], length[act] - 1)
-        can = (ptr[act] < length[act]) & (self.kt[act, guard] <= t_next)
+        pt, pw = t_node, w_node
+        ptr = self.ptr[act]
+        last = self.last[act]
+        g = np.minimum(ptr, last)
+        u_t = self.kt[act, g]
+        has_right = ptr <= last
+        can = has_right & (u_t <= t_next)
         while can.any():
-            ii = np.flatnonzero(can)
-            lanes = act[ii]
-            pt[ii] = self.kt[lanes, ptr[lanes]]
-            pw[ii] = self.kw[lanes, ptr[lanes]]
-            ptr[lanes] += 1
-            guard = np.minimum(ptr[lanes], length[lanes] - 1)
-            can[ii] = (ptr[lanes] < length[lanes]) & (
-                self.kt[lanes, guard] <= t_next[ii]
-            )
-        guard = np.minimum(ptr[act], length[act] - 1)
-        u_t = self.kt[act, guard]
-        u_w = self.kw[act, guard]
-        has_right = ptr[act] < length[act]
-        return pt, pw, u_t, u_w, has_right
+            # lanes in can pass their next knot: it becomes the left side
+            pt = np.where(can, u_t, pt)
+            pw = np.where(can[:, None], self.kw[act, g], pw)
+            ptr += can
+            g = np.minimum(ptr, last)
+            u_t = self.kt[act, g]
+            has_right = ptr <= last
+            can = has_right & (u_t <= t_next)
+        self.ptr[act] = ptr
+        return pt, pw, u_t, self.kw[act, g], has_right
 
 
 def bridged_pass(problem, params: StepSizeParams, keys, prior, labels=None):

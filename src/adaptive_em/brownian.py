@@ -24,22 +24,34 @@ import numpy as np
 from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-_SALT_PATH = np.uint64(0x8C6E1D2F5A7B3C49)
-_SALT_LANE = np.uint64(0xD1342543DE82EF95)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
+
+
+def _u64(v):
+    # 0-d arrays, not numpy scalars: an array operand skips the scalar
+    # conversion that numpy pays on every operation with a numpy scalar
+    return np.array(v, dtype=np.uint64)
+
+
+_M1 = _u64(0xBF58476D1CE4E5B9)
+_M2 = _u64(0x94D049BB133111EB)
+_GOLD = _u64(0x9E3779B97F4A7C15)
+_SALT_PATH = _u64(0x8C6E1D2F5A7B3C49)
+_SALT_LANE = _u64(0xD1342543DE82EF95)
+_S30 = _u64(30)
+_S27 = _u64(27)
+_S31 = _u64(31)
+_S11 = _u64(11)
 
 
 def _mix64(z):
-    # splitmix64 finalizer; bijective on uint64 with full avalanche
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+    # splitmix64 finalizer; bijective on uint64 with full avalanche.
+    # Mixes the uint64 array ``z`` in place: callers pass a fresh temporary.
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 def path_key(master_seed: int, sample_index) -> np.uint64:
@@ -76,9 +88,15 @@ def keyed_normals(key, knot_index, t_bits, dim: int):
     tb = np.atleast_1d(np.asarray(t_bits, dtype=np.uint64))
     h = _mix64(key_a ^ (idx * _GOLD))
     h = _mix64(h ^ tb)
-    lanes = h[..., None] ^ (np.arange(dim, dtype=np.uint64) * _SALT_LANE)
-    z = _mix64(lanes)
-    u = ((z >> _S11).astype(np.float64) + 0.5) * 2.0**-53
+    if dim == 1:
+        # lane 0's salt is 0, so its word is h itself
+        z = _mix64(h[..., None])
+    else:
+        z = _mix64(h[..., None] ^ (np.arange(dim, dtype=np.uint64) * _SALT_LANE))
+    z >>= _S11
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     out = ndtri(u)
     if np.ndim(key) == 0 and np.ndim(knot_index) == 0:
         return out[0]

@@ -11,6 +11,7 @@ success, 1 on runtime failure, 2 on usage errors.
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
@@ -53,12 +54,63 @@ _EXPR_GLOBALS = {
 }
 
 
+# the grammar of a config expression: numbers, names, arithmetic, single
+# comparisons, unary operators, and calls to the functions in _EXPR_GLOBALS;
+# conditions combine with numpy's elementwise & | ~, since `and`, `or`, `not`
+# and chained comparisons call bool() on a batch, which raises
+_EXPR_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call,
+    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.BitAnd, ast.BitOr,
+    ast.UnaryOp, ast.UAdd, ast.USub, ast.Invert,
+    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+
+
+def _check_expression(expr: str, variables) -> None:
+    """Reject anything outside the config-expression grammar with a ValueError."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"expression {expr!r} is not valid: {exc.msg}") from None
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, (ast.BoolOp, ast.Not))
+            or isinstance(node, ast.Compare) and len(node.ops) > 1
+        ):
+            raise ValueError(
+                f"expression {expr!r} uses `and`, `or`, `not` or a chained comparison, "
+                "which fail on a batch of points; combine conditions with &, | and ~"
+            )
+        if not isinstance(node, _EXPR_NODES):
+            raise ValueError(
+                f"expression {expr!r} uses {type(node).__name__}, which is not allowed"
+            )
+        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
+            raise ValueError(f"expression {expr!r} has a non-numeric constant {node.value!r}")
+        if isinstance(node, ast.Name) and node.id not in variables and node.id not in _EXPR_GLOBALS:
+            raise ValueError(f"expression {expr!r} uses an unknown name {node.id!r}")
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name)
+            and callable(_EXPR_GLOBALS.get(node.func.id))
+            and not node.keywords
+        ):
+            raise ValueError(
+                f"expression {expr!r} calls something other than a listed function"
+            )
+
+
 class ExpressionFunction:
-    """Numpy expression over named variables, compiled lazily so it pickles."""
+    """Numpy expression over named variables, compiled lazily so it pickles.
+
+    The expression is checked against the config-expression grammar when
+    the function is built; see ``_check_expression``.
+    """
 
     def __init__(self, expr: str, variables):
-        self.expr = expr
         self.variables = tuple(variables)
+        _check_expression(expr, self.variables)
+        self.expr = expr
         self._code = None
 
     def __getstate__(self):

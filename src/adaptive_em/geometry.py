@@ -87,8 +87,11 @@ class PointSet1D(Hypersurface):
 
     def distance(self, x):
         s = _scalar_input(x)
-        pts = np.asarray(self.points)
-        return np.min(np.abs(s[..., None] - pts), axis=-1)
+        pts = self.points
+        d = np.abs(s - pts[0])
+        for p in pts[1:]:
+            d = np.minimum(d, np.abs(s - p))
+        return d
 
     def project(self, x):
         s = _scalar_input(x)

@@ -18,6 +18,15 @@ from .solver import SdeProblem
 from .transform1d import PiecewiseDrift1D, Transform1D
 
 
+def _lift(f, x):
+    # f on the scalar states; a constant result is broadcast to their shape
+    s = x[..., 0]
+    out = np.asarray(f(s), dtype=float)
+    if out.shape != s.shape:
+        out = np.broadcast_to(out, s.shape)
+    return out
+
+
 @dataclass(frozen=True)
 class _Lift1D:
     """Scalar field reshaped to the (..., 1) state convention.
@@ -28,9 +37,7 @@ class _Lift1D:
     f: object
 
     def __call__(self, x):
-        s = x[..., 0]
-        out = np.asarray(self.f(s), dtype=float)
-        return np.broadcast_to(out, np.shape(s))[..., None]
+        return _lift(self.f, x)[..., None]
 
 
 @dataclass(frozen=True)
@@ -38,9 +45,7 @@ class _LiftDiffusion1D:
     f: object
 
     def __call__(self, x):
-        s = x[..., 0]
-        out = np.asarray(self.f(s), dtype=float)
-        return np.broadcast_to(out, np.shape(s))[..., None, None]
+        return _lift(self.f, x)[..., None, None]
 
 
 def _ex1_branch_low(x):

@@ -80,10 +80,8 @@ def step_size_from_distance(dist, params: StepSizeParams):
     ratio = dist / params.eps1
     ramp = params.delta * ratio * ratio
     h = np.minimum(params.delta, np.maximum(params.delta_sq, ramp))
-    h = np.where(dist < params.eps2, params.delta_sq, h)
-    h = np.where(dist == params.eps2, params.delta_sq, h)
-    h = np.where(dist >= params.eps1, params.delta, h)
-    return h
+    h = np.where(dist <= params.eps2, params.delta_sq, h)
+    return np.where(dist >= params.eps1, params.delta, h)
 
 
 def step_size(x, params: StepSizeParams, surface: Hypersurface):

@@ -11,7 +11,7 @@ the adaptive scheme on the original equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ class PiecewiseDrift1D:
     branches: tuple
     left_limits: Optional[tuple] = None
     right_limits: Optional[tuple] = None
+    _bp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
@@ -67,16 +68,27 @@ class PiecewiseDrift1D:
                 raise ValueError(f"right limit at breakpoint {b} is inconsistent")
         object.__setattr__(self, "left_limits", left)
         object.__setattr__(self, "right_limits", right)
+        object.__setattr__(self, "_bp", np.asarray(bp))
 
     def __call__(self, x):
+        """Evaluate each branch on its own points; same result as ``np.piecewise``.
+
+        The output has the shape of ``x``.  A point that is in no branch
+        (NaN) reads 0, and a branch returning a constant fills its points.
+        """
         x = np.asarray(x, dtype=float)
-        if not self.breakpoints:
-            return self.branches[0](x)
         bp = self.breakpoints
-        conds = [x < bp[0]]
-        conds += [(a <= x) & (x < b) for a, b in zip(bp, bp[1:])]
-        conds.append(x >= bp[-1])
-        return np.piecewise(x, conds, list(self.branches))
+        if not bp:
+            return self.branches[0](x)
+        out = np.zeros(x.shape)
+        idx = np.searchsorted(self._bp, x, side="right")
+        for i, branch in enumerate(self.branches):
+            # NaN sorts past the last breakpoint but belongs to no branch
+            own = idx == i if i < len(bp) else x >= bp[-1]
+            vals = x[own]
+            if vals.size:
+                out[own] = branch(vals)
+        return out
 
 
 def alpha(drift: PiecewiseDrift1D, sigma: Callable, xi) -> float:

@@ -38,6 +38,8 @@ from adaptive_em.problems import get_example
 from adaptive_em.regression import fit_rate
 from adaptive_em.solver import StepSizeParams, step_size_from_distance
 
+pytestmark = pytest.mark.slow
+
 _LADDER = tuple(2.0**-k for k in range(2, 9))
 _SAMPLES = 10_000
 _SEED = 0

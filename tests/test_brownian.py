@@ -57,6 +57,7 @@ def test_increment_edge_cases():
         p.increment(0.7, 0.2)
 
 
+@pytest.mark.slow
 def test_marginal_variance_at_one():
     # empirical Var of W(1) over fresh paths close to 1 per coordinate
     n = 100_000
@@ -68,6 +69,7 @@ def test_marginal_variance_at_one():
     assert np.all(np.abs(z.mean(axis=0)) < 3 / np.sqrt(n))
 
 
+@pytest.mark.slow
 def test_increment_variance():
     n = 100_000
     rng_lanes = np.arange(n)
@@ -80,6 +82,7 @@ def test_increment_variance():
     assert abs(v - 0.5) < 3 * se
 
 
+@pytest.mark.slow
 def test_bridge_midpoint_statistics():
     # knots {0, 1}; the 0.5 bridge has mean w/2 and variance 0.25
     n = 100_000
@@ -94,6 +97,7 @@ def test_bridge_midpoint_statistics():
     assert abs(resid.var(ddof=1) - 0.25) < 3 * 0.25 * np.sqrt(2.0 / n)
 
 
+@pytest.mark.slow
 def test_query_order_leaves_joint_law_unchanged():
     # covariance of (W(0.25), W(0.5)) is [[0.25, 0.25], [0.25, 0.5]]
     # whichever time is asked first

@@ -1,12 +1,20 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import math
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from adaptive_em.cli import main, parse_deltas, parse_epsilons, problem_from_config
+from adaptive_em.cli import (
+    ExpressionFunction,
+    main,
+    parse_deltas,
+    parse_epsilons,
+    problem_from_config,
+)
 
 
 def _invoke(args):
@@ -121,6 +129,49 @@ def test_problem_from_config_rejects_unknown_surface():
     broken["surface"] = {"type": "torus"}
     with pytest.raises(click.UsageError):
         problem_from_config(broken)
+
+
+_ESCAPES = (
+    "().__class__.__base__.__subclasses__().__len__() + 0*x",
+    "x.__class__",
+    "(lambda: 1)() + x",
+    "[v for v in (1, 2)][0] + x",
+    "x[0]",
+    "__import__('os').getcwd()",
+    "'text'",
+    "pi(x)",
+    "sin(x=x)",
+    "y + x",
+    "x if x else 1.0",
+    "x > 0 and x < 1",
+    "(x < 0) or (x > 1)",
+    "not x > 0",
+    "0 < x < 1",
+    "where(-1 <= x <= 1, x, 0.0)",
+)
+
+
+@pytest.mark.parametrize("expr", _ESCAPES)
+def test_config_expression_outside_grammar_is_rejected(expr):
+    with pytest.raises(ValueError, match="expression") as info:
+        ExpressionFunction(expr, ("x",))
+    assert repr(expr) in str(info.value)
+    broken = dict(_CONFIG_1D, diffusion=expr)
+    with pytest.raises(click.UsageError, match="bad problem config"):
+        problem_from_config(broken)
+
+
+def test_config_expression_grammar_accepts_operators_and_listed_calls():
+    f = ExpressionFunction(
+        "where((x1 < 0) & ~(x2 >= 1), -abs(x1) ** 2 // 1 % 3, sqrt(maximum(x2, 0)) / pi)",
+        ("x1", "x2"),
+    )
+    assert float(f(-2.0, 0.0)) == 2.0  # -(2 ** 2) // 1 % 3
+    assert float(f(1.0, 4.0)) == 2.0 / math.pi
+    batch = f(np.array([-2.0, 1.0, -2.0]), np.array([0.0, 4.0, 1.0]))
+    assert list(batch) == [2.0, 2.0 / math.pi, 1.0 / math.pi]
+    g = ExpressionFunction("where((x > 0) & ~(x >= 1) | (x == 5), 1.0, 0.0)", ("x",))
+    assert list(g(np.array([-1.0, 0.5, 1.0, 5.0]))) == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_run_writes_report_files(report_dir):
