@@ -25,6 +25,11 @@ class RootFindError(RuntimeError):
     """Inverting the transform did not converge."""
 
 
+# residual tolerance and iteration cap of the inverse
+_TOL = 1e-12
+_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class PiecewiseDrift1D:
     """Drift given by Lipschitz branches between increasing breakpoints.
@@ -121,17 +126,17 @@ def bump(u):
     return np.where(inside, q2 * q2, 0.0)
 
 
-def _psi(s, c):
-    # s |s| bump(|s|/c), the odd profile multiplying the jump strength
-    return s * np.abs(s) * bump(np.abs(s) / c)
+def _psi(s, r, c):
+    # s |s| bump(|s|/c), the odd profile multiplying the jump strength; r = |s|
+    return s * r * bump(r / c)
 
 
-def _psi_prime(s, c):
+def _psi_prime(s, r, c):
     q = s / c
     v = q * q
     w = 1.0 - v
     inside = v < 1.0
-    val = 2.0 * np.abs(s) * (w * w * w) * (1.0 - 5.0 * v)
+    val = 2.0 * r * (w * w * w) * (1.0 - 5.0 * v)
     return np.where(inside, val, 0.0)
 
 
@@ -211,18 +216,28 @@ class Transform1D:
         if self._bp.size == 0:
             return True
         s = np.linspace(-c, c, 2001)
-        slopes = 1.0 + self._alphas[:, None] * _psi_prime(s, c)[None, :]
+        slopes = 1.0 + self._alphas[:, None] * _psi_prime(s, np.abs(s), c)[None, :]
         return bool(slopes.min() >= 0.1)
 
     def _split(self, x):
         # nearest breakpoint index and signed offset from it
         x = np.asarray(x, dtype=float)
         i = np.searchsorted(self._bp, x)
-        lo = np.clip(i - 1, 0, self._bp.size - 1)
-        hi = np.clip(i, 0, self._bp.size - 1)
+        lo = np.maximum(i - 1, 0)
+        hi = np.minimum(i, self._bp.size - 1)
         use_hi = np.abs(x - self._bp[hi]) < np.abs(x - self._bp[lo])
         pick = np.where(use_hi, hi, lo)
         return pick, x - self._bp[pick]
+
+    def _bend(self, pick, s):
+        # first and second derivative at offset s from breakpoint pick
+        c = self.params.c
+        r = np.abs(s)
+        inside = r < c
+        a = self._alphas[pick]
+        gp = 1.0 + np.where(inside, a * _psi_prime(s, r, c), 0.0)
+        gs = np.where(inside, a * _psi_second(s, c), 0.0)
+        return gp, gs
 
     def value(self, x):
         """Forward map; the identity outside the bump intervals."""
@@ -231,83 +246,89 @@ class Transform1D:
             return x + 0.0
         pick, s = self._split(x)
         c = self.params.c
-        out = x + np.where(
-            np.abs(s) < c, self._alphas[pick] * _psi(s, c), 0.0
-        )
-        return out
+        r = np.abs(s)
+        return x + np.where(r < c, self._alphas[pick] * _psi(s, r, c), 0.0)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         if self._bp.size == 0:
             return np.ones_like(x)
-        pick, s = self._split(x)
-        c = self.params.c
-        return 1.0 + np.where(
-            np.abs(s) < c, self._alphas[pick] * _psi_prime(s, c), 0.0
-        )
+        return self._bend(*self._split(x))[0]
 
     def second_derivative(self, x):
         """Piecewise second derivative; right-hand branch at breakpoints."""
         x = np.asarray(x, dtype=float)
         if self._bp.size == 0:
             return np.zeros_like(x)
-        pick, s = self._split(x)
-        c = self.params.c
-        return np.where(
-            np.abs(s) < c, self._alphas[pick] * _psi_second(s, c), 0.0
-        )
+        return self._bend(*self._split(x))[1]
 
-    def inverse(self, z, tol: float = 1e-12, max_iter: int = 200):
+    def _newton(self, z, pick, tol, max_iter):
+        # safeguarded Newton for in-bump points z of the bumps pick; a lane
+        # keeps its iterate once its residual meets tol
+        c = self.params.c
+        xi = self._bp[pick]
+        a = self._alphas[pick]
+        lo = xi - c
+        hi = xi + c
+        x = z
+        for _ in range(max_iter):
+            s = x - xi
+            r = np.abs(s)
+            resid = x + a * _psi(s, r, c) - z
+            done = np.abs(resid) <= tol
+            if done.all():
+                return x
+            # monotone map: the residual sign tells the bracket side
+            hi = np.where(resid > 0.0, np.minimum(hi, x), hi)
+            lo = np.where(resid < 0.0, np.maximum(lo, x), lo)
+            slope = 1.0 + a * _psi_prime(s, r, c)
+            cand = x - resid / slope
+            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+            cand = np.where(bad, 0.5 * (lo + hi), cand)
+            x = np.where(done, x, cand)
+        raise RootFindError("transform inversion did not converge")
+
+    def _invert(self, z, tol, max_iter):
+        # the inverse of z, with the flat indices of the points inside a
+        # bump interval, the breakpoint index of their bump and their inverses
+        z = np.asarray(z, dtype=float)
+        x = z.copy()
+        lanes = pick = np.zeros(0, dtype=np.intp)
+        if self._bp.size:
+            near, s = self._split(z)
+            lanes = np.flatnonzero(np.abs(s) < self.params.c)
+            pick = np.take(near, lanes)
+        xb = np.take(z, lanes)
+        if lanes.size:
+            xb = self._newton(xb, pick, tol, max_iter)
+            np.put(x, lanes, xb)
+        return x, lanes, pick, xb
+
+    def inverse(self, z, tol: float = _TOL, max_iter: int = _MAX_ITER):
         """Invert the forward map to residual ``tol`` by safeguarded Newton.
 
         Each bump interval maps onto itself, so points outside all bump
         intervals come back unchanged.
         """
-        z = np.asarray(z, dtype=float)
-        out = z.astype(float).copy()
-        if self._bp.size == 0:
-            return out
-        pick, s = self._split(z)
-        c = self.params.c
-        mask = np.abs(s) < c
-        if not np.any(mask):
-            return out
-        zz = np.atleast_1d(out)[np.atleast_1d(mask)]
-        xi = self._bp[np.atleast_1d(pick)[np.atleast_1d(mask)]]
-        a = self._alphas[np.atleast_1d(pick)[np.atleast_1d(mask)]]
-        lo = xi - c
-        hi = xi + c
-        x = zz.copy()
-        done = np.zeros(x.shape, dtype=bool)
-        for _ in range(max_iter):
-            resid = x + a * _psi(x - xi, c) - zz
-            done |= np.abs(resid) <= tol
-            if done.all():
-                break
-            # monotone map: the residual sign tells the bracket side
-            hi = np.where(~done & (resid > 0.0), np.minimum(hi, x), hi)
-            lo = np.where(~done & (resid < 0.0), np.maximum(lo, x), lo)
-            slope = 1.0 + a * _psi_prime(x - xi, c)
-            cand = x - resid / slope
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
-            x = np.where(done, x, cand)
-        else:
-            raise RootFindError("transform inversion did not converge")
-        flat = np.atleast_1d(out)
-        flat[np.atleast_1d(mask)] = x
-        return out
+        return self._invert(z, tol, max_iter)[0]
 
     def transformed_coeffs(self, z):
         """Drift and diffusion of the transformed equation at ``z``.
 
         Returns the pair (drift value, diffusion value), both shaped like
         ``z``.  The drift picks up the Ito correction through the second
-        derivative, which is what cancels the jumps.
+        derivative, which is what cancels the jumps.  Only the points inside
+        a bump interval are inverted and bent; the others are fixed points
+        with unit slope.  Each bump interval maps onto itself and ``c`` is
+        at most half the smallest gap, so the inverse of a point keeps the
+        breakpoint of the point itself.
         """
-        x = self.inverse(z)
-        gp = self.derivative(x)
-        gs = self.second_derivative(x)
+        x, lanes, pick, xb = self._invert(z, _TOL, _MAX_ITER)
+        gp = np.ones(x.shape)
+        gs = np.zeros(x.shape)
+        gp_b, gs_b = self._bend(pick, xb - self._bp[pick])
+        np.put(gp, lanes, gp_b)
+        np.put(gs, lanes, gs_b)
         sg = np.asarray(self.sigma(x), dtype=float)
         mu = np.asarray(self.drift(x), dtype=float)
         return gp * mu + 0.5 * sg * sg * gs, gp * sg

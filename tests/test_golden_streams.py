@@ -3,9 +3,11 @@
 The bit-identity tests elsewhere compare batched runs with sequential ones,
 and both sides draw through ``keyed_normals``; a change to the stream itself
 passes them.  These digests were recorded from the implementation before
-the lockstep hot path was rewritten, so any change to a draw, to the order
-of draws or to a floating-point expression of the scheme fails here.
-A deliberate change to the stream must re-record them and say so.
+the lockstep hot path was rewritten, and the transform digests from the
+one before ``transformed_coeffs`` was made to invert only in-bump points,
+so any change to a draw, to the order of draws or to a floating-point
+expression of the scheme or of the transform fails here.  A deliberate
+change to the stream must re-record them and say so.
 """
 
 import hashlib
@@ -82,3 +84,47 @@ def test_verify_transform_golden():
     assert _digest([row["delta"], row["mean_sq"], row["stderr"]]) == (
         "ad747abb32096dbb8679941a983b698eb4d7c3d9fc4d135a39d5df061148cfb7"
     )
+
+
+def _transform_grid(tr):
+    # every bump interval, each edge xi +- c with one ulp either side, the
+    # breakpoints themselves, far points and NaN
+    c = tr.params.c
+    parts = []
+    for xi in tr.drift.breakpoints:
+        parts.append(np.linspace(xi - c, xi + c, 257))
+        for edge in (xi - c, xi + c):
+            parts.append([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)])
+        parts.append([xi])
+    parts.append([-50.0, -3.0, 0.5, 1.5, 5.0, 50.0, np.nan])
+    return np.concatenate(parts)
+
+
+# (transformed drift, transformed diffusion, inverse) on the grid, then the
+# three at one 0-d point
+TRANSFORM_COEFFS = {
+    "example1": (
+        "0fde866bfc17d39d21175a9e8aacd8edba280297ccc82d731d47b6231df2f40b",
+        "1913e25da7568601159ba4d66e8ca39c650fa027e2219b89560c58179e04bce3",
+        "27f1844f62fd3e8c101dfc1b205d8d77b751fbe9eca446d8d1ddebd1432b978e",
+        "48530dc14b8d200c0b4387a00e6e150a66fd2df8ee1ec1d12efe4d82c115ad5b",
+    ),
+    "example2": (
+        "7f5b66c47b3338b1b4b05e173e2315049938614fab1173aeae1e79b0838b3cda",
+        "dbf5f06a3a29dfe23b33a932223c94b8848d0cd61ce887731472e567cb2856f8",
+        "5be06b72b3abc0a63bea89c7bb76f805fafdec99712489c96835370d132ae6ff",
+        "e47262da6966479919e5610381ed0f1fffe3e7c715a3fe236099420e4fe75670",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_COEFFS))
+def test_transform_golden(name):
+    tr = get_example(name).transform()
+    z = _transform_grid(tr)
+    mu, sg = tr.transformed_coeffs(z)
+    mu0, sg0 = tr.transformed_coeffs(tr.drift.breakpoints[-1] + 0.3 * tr.params.c)
+    x0 = tr.inverse(tr.drift.breakpoints[0] - 0.6 * tr.params.c)
+    assert (_digest(mu), _digest(sg), _digest(tr.inverse(z))) == TRANSFORM_COEFFS[name][:3]
+    assert np.ndim(mu0) == np.ndim(sg0) == np.ndim(x0) == 0
+    assert _digest([mu0, sg0, x0]) == TRANSFORM_COEFFS[name][3]

@@ -2,8 +2,10 @@
 
 Each function that every lockstep iteration pays for is compared bit for
 bit with a plainer formulation written out here: the step-size rule with
-three masked passes, the piecewise drift through ``np.piecewise``, and the
-point-set distance as a min-reduce over all points.
+three masked passes, the piecewise drift through ``np.piecewise``, the
+point-set distance as a min-reduce over all points, and the transformed
+coefficients through the public inverse and derivatives of the transform.
+The transform's round trip and monotonicity are checked as well.
 """
 
 import functools
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_em.cli import ExpressionFunction
+from adaptive_em.cli import ExpressionFunction, problem_from_config
 from adaptive_em.geometry import PointSet1D
+from adaptive_em.problems import get_example
 from adaptive_em.solver import StepSizeParams, step_size, step_size_from_distance
 from adaptive_em.transform1d import PiecewiseDrift1D
 
@@ -199,3 +202,107 @@ def test_point_set_distance_matches_min_reduce(points, xs):
         assert_equal(surface.distance(batch), _distance_reference(surface, batch))
     for v in xs[:3]:
         assert_equal(surface.distance(v), _distance_reference(surface, v))
+
+
+_, _CONFIG_TRANSFORM = problem_from_config(
+    {
+        "dimension": 1,
+        "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
+        "drift": {
+            "breakpoints": [-0.5, 0.25, 1.0],
+            "branches": ["1.0", "2*x", "-x*x", "sin(x) - 2"],
+        },
+        "diffusion": "1 + 0.25*sin(x)",
+        "x0": [0.0],
+        "horizon": 1.0,
+        "eps0": 0.3,
+        "sigma_sup": 1.25,
+        "mu_sup": 3.0,
+    }
+)
+
+TRANSFORMS = {
+    "example1": get_example("example1").transform(),
+    "example2": get_example("example2").transform(),
+    "config": _CONFIG_TRANSFORM,
+}
+
+
+def _coeffs_reference(tr, z):
+    x = tr.inverse(z)
+    gp = tr.derivative(x)
+    gs = tr.second_derivative(x)
+    sg = np.asarray(tr.sigma(x), dtype=float)
+    mu = np.asarray(tr.drift(x), dtype=float)
+    return gp * mu + 0.5 * sg * sg * gs, gp * sg
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_equal(g, w)
+        assert type(g) is type(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def _transform_points_st(tr):
+    # anywhere, inside one bump, on or one ulp off a bump edge or a
+    # breakpoint, signed zeros and NaN
+    c = tr.params.c
+    bp = tr.drift.breakpoints
+    marks = [m for b in bp for m in (b - c, b, b + c)]
+    return st.one_of(
+        st.floats(-4.0, 4.0),
+        st.sampled_from((0.0, -0.0)),
+        st.sampled_from(bp).flatmap(lambda b: st.floats(b - c, b + c)),
+        st.sampled_from(marks),
+        st.sampled_from([np.nextafter(m, s) for m in marks for s in (-math.inf, math.inf)]),
+        st.just(math.nan),
+    )
+
+
+def _region_st(tr):
+    # one bump interval, or one stretch between two bumps
+    c = tr.params.c
+    bp = tr.drift.breakpoints
+    bumps = [(b - c, b + c) for b in bp]
+    gaps = list(zip((-4.0,) + tuple(b + c for b in bp), tuple(b - c for b in bp) + (4.0,)))
+    return st.sampled_from(bumps + gaps).flatmap(lambda ab: st.floats(*ab))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_transformed_coeffs_match_reference(name, data):
+    tr = TRANSFORMS[name]
+    points = _region_st(tr) if data.draw(st.booleans(), label="uniform") else _transform_points_st(tr)
+    z = np.array(data.draw(st.lists(points, max_size=40), label="zs"), dtype=float)
+    _assert_same_bits(tr.transformed_coeffs(z), _coeffs_reference(tr, z))
+    if z.size % 2 == 0:
+        grid = z.reshape(2, -1)
+        _assert_same_bits(tr.transformed_coeffs(grid), _coeffs_reference(tr, grid))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_transformed_coeffs_scalar_match_reference(name, data):
+    # the sequential reference run passes one float per step
+    tr = TRANSFORMS[name]
+    z = data.draw(_transform_points_st(tr), label="z")
+    got = tr.transformed_coeffs(z)
+    assert np.ndim(got[0]) == np.ndim(got[1]) == 0
+    _assert_same_bits(got, _coeffs_reference(tr, z))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_transform_round_trip_and_monotone(name, data):
+    tr = TRANSFORMS[name]
+    points = _transform_points_st(tr).filter(math.isfinite)
+    x = np.sort(np.array(data.draw(st.lists(points, min_size=1, max_size=40), label="xs")))
+    z = tr.value(x)
+    assert np.all(np.diff(z) >= 0.0)
+    np.testing.assert_allclose(tr.inverse(z), x, rtol=0.0, atol=1e-10)
+    assert float(tr.inverse(float(z[0]))) == pytest.approx(float(x[0]), abs=1e-10)
