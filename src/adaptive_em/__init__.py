@@ -13,19 +13,15 @@ from .geometry import (
     Circle2D,
     Hyperplane,
     Hypersurface,
-    NoUniqueProjectionError,
     PointSet1D,
     surface_from_config,
 )
 from .montecarlo import (
     ExperimentConfig,
     MonteCarloReport,
-    coupled_difference_sample,
-    occupation_sample,
     occupation_values,
     run_experiment,
     verify_transform,
-    verify_transform_sample,
 )
 from .problems import EXAMPLES, example_names, get_example
 from .regression import RegressionFit, SingularFitError, fit_rate
@@ -37,7 +33,6 @@ from .solver import (
     em_step,
     interpolate,
     simulate_adaptive,
-    simulate_equidistant,
     step_size,
 )
 from .transform1d import (
@@ -59,7 +54,6 @@ __all__ = [
     "Hyperplane",
     "Hypersurface",
     "MonteCarloReport",
-    "NoUniqueProjectionError",
     "PiecewiseDrift1D",
     "PointSet1D",
     "RegressionFit",
@@ -73,21 +67,17 @@ __all__ = [
     "TransformParams",
     "alpha",
     "bump",
-    "coupled_difference_sample",
     "em_step",
     "example_names",
     "fit_rate",
     "get_example",
     "interpolate",
     "keyed_normals",
-    "occupation_sample",
     "occupation_values",
     "path_key",
     "run_experiment",
     "simulate_adaptive",
-    "simulate_equidistant",
     "step_size",
     "surface_from_config",
     "verify_transform",
-    "verify_transform_sample",
 ]

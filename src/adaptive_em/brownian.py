@@ -146,11 +146,3 @@ class BrownianPath:
         self._times.insert(i, t)
         self._values.insert(i, val)
         return val.copy()
-
-    def increment(self, s, t) -> np.ndarray:
-        """Increment ``W(t) - W(s)`` for ``0 <= s <= t``."""
-        s, t = float(s), float(t)
-        if not 0.0 <= s <= t:
-            raise ValueError("need 0 <= s <= t")
-        ws = self.query(s)
-        return self.query(t) - ws

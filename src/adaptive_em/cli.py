@@ -15,6 +15,7 @@ import ast
 import csv
 import json
 import math
+import operator
 import re
 import sys
 from pathlib import Path
@@ -66,9 +67,37 @@ _EXPR_NODES = (
     ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
 )
 
+# the arithmetic of constant subexpressions, as eval applies it; an integer power
+# that may pass _MAX_CONST_BITS bits is refused unevaluated (9**9**9 runs for minutes)
+_CONST_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+    ast.Pow: operator.pow, ast.BitAnd: operator.and_, ast.BitOr: operator.or_,
+    ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Invert: operator.invert,
+}
+_MAX_CONST_BITS = 1 << 16
+
+
+def _constant_value(node):
+    """Value of a constant-only subtree, or None if it reads a name or calls."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    args = [_constant_value(n) for n in ast.iter_child_nodes(node) if isinstance(n, ast.expr)]
+    if not isinstance(node, (ast.BinOp, ast.UnaryOp)) or None in args:
+        return None
+    a, b = args[0], args[-1]
+    if (isinstance(node.op, ast.Pow) and type(a) is type(b) is int
+            and abs(a) > 1 and b * a.bit_length() > _MAX_CONST_BITS):
+        raise OverflowError(f"integer power with over {_MAX_CONST_BITS} bits")
+    return _CONST_OPS[type(node.op)](*args)
+
 
 def _check_expression(expr: str, variables) -> None:
-    """Reject anything outside the config-expression grammar with a ValueError."""
+    """Reject anything outside the config-expression grammar with a ValueError.
+
+    So is a constant subexpression that divides by zero, overflows or is too
+    large to compute: it would fail, or hang, on the first evaluation.
+    """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -98,13 +127,17 @@ def _check_expression(expr: str, variables) -> None:
             raise ValueError(
                 f"expression {expr!r} calls something other than a listed function"
             )
+    try:
+        _constant_value(tree)
+    except (ArithmeticError, TypeError) as exc:
+        raise ValueError(f"expression {expr!r} has a constant that fails: {exc}") from None
 
 
 class ExpressionFunction:
     """Numpy expression over named variables, compiled lazily so it pickles.
 
-    The expression is checked against the config-expression grammar when
-    the function is built; see ``_check_expression``.
+    The expression and its constant subexpressions are checked when the
+    function is built; see ``_check_expression``.
     """
 
     def __init__(self, expr: str, variables):
@@ -356,6 +389,13 @@ def cmd_run(example, config_path, deltas, samples, seed, workers, occupation_eps
     click.echo(f"wrote {out / 'report.csv'} and {out / 'report.json'}")
 
 
+def _numeric_column(report_csv, rows, name):
+    try:
+        return [float(r[name]) for r in rows]
+    except (TypeError, ValueError):
+        raise click.UsageError(f"{report_csv} has a non-numeric cell in column {name!r}") from None
+
+
 @main.command("fit")
 @click.argument("report_csv", type=click.Path(exists=True))
 @click.option("--column", default="msq", show_default=True, help="Report column to fit against delta.")
@@ -368,8 +408,8 @@ def cmd_fit(report_csv, column, out_path):
         raise click.UsageError(f"{report_csv} lacks a delta column")
     if column not in rows[0]:
         raise click.UsageError(f"{report_csv} lacks column {column!r}")
-    deltas = [float(r["delta"]) for r in rows]
-    values = [float(r[column]) for r in rows]
+    deltas = _numeric_column(report_csv, rows, "delta")
+    values = _numeric_column(report_csv, rows, column)
     try:
         fit = fit_rate(deltas, values)
     except (SingularFitError, ValueError) as exc:

@@ -2,10 +2,10 @@
 
 A surface here is the closed set where the drift jumps.  Three variants are
 supported: a finite set of points on the line, an affine hyperplane, and a
-circle in the plane.  Each one exposes the distance field (the only quantity
-the step-size control needs), the metric projection, the outward unit normal,
-and its reach, which bounds how wide a tubular neighbourhood around the
-surface still has unique projections.
+circle in the plane.  Each one exposes only the distance field, which the
+step-size control reads, and its reach, the width of the tubular neighbourhood
+in which nearest surface points are unique; ``SdeProblem`` checks that its
+tube radius ``eps0`` stays below it.
 
 Array convention: ``x`` has shape ``(..., dimension)``.  For 1-d surfaces a
 bare scalar or an array without the trailing length-1 axis is also accepted
@@ -21,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NoUniqueProjectionError(ValueError):
-    """The metric projection onto the surface is not a single point."""
-
-
 class Hypersurface(ABC):
     """Closed discontinuity set with positive reach."""
 
@@ -38,14 +34,6 @@ class Hypersurface(ABC):
     @abstractmethod
     def distance(self, x):
         """Euclidean distance from ``x`` to the surface, shape ``(...,)``."""
-
-    @abstractmethod
-    def project(self, x):
-        """Nearest surface point; requires ``distance(x) < reach``."""
-
-    @abstractmethod
-    def unit_normal(self, xi):
-        """Unit normal at a point ``xi`` lying on the surface."""
 
     @abstractmethod
     def to_config(self) -> dict:
@@ -93,24 +81,6 @@ class PointSet1D(Hypersurface):
             d = np.minimum(d, np.abs(s - p))
         return d
 
-    def project(self, x):
-        s = _scalar_input(x)
-        d = self.distance(s)
-        if np.any(d >= self.reach):
-            raise NoUniqueProjectionError(
-                "point is at least reach away from the surface"
-            )
-        pts = np.asarray(self.points)
-        idx = np.argmin(np.abs(s[..., None] - pts), axis=-1)
-        return pts[idx]
-
-    def unit_normal(self, xi):
-        # orientation convention on the line: the normal always points up
-        s = float(_scalar_input(xi))
-        if min(abs(s - p) for p in self.points) > 1e-9:
-            raise ValueError("xi does not lie on the surface")
-        return np.array([1.0])
-
     def to_config(self) -> dict:
         return {"type": "points1d", "points": list(self.points)}
 
@@ -149,16 +119,6 @@ class Hyperplane(Hypersurface):
     def distance(self, x):
         return np.abs(self._signed(x))
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        s = self._signed(x)
-        return x - s[..., None] * np.asarray(self.normal)
-
-    def unit_normal(self, xi):
-        if np.any(self.distance(xi) > 1e-9):
-            raise ValueError("xi does not lie on the surface")
-        return np.asarray(self.normal, dtype=float)
-
     def to_config(self) -> dict:
         return {
             "type": "hyperplane",
@@ -187,7 +147,7 @@ class Circle2D(Hypersurface):
 
     @property
     def reach(self) -> float:
-        # unique projections fail only at the center
+        # nearest points stop being unique only at the center
         return self.radius
 
     def _radial(self, x):
@@ -198,25 +158,6 @@ class Circle2D(Hypersurface):
 
     def distance(self, x):
         return np.abs(self._radial(x) - self.radius)
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        r = self._radial(x)
-        if np.any(r == 0.0):
-            raise NoUniqueProjectionError("center has no unique projection")
-        if np.any(self.distance(x) >= self.reach):
-            raise NoUniqueProjectionError(
-                "point is at least reach away from the surface"
-            )
-        c = np.asarray(self.center)
-        return c + self.radius * (x - c) / r[..., None]
-
-    def unit_normal(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if np.any(self.distance(xi) > 1e-9):
-            raise ValueError("xi does not lie on the surface")
-        c = np.asarray(self.center)
-        return (xi - c) / self.radius
 
     def to_config(self) -> dict:
         return {

@@ -221,32 +221,6 @@ def simulate_adaptive(
     )
 
 
-def simulate_equidistant(
-    problem: SdeProblem, n_steps: int, path: BrownianPath
-) -> Trajectory:
-    """Classical Euler-Maruyama on the uniform grid ``k * horizon / n_steps``.
-
-    The final grid time is set to the horizon exactly rather than left to
-    accumulated rounding.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if path.dimension != problem.dimension:
-        raise ValueError("path dimension does not match the problem")
-    dt = problem.horizon / n_steps
-    grid = [k * dt for k in range(n_steps)] + [problem.horizon]
-    x = problem.x0.copy()
-    states = [x]
-    for k in range(n_steps):
-        t, t_next = grid[k], grid[k + 1]
-        dw = path.query(t_next) - path.query(t)
-        x = em_step(x, problem.drift(x), problem.diffusion(x), t_next - t, dw)
-        states.append(x)
-    return Trajectory(
-        times=np.asarray(grid), states=np.asarray(states), step_count=n_steps
-    )
-
-
 def interpolate(
     trajectory: Trajectory, problem: SdeProblem, path: BrownianPath, t
 ) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,15 +36,15 @@ class PiecewiseDrift1D:
 
     ``branches`` holds one callable more than ``breakpoints``; branch ``i``
     applies on ``[breakpoints[i-1], breakpoints[i])``, so the drift is
-    right-continuous at every breakpoint.  One-sided limits default to the
-    adjacent branch evaluated at the breakpoint and are cross-checked
-    against evaluations just off it.
+    right-continuous at every breakpoint.  The one-sided limits are the
+    adjacent branches evaluated at the breakpoint, cross-checked against
+    evaluations just off it.
     """
 
     breakpoints: tuple
     branches: tuple
-    left_limits: Optional[tuple] = None
-    right_limits: Optional[tuple] = None
+    left_limits: tuple = field(init=False)
+    right_limits: tuple = field(init=False)
     _bp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,15 +57,8 @@ class PiecewiseDrift1D:
             raise ValueError("need exactly one branch more than breakpoints")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "branches", tuple(self.branches))
-        left = self.left_limits
-        right = self.right_limits
-        if left is None:
-            left = tuple(float(self.branches[i](b)) for i, b in enumerate(bp))
-        if right is None:
-            right = tuple(float(self.branches[i + 1](b)) for i, b in enumerate(bp))
-        left, right = tuple(map(float, left)), tuple(map(float, right))
-        if len(left) != len(bp) or len(right) != len(bp):
-            raise ValueError("one-sided limits must match the breakpoints")
+        left = tuple(float(self.branches[i](b)) for i, b in enumerate(bp))
+        right = tuple(float(self.branches[i + 1](b)) for i, b in enumerate(bp))
         for i, b in enumerate(bp):
             if abs(float(self.branches[i](b - 1e-8)) - left[i]) > 1e-6:
                 raise ValueError(f"left limit at breakpoint {b} is inconsistent")
@@ -168,21 +161,13 @@ class Transform1D:
     Args:
         drift: piecewise drift whose jumps are to be removed.
         sigma: scalar diffusion coefficient, vectorized over states.
-        eps0: tube radius of the underlying problem; the bump radius stays
-            strictly below it.
-        params: optional explicit bump radius.  When omitted the radius
-            starts at half of ``min(eps0, half minimum gap)`` and is halved
-            until the derivative stays above 0.1 on a 2001-point grid per
-            bump interval.
+        eps0: tube radius of the underlying problem.  The bump radius
+            ``params.c`` starts at half of ``min(eps0, half minimum gap)`` and
+            is halved until the derivative stays above 0.1 on a 2001-point
+            grid per bump interval.
     """
 
-    def __init__(
-        self,
-        drift: PiecewiseDrift1D,
-        sigma: Callable,
-        eps0: float,
-        params: Optional[TransformParams] = None,
-    ):
+    def __init__(self, drift: PiecewiseDrift1D, sigma: Callable, eps0: float):
         if not (math.isfinite(eps0) and eps0 > 0):
             raise ValueError("eps0 must be positive")
         self.drift = drift
@@ -194,23 +179,14 @@ class Transform1D:
         )
         gaps = np.diff(self._bp)
         half_gap = float(gaps.min()) / 2.0 if gaps.size else math.inf
-        if params is None:
-            c = min(self.eps0, half_gap) / 2.0
-            for _ in range(80):
-                if self._derivative_floor_ok(c):
-                    break
-                c /= 2.0
-            else:
-                raise ValueError("could not find a bump radius with positive slope")
-            params = TransformParams(c=c)
+        c = min(self.eps0, half_gap) / 2.0
+        for _ in range(80):
+            if self._derivative_floor_ok(c):
+                break
+            c /= 2.0
         else:
-            if params.c >= self.eps0:
-                raise ValueError("bump radius must be strictly less than eps0")
-            if params.c > half_gap:
-                raise ValueError("bump radius exceeds half the minimum gap")
-            if not self._derivative_floor_ok(params.c):
-                raise ValueError("transform derivative drops below 0.1")
-        self.params = params
+            raise ValueError("could not find a bump radius with positive slope")
+        self.params = TransformParams(c=c)
 
     def _derivative_floor_ok(self, c: float) -> bool:
         if self._bp.size == 0:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_em.brownian import BrownianPath, keyed_normals, path_key, time_bits
 
@@ -38,6 +42,35 @@ def test_same_seed_same_queries_bit_identical():
     assert a.knot_times == b.knot_times
 
 
+# query times: signed zeros, a few fixed knots that later queries repeat,
+# and arbitrary nonnegative floats, down to subnormals
+_query_times = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+        st.floats(min_value=0.0, max_value=4.0, allow_subnormal=True),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(times=_query_times, dim=st.integers(1, 3), index=st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_query_in_any_order_is_stable_and_keeps_knots_sorted(times, dim, index):
+    p = BrownianPath(dim, 2718, index)
+    first = {}
+    for t in times + times[::-1]:
+        val = p.query(t).tobytes()
+        # -0.0 == 0.0, so the signed zeros share one entry
+        assert first.setdefault(t, val) == val
+    for t, val in first.items():
+        assert p.query(t).tobytes() == val
+    kt = p.knot_times
+    assert kt[0] == 0.0 and math.copysign(1.0, kt[0]) == 1.0
+    assert all(a < b for a, b in zip(kt, kt[1:]))
+    assert set(kt) == set(first) | {0.0}
+
+
 def test_refinement_never_moves_existing_knots():
     p = BrownianPath(1, 5)
     w1 = p.query(1.0)
@@ -47,14 +80,6 @@ def test_refinement_never_moves_existing_knots():
     np.testing.assert_array_equal(p.query(0.5), w05)
     np.testing.assert_array_equal(p.query(0.25), w025)
     assert p.knot_times == (0.0, 0.25, 0.5, 1.0)
-
-
-def test_increment_edge_cases():
-    p = BrownianPath(2, 8)
-    np.testing.assert_array_equal(p.increment(1.0, 1.0), np.zeros(2))
-    np.testing.assert_array_equal(p.increment(0.0, 0.6), p.query(0.6))
-    with pytest.raises(ValueError):
-        p.increment(0.7, 0.2)
 
 
 @pytest.mark.slow
@@ -76,7 +101,9 @@ def test_increment_variance():
     vals = np.empty(n)
     for i in rng_lanes:
         p = BrownianPath(1, 77, int(i))
-        vals[i] = p.increment(0.25, 0.75)[0]
+        # the earlier time first, so both values are forward increments, not a bridge
+        w_s = p.query(0.25)
+        vals[i] = (p.query(0.75) - w_s)[0]
     v = vals.var(ddof=1)
     se = 0.5 * np.sqrt(2.0 / n)
     assert abs(v - 0.5) < 3 * se

@@ -161,6 +161,14 @@ def test_config_expression_outside_grammar_is_rejected(expr):
         problem_from_config(broken)
 
 
+@pytest.mark.parametrize("expr", ["9**9**9 + x", "1/0 + x"])
+def test_config_expression_with_failing_constant_is_rejected(expr):
+    # 9**9**9 would build a Python int of about 1.2e9 bits on first evaluation
+    broken = dict(_CONFIG_1D, diffusion=expr)
+    with pytest.raises(click.UsageError, match="bad problem config"):
+        problem_from_config(broken)
+
+
 def test_config_expression_grammar_accepts_operators_and_listed_calls():
     f = ExpressionFunction(
         "where((x1 < 0) & ~(x2 >= 1), -abs(x1) ** 2 // 1 % 3, sqrt(maximum(x2, 0)) / pi)",
@@ -221,6 +229,17 @@ def test_run_occupation_epsilons(tmp_path):
     for e in entries:
         assert 0.0 <= e["mean"] <= 1.0
         assert e["stderr"] >= 0.0
+
+
+def test_run_rejects_wide_occupation_epsilon(tmp_path):
+    # the same (0, eps0/2) rule as the occupation command; example1 has eps0 = 0.4
+    result = _invoke(
+        ["run", "example1", "--deltas", "2^-2", "--samples", "4",
+         "--occupation-epsilons", "5", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "outside (0, eps0/2)" in _all_text(result)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_dump_trajectories(tmp_path):
@@ -322,6 +341,20 @@ def test_fit_rejects_missing_column(report_dir):
     result = _invoke(["fit", str(report_dir / "report.csv"), "--column", "bogus"])
     assert result.exit_code == 2
     assert "lacks column" in _all_text(result)
+
+
+@pytest.mark.parametrize("column,body", [
+    ("msq", "0.25,1.0\n0.125,abc\n0.0625,0.1\n"),
+    ("delta", "0.25,1.0\nquarter,0.5\n0.0625,0.1\n"),
+    ("msq", "0.25,1.0\n0.125\n0.0625,0.1\n"),
+])
+def test_fit_rejects_non_numeric_cell(tmp_path, column, body):
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text("delta,msq\n" + body)
+    result = _invoke(["fit", str(csv_path)])
+    assert result.exit_code == 2
+    text = _all_text(result)
+    assert "report.csv" in text and f"column {column!r}" in text
 
 
 def test_fit_rejects_missing_delta_column(tmp_path):

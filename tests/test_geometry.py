@@ -4,7 +4,6 @@ import pytest
 from adaptive_em.geometry import (
     Circle2D,
     Hyperplane,
-    NoUniqueProjectionError,
     PointSet1D,
     surface_from_config,
 )
@@ -19,10 +18,8 @@ def test_pointset_distance_examples():
 
 
 def test_pointset_projection_and_normal():
+    # the reach is half the smallest gap between points, infinite for one point
     s = PointSet1D(points=(0.0, 1.0))
-    assert s.project(0.3) == 0.0
-    assert s.project(0.8) == 1.0
-    assert s.unit_normal(0.0) == 1.0
     single = PointSet1D(points=(0.0,))
     assert single.reach == np.inf
     assert s.reach == 0.5
@@ -35,17 +32,9 @@ def test_pointset_requires_increasing_points():
         PointSet1D(points=(0.0, 0.0))
 
 
-def test_pointset_projection_needs_unique_nearest():
-    s = PointSet1D(points=(0.0, 1.0))
-    with pytest.raises(NoUniqueProjectionError):
-        s.project(0.5)
-
-
 def test_hyperplane_examples():
     s = Hyperplane(normal=(1.0, 0.0), offset=0.0)
     assert s.distance(np.array([-3.0, 7.0])) == 3.0
-    np.testing.assert_allclose(s.project(np.array([-3.0, 7.0])), [0.0, 7.0])
-    np.testing.assert_allclose(s.unit_normal(np.array([0.0, 5.0])), [1.0, 0.0])
     assert s.reach == np.inf
 
 
@@ -57,24 +46,7 @@ def test_hyperplane_normal_must_be_unit():
 def test_circle_examples():
     s = Circle2D(center=(0.0, 0.0), radius=1.0)
     assert s.distance(np.array([0.0, 0.0])) == 1.0
-    np.testing.assert_allclose(s.project(np.array([0.5, 0.0])), [1.0, 0.0])
-    np.testing.assert_allclose(s.unit_normal(np.array([0.0, 1.0])), [0.0, 1.0])
     assert s.reach == 1.0
-
-
-def test_circle_center_has_no_projection():
-    s = Circle2D(center=(0.0, 0.0), radius=1.0)
-    with pytest.raises(NoUniqueProjectionError):
-        s.project(np.array([0.0, 0.0]))
-    # points at distance >= reach are rejected as well
-    with pytest.raises(NoUniqueProjectionError):
-        s.project(np.array([2.0, 0.0]))
-
-
-def test_circle_normal_requires_point_on_surface():
-    s = Circle2D(center=(0.0, 0.0), radius=1.0)
-    with pytest.raises(ValueError):
-        s.unit_normal(np.array([0.5, 0.0]))
 
 
 def test_distance_is_one_lipschitz():
@@ -95,15 +67,13 @@ def test_distance_is_one_lipschitz():
 
 
 def test_projection_properties_inside_reach():
+    # inside the reach the distance is the gap between radius and radial part
     rng = np.random.default_rng(11)
     s = Circle2D(center=(0.0, 0.0), radius=1.0)
     theta = rng.uniform(0.0, 2 * np.pi, size=500)
     r = rng.uniform(0.4, 1.6, size=500)
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    for x in pts:
-        p = s.project(x)
-        assert np.linalg.norm(x - p) == pytest.approx(s.distance(x), abs=1e-10)
-        np.testing.assert_allclose(s.project(p), p, atol=1e-10)
+    np.testing.assert_allclose(s.distance(pts), np.abs(r - 1.0), atol=1e-10)
 
 
 def test_distance_rejects_dimension_mismatch():

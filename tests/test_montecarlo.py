@@ -11,16 +11,14 @@ from adaptive_em.montecarlo import (
     _coupled_job,
     _occupation_job,
     _verify_job,
-    coupled_difference_sample,
     equidistant_steps,
-    occupation_sample,
     occupation_values,
     run_experiment,
     verify_transform,
-    verify_transform_sample,
 )
 from adaptive_em.problems import get_example
 from adaptive_em.solver import RunawaySimulationError, SdeProblem, StepSizeParams
+from oracles import coupled_difference_sample, occupation_sample, verify_transform_sample
 
 EX1 = get_example("example1").problem
 EX2 = get_example("example2").problem
@@ -78,10 +76,12 @@ def test_config_validation():
         ExperimentConfig(problem="example1", deltas=(0.125, 0.25))
     with pytest.raises(ValueError):
         ExperimentConfig(problem="example1", deltas=(0.25,), samples=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(
-            problem="example1", deltas=(0.25,), occupation_epsilons=(-0.1,)
-        )
+    # occupation_values' (0, eps0/2) rule; example1 has eps0 = 0.4
+    for eps in (-0.1, 0.2, 5.0):
+        with pytest.raises(ValueError, match=r"outside \(0, eps0/2\)"):
+            ExperimentConfig(
+                problem="example1", deltas=(0.25,), occupation_epsilons=(eps,)
+            )
     cfg = ExperimentConfig(problem="example1", deltas=(0.25, 0.125), samples=16)
     assert cfg.resolve_problem() is EX1
     assert ExperimentConfig(problem=EX2, deltas=(0.25,)).resolve_problem() is EX2

@@ -22,7 +22,6 @@ from adaptive_em.solver import (
     em_step,
     interpolate,
     simulate_adaptive,
-    simulate_equidistant,
     step_size,
     step_size_from_distance,
 )
@@ -44,20 +43,6 @@ def _constant_problem(x0, mu=0.0, eps0=0.05):
         x0=np.array([x0]),
         horizon=1.0,
         eps0=eps0,
-        sigma_sup=1.0,
-        mu_sup=abs(mu) + 1.0,
-    )
-
-
-def _gbm_problem(mu=1.0, sigma=0.8, x0=1.0):
-    return SdeProblem(
-        dimension=1,
-        drift=lambda x: mu * np.asarray(x, dtype=float),
-        diffusion=lambda x: (sigma * np.asarray(x, dtype=float))[..., None],
-        surface=PointSet1D(points=(1e6,)),
-        x0=np.array([x0]),
-        horizon=1.0,
-        eps0=1.0,
         sigma_sup=1.0,
         mu_sup=abs(mu) + 1.0,
     )
@@ -287,8 +272,6 @@ def test_path_dimension_must_match():
     params = StepSizeParams.for_problem(prob, DELTA16)
     with pytest.raises(ValueError):
         simulate_adaptive(prob, params, BrownianPath(2, 1, 0))
-    with pytest.raises(ValueError):
-        simulate_equidistant(prob, 8, BrownianPath(2, 1, 0))
 
 
 def test_interpolate_at_grid_nodes_returns_stored_states():
@@ -334,35 +317,6 @@ def test_interpolate_range_checks():
         interpolate(traj, prob, path, -0.1)
     with pytest.raises(ValueError):
         interpolate(traj, prob, path, traj.times[-1] + 0.1)
-
-
-def test_equidistant_grid_and_endpoint():
-    prob = _constant_problem(10.0)
-    traj = simulate_equidistant(prob, 7, BrownianPath(1, 2, 0))
-    assert traj.step_count == 7
-    np.testing.assert_allclose(traj.times[:-1], np.arange(7) / 7.0)
-    assert traj.times[-1] == 1.0
-    with pytest.raises(ValueError):
-        simulate_equidistant(prob, 0, BrownianPath(1, 2, 0))
-
-
-def test_equidistant_gbm_strong_order():
-    # against the closed-form solution the uniform scheme has MSE ~ 1/n
-    mu, sigma, x0 = 1.0, 0.8, 1.0
-    prob = _gbm_problem(mu, sigma, x0)
-    ns = [4, 16, 64]
-    mse = []
-    for n in ns:
-        se = 0.0
-        for m in range(400):
-            path = BrownianPath(1, 777, m)
-            traj = simulate_equidistant(prob, n, path)
-            w1 = float(path.query(1.0)[0])
-            exact = x0 * math.exp((mu - 0.5 * sigma ** 2) + sigma * w1)
-            se += (float(traj.states[-1][0]) - exact) ** 2
-        mse.append(se / 400.0)
-    slope = np.polyfit(np.log2(ns), np.log2(mse), 1)[0]
-    assert -1.45 < slope < -0.55
 
 
 def test_increment_moments_scale_with_time_gap():

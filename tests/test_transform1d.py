@@ -44,13 +44,12 @@ def test_piecewise_drift_validation():
         PiecewiseDrift1D(breakpoints=(1.0, 0.0), branches=(abs, abs, abs))
     with pytest.raises(ValueError):
         PiecewiseDrift1D(breakpoints=(0.0,), branches=(abs,))
-    # declared limit contradicts the branch next to the breakpoint
-    with pytest.raises(ValueError):
+    # a branch that itself jumps at the breakpoint: its value there is not
+    # its limit from the left
+    with pytest.raises(ValueError, match="left limit"):
         PiecewiseDrift1D(
             breakpoints=(0.0,),
-            branches=(lambda x: x, lambda x: x),
-            left_limits=(5.0,),
-            right_limits=(0.0,),
+            branches=(lambda x: np.where(x < 0, 5.0, 0.0), lambda x: x),
         )
 
 
@@ -170,26 +169,9 @@ def test_transformed_drift_value_at_zero():
     assert float(sg) == pytest.approx(1.0)
 
 
-def test_explicit_params_validation():
+def test_transform_params_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         TransformParams(c=0.0)
-    with pytest.raises(ValueError):
-        EX1.transform().__class__(
-            EX1.piecewise_drift, EX1.scalar_sigma, eps0=0.4,
-            params=TransformParams(c=0.4),
-        )
-    wide = PiecewiseDrift1D(
-        breakpoints=(0.0, 0.4),
-        branches=(lambda x: 0.0 * x, lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x),
-    )
-    with pytest.raises(ValueError, match="gap"):
-        Transform1D(wide, _unit_sigma, eps0=5.0, params=TransformParams(c=0.3))
-    steep = PiecewiseDrift1D(
-        breakpoints=(0.0,),
-        branches=(lambda x: 100.0 + 0.0 * x, lambda x: 0.0 * x),
-    )
-    with pytest.raises(ValueError, match="0.1"):
-        Transform1D(steep, _unit_sigma, eps0=1.0, params=TransformParams(c=0.2))
 
 
 def test_auto_radius_shrinks_until_slope_floor_holds():
