@@ -4,11 +4,16 @@ One driver, :func:`_adaptive_lockstep`, advances a batch of independent
 paths through the adaptive scheme in lockstep, retiring lanes as they reach
 the horizon.  It holds the only copy of the step: the step budget, the step
 size from the distance to the surface, the Euler update, the finiteness
-check, the horizon crossing and the update of the live lanes.  Each pass
+check, the horizon crossing and the update of the live lanes.  A batch may
+pool several rungs of a ladder, each with its own step-size parameters:
+:func:`coupled_pair` runs the coarse passes of every rung in one lockstep
+and then the fine passes of every rung in another, so each pass costs as
+many iterations as its slowest lane, not the sum over rungs.  Each pass
 supplies three parts:
 
 - a Brownian source for the path value at the next grid time: a fresh
-  increment, recorded as a knot by :func:`forward_pass` and followed by a
+  increment, recorded as a knot by :func:`forward_pass` (in a ragged store
+  sized by the lane-steps taken) and followed by a
   midpoint draw in :func:`occupation_pass`, or a bridge against the knots
   of an earlier forward pass in :func:`bridged_pass`;
 - the path value at the horizon for lanes whose last step overshoots it:
@@ -68,15 +73,19 @@ def _check_finite(x, act=None, labels=None):
     raise ValueError(f"non-finite state during simulation in {_sample_name(labels, lane)}")
 
 
-def _raise_budget(labels, act, budget, params):
-    lane = int(act[0])
-    raise RunawaySimulationError(
-        f"{_sample_name(labels, lane)} exceeded {budget} steps at delta={params.delta:.4g}"
-    )
+def _live_spans(rung_live, n_rungs):
+    """(rung, start, stop) of each rung with live lanes; ``rung_live`` is sorted."""
+    bounds = np.searchsorted(rung_live, np.arange(n_rungs + 1)).tolist()
+    return [(r, a, b) for r, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
 
 
-def _adaptive_lockstep(problem, params, keys, labels, draw, horizon_value, observe=None):
+def _adaptive_lockstep(problem, params, rung, keys, labels, draw, horizon_value, observe=None):
     """Run the adaptive scheme on every lane until it reaches the horizon.
+
+    ``params`` holds one StepSizeParams per rung and ``rung`` the
+    non-decreasing rung index of each lane, so the live lanes of a rung
+    always form one contiguous slice; each slice takes its step sizes and
+    its step budget from its own rung.
 
     The callables see arrays aligned with the active lanes ``act``:
     ``draw(act, tc, wc, h, t_next)`` returns the path values at the next
@@ -85,32 +94,39 @@ def _adaptive_lockstep(problem, params, keys, labels, draw, horizon_value, obser
     overshoots it; ``observe(act, tc, wc, x, mu, sig, dist, dist_end)`` sees
     each step with the distances to the surface at its start and at its end,
     the end being cut at the horizon under the frozen coefficients.  The
-    arrays they see are the driver's own state, so they must not write to
-    them.
+    arrays they see, ``t_next`` and the returned path values among them, are
+    never written to in place, so they may keep references to them.
 
     Returns per-lane step counts and the state and path value at the horizon.
     """
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
-    budget = _step_budget(problem, params)
+    budgets = [_step_budget(problem, p) for p in params]
     steps = np.empty(n, dtype=np.int64)
     x_T = np.empty((n, d))
     w_T = np.empty((n, d))
-    # state of the live lanes act only, compacted when a lane retires
+    # state of the live lanes act only, compacted in order when a lane retires
     act = np.arange(n)
     t = np.zeros(n)
     x = np.tile(problem.x0, (n, 1))
     w = np.zeros((n, d))
     dist = np.asarray(problem.surface.distance(x), dtype=float)
+    spans = _live_spans(rung, len(params))
     # live lanes start together and step once per iteration, so they all
     # have taken k steps
     k = 0
     while act.size:
-        if k >= budget:
-            _raise_budget(labels, act, budget, params)
+        for r, a, _ in spans:
+            if k >= budgets[r]:
+                raise RunawaySimulationError(
+                    f"{_sample_name(labels, int(act[a]))} exceeded {budgets[r]} steps "
+                    f"at delta={params[r].delta:.4g}"
+                )
         k += 1
-        h = step_size_from_distance(dist, params)
+        h = np.concatenate(
+            [step_size_from_distance(dist[a:b], params[r]) for r, a, b in spans]
+        )
         t_next = t + h
         wn = draw(act, t, w, h, t_next)
         mu = _drift(problem, x)
@@ -140,6 +156,7 @@ def _adaptive_lockstep(problem, params, keys, labels, draw, horizon_value, obser
         if retire:
             live = ~crossed
             act, t, x, w, dist = act[live], t[live], x[live], w[live], dist[live]
+            spans = _live_spans(rung[act], len(params))
     return steps, x_T, w_T
 
 
@@ -180,67 +197,60 @@ def _bridged_values(act, pt, pw, u_t, u_w, has_right, t_next, keys, kc, dim):
     return wn
 
 
-def _grown(buf):
-    """``buf`` with its knot axis doubled; fresh pages of the new half stay unwritten."""
-    out = np.zeros((buf.shape[0], 2 * buf.shape[1]) + buf.shape[2:])
-    out[:, : buf.shape[1]] = buf
-    return out
-
-
-def forward_pass(problem, params: StepSizeParams, keys, labels=None):
+def forward_pass(problem, params, rung, keys, labels=None):
     """Adaptive scheme on fresh paths, recording every knot.
 
-    Returns a dict with per-lane step counts ``n``, the interpolated state
-    and path value at the horizon (``x_T``, ``w_T``), the knot arrays
-    ``kt``/``kw`` with row lengths ``length``, and the continued draw
-    counter ``kc``.
+    ``params`` and ``rung`` are as in :func:`_adaptive_lockstep`.  Returns a
+    dict with per-lane step counts ``n``, the interpolated state and path
+    value at the horizon (``x_T``, ``w_T``), the continued draw counter
+    ``kc``, and the knots past time 0 in a ragged store: lane ``i`` owns the
+    strictly increasing times ``kt[start[i]:end[i]]``, the horizon among
+    them, and the path values in the same rows of ``kw``.
     """
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
     kc = np.ones(n, dtype=np.uint64)
-    length = np.ones(n, dtype=np.int64)
-    kt = np.zeros((n, 256))
-    kw = np.zeros((n, 256, d))
+    # references to each knot drawn, in drawing order; nothing writes to them
+    log_lane, log_t, log_w = [], [], []
 
     def draw(act, tc, wc, h, t_next):
-        nonlocal kt, kw
         wn = _fresh(act, tc, wc, t_next, keys, kc, d)
-        # room for this knot and a horizon knot slotted in before it
-        pos = length[act]
-        if int(pos.max()) + 2 >= kt.shape[1]:
-            kt = _grown(kt)
-            kw = _grown(kw)
-        kt[act, pos] = t_next
-        kw[act, pos] = wn
-        length[act] = pos + 1
+        log_lane.append(act)
+        log_t.append(t_next)
+        log_w.append(wn)
         return wn
 
     def bridge_to_horizon(act, sel, tc, wc, t_next, wn):
         lanes = act[sel]
-        wt = _bridge(
-            lanes, tc[sel], wc[sel], t_next[sel], wn[sel],
-            np.full(sel.size, horizon), keys, kc, d,
-        )
-        # shift the overshooting knot right and slot the horizon in
-        p = length[lanes]
-        kt[lanes, p] = kt[lanes, p - 1]
-        kw[lanes, p] = kw[lanes, p - 1]
-        kt[lanes, p - 1] = horizon
-        kw[lanes, p - 1] = wt
-        length[lanes] += 1
+        t_hor = np.full(sel.size, horizon)
+        wt = _bridge(lanes, tc[sel], wc[sel], t_next[sel], wn[sel], t_hor, keys, kc, d)
+        log_lane.append(lanes)
+        log_t.append(t_hor)
+        log_w.append(wt)
         return wt
 
     steps, x_T, w_T = _adaptive_lockstep(
-        problem, params, keys, labels, draw, bridge_to_horizon
+        problem, params, rung, keys, labels, draw, bridge_to_horizon
     )
+    lane = np.concatenate(log_lane)
+    order = np.argsort(lane, kind="stable")
+    kt = np.concatenate(log_t)[order]
+    kw = np.concatenate(log_w)[order]
+    count = np.bincount(lane, minlength=n)
+    end = np.cumsum(count)
+    # an overshooting lane logged its horizon knot after its last knot
+    e = end[count > steps]
+    kt[e - 2], kt[e - 1] = kt[e - 1], kt[e - 2]
+    kw[e - 2], kw[e - 1] = kw[e - 1], kw[e - 2]
     return {
         "n": steps,
         "x_T": x_T,
         "w_T": w_T,
         "kt": kt,
         "kw": kw,
-        "length": length,
+        "start": end - count,
+        "end": end,
         "kc": kc,
     }
 
@@ -251,13 +261,14 @@ class _KnotWalker:
     Maintains, per lane, the latest known knot at or before the running
     query time and the index of the next recorded knot after it.  A query
     returns the bracketing data and flags exact hits on existing knots.
+    ``prior`` is the ragged knot store of :func:`forward_pass`.
     """
 
-    def __init__(self, kt, kw, length):
-        self.kt = kt
-        self.kw = kw
-        self.last = length - 1
-        self.ptr = np.ones(kt.shape[0], dtype=np.int64)
+    def __init__(self, prior):
+        self.kt = prior["kt"]
+        self.kw = prior["kw"]
+        self.last = prior["end"] - 1
+        self.ptr = prior["start"].copy()
 
     def bracket(self, act, t_node, w_node, t_next):
         """Bracket data for querying ``t_next`` from nodes at ``t_node``.
@@ -271,32 +282,33 @@ class _KnotWalker:
         ptr = self.ptr[act]
         last = self.last[act]
         g = np.minimum(ptr, last)
-        u_t = self.kt[act, g]
+        u_t = self.kt[g]
         has_right = ptr <= last
         can = has_right & (u_t <= t_next)
         while can.any():
             # lanes in can pass their next knot: it becomes the left side
             pt = np.where(can, u_t, pt)
-            pw = np.where(can[:, None], self.kw[act, g], pw)
+            pw = np.where(can[:, None], self.kw[g], pw)
             ptr += can
             g = np.minimum(ptr, last)
-            u_t = self.kt[act, g]
+            u_t = self.kt[g]
             has_right = ptr <= last
             can = has_right & (u_t <= t_next)
         self.ptr[act] = ptr
-        return pt, pw, u_t, self.kw[act, g], has_right
+        return pt, pw, u_t, self.kw[g], has_right
 
 
-def bridged_pass(problem, params: StepSizeParams, keys, prior, labels=None):
+def bridged_pass(problem, params, rung, keys, prior, labels=None):
     """Adaptive scheme on paths conditioned on previously recorded knots.
 
     ``prior`` is the dict returned by :func:`forward_pass` for the same
     keys; its knots (which include the horizon) pin the path, and new times
-    are bridged against them.  Returns per-lane step counts and the state
+    are bridged against them.  ``params`` and ``rung`` are as in
+    :func:`_adaptive_lockstep`.  Returns per-lane step counts and the state
     at the horizon.
     """
     kc = prior["kc"].copy()
-    walker = _KnotWalker(prior["kt"], prior["kw"], prior["length"])
+    walker = _KnotWalker(prior)
 
     def draw(act, tc, wc, h, t_next):
         bracket = walker.bracket(act, tc, wc, t_next)
@@ -305,25 +317,31 @@ def bridged_pass(problem, params: StepSizeParams, keys, prior, labels=None):
     def recorded(act, sel, *_):
         return prior["w_T"][act[sel]]
 
-    steps, x_T, _ = _adaptive_lockstep(problem, params, keys, labels, draw, recorded)
+    steps, x_T, _ = _adaptive_lockstep(problem, params, rung, keys, labels, draw, recorded)
     return {"n": steps, "x_T": x_T}
 
 
-def coupled_pair(problem, delta, indices, master_seed):
+def coupled_pair(problem, deltas, indices, master_seed):
     """Coarse (2 delta) then fine (delta) adaptive runs on shared paths.
 
-    Returns (squared differences at the horizon, fine step counts, coarse
-    step counts) for the given sample indices.
+    Every rung of the ladder ``deltas`` runs in one pooled lockstep: first
+    the coarse forward pass of all rungs, then the fine bridged pass of all
+    rungs.  Returns (squared differences at the horizon, fine step counts,
+    coarse step counts), each of shape (samples, rungs), for the given
+    sample indices.
     """
     idx = np.asarray(indices, dtype=np.uint64)
-    keys = path_key(master_seed, idx)
-    coarse = StepSizeParams.for_problem(problem, 2.0 * delta)
-    fine = StepSizeParams.for_problem(problem, delta)
-    prior = forward_pass(problem, coarse, keys, labels=idx)
-    out = bridged_pass(problem, fine, keys, prior, labels=idx)
+    n_rungs = len(deltas)
+    labels = np.tile(idx, n_rungs)
+    keys = path_key(master_seed, labels)
+    rung = np.repeat(np.arange(n_rungs), idx.size)
+    coarse = tuple(StepSizeParams.for_problem(problem, 2.0 * d) for d in deltas)
+    fine = tuple(StepSizeParams.for_problem(problem, d) for d in deltas)
+    prior = forward_pass(problem, coarse, rung, keys, labels=labels)
+    out = bridged_pass(problem, fine, rung, keys, prior, labels=labels)
     diff = out["x_T"] - prior["x_T"]
     sq = np.einsum("bj,bj->b", diff, diff)
-    return sq, out["n"], prior["n"]
+    return tuple(v.reshape(n_rungs, idx.size).T for v in (sq, out["n"], prior["n"]))
 
 
 def occupation_pass(problem, params: StepSizeParams, epsilon, keys, labels=None):
@@ -361,7 +379,8 @@ def occupation_pass(problem, params: StepSizeParams, epsilon, keys, labels=None)
         occ[act] += h_cut * ((dist < epsilon) + 2.0 * in_m + (dist_end < epsilon)) * 0.25
 
     _adaptive_lockstep(
-        problem, params, keys, labels, draw, bridge_from_midpoint, trapezoid
+        problem, (params,), np.zeros(n, dtype=np.int64), keys, labels,
+        draw, bridge_from_midpoint, trapezoid,
     )
     return occ
 
@@ -375,7 +394,7 @@ def equidistant_transformed_pass(transform, z0, horizon, n_steps, keys, prior, l
     """
     n = keys.size
     kc = prior["kc"].copy()
-    walker = _KnotWalker(prior["kt"], prior["kw"], prior["length"])
+    walker = _KnotWalker(prior)
     act = np.arange(n)
     dt = horizon / n_steps
     t = np.zeros(n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import functools
 import json
 import math
 import operator
@@ -260,14 +261,16 @@ def _diffusion_from_config(cfg: dict, dimension: int):
 
 
 def problem_from_config(cfg: dict):
-    """Build (SdeProblem, optional Transform1D) from a config dict.
+    """Build (SdeProblem, optional transform factory) from a config dict.
 
     The schema mirrors SdeProblem: scalar fields ``dimension``, ``horizon``,
     ``x0``, ``eps0``, ``sigma_sup``, ``mu_sup``; a ``surface`` object with a
     geometry ``type``; and ``drift``/``diffusion`` as numpy expressions (in
     ``x`` for one dimension, ``x1..xd`` otherwise).  One-dimensional drifts
     may instead give ``{"breakpoints": [...], "branches": [...]}``, which
-    also enables the transform benchmark.
+    also enables the transform benchmark: the factory then returns the
+    problem's Transform1D, or raises DegenerateDiffusionError (a ValueError)
+    if the diffusion vanishes at a breakpoint.
     """
     try:
         dimension = int(cfg["dimension"])
@@ -285,12 +288,11 @@ def problem_from_config(cfg: dict):
             sigma_sup=float(cfg["sigma_sup"]),
             mu_sup=float(cfg["mu_sup"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad problem config: {exc}") from exc
-    transform = None
-    if pw is not None and scalar_sigma is not None:
-        transform = Transform1D(pw, scalar_sigma, problem.eps0)
-    return problem, transform
+    if pw is None or scalar_sigma is None:
+        return problem, None
+    return problem, functools.partial(Transform1D, pw, scalar_sigma, problem.eps0)
 
 
 def _load_config(path: str):
@@ -302,7 +304,11 @@ def _load_config(path: str):
 
 
 def _resolve_problem(example, config_path):
-    """Problem plus optional transform from an example name or config file."""
+    """Problem plus optional transform factory from an example name or config file.
+
+    Only ``verify-transform`` builds the transform, so the other commands
+    also run problems whose diffusion vanishes at a breakpoint.
+    """
     if (example is None) == (config_path is None):
         raise click.UsageError("give exactly one of EXAMPLE or --config")
     if example is not None:
@@ -312,10 +318,7 @@ def _resolve_problem(example, config_path):
             raise click.UsageError(
                 f"unknown example {example!r}; choose from {', '.join(example_names())}"
             ) from None
-        transform = None
-        if entry.problem.dimension == 1:
-            transform = entry.transform()
-        return entry.problem, transform
+        return entry.problem, entry.transform if entry.problem.dimension == 1 else None
     return problem_from_config(_load_config(config_path))
 
 
@@ -481,11 +484,15 @@ def cmd_verify_transform(example, config_path, deltas, samples, seed, workers, o
     Only one-dimensional problems with piecewise drift support the
     transform; writes verify.csv with per-delta mean squared gaps.
     """
-    problem, transform = _resolve_problem(example, config_path)
-    if problem.dimension != 1 or transform is None:
+    problem, make_transform = _resolve_problem(example, config_path)
+    if problem.dimension != 1 or make_transform is None:
         raise click.UsageError(
             "transform verification needs a one-dimensional problem with piecewise drift"
         )
+    try:
+        transform = make_transform()
+    except (ArithmeticError, ValueError) as exc:  # DegenerateDiffusionError among them
+        raise click.UsageError(f"no transform for this problem: {exc}") from exc
     delta_values = parse_deltas(deltas)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -117,9 +117,9 @@ def equidistant_steps(problem, params) -> int:
 
 
 def _coupled_job(payload, start, stop):
-    problem, delta, master_seed = payload
+    problem, deltas, master_seed = payload
     idx = np.arange(start, stop, dtype=np.uint64)
-    return _engine.coupled_pair(problem, delta, idx, master_seed)
+    return _engine.coupled_pair(problem, deltas, idx, master_seed)
 
 
 def _occupation_job(payload, start, stop):
@@ -134,7 +134,8 @@ def _verify_job(payload, start, stop):
     idx = np.arange(start, stop, dtype=np.uint64)
     keys = _engine.path_key(master_seed, idx)
     params = StepSizeParams.for_problem(problem, delta)
-    prior = _engine.forward_pass(problem, params, keys, labels=idx)
+    rung = np.zeros(idx.size, dtype=np.int64)
+    prior = _engine.forward_pass(problem, (params,), rung, keys, labels=idx)
     z0 = float(transform.value(problem.x0[0]))
     z_T = _engine.equidistant_transformed_pass(
         transform, z0, problem.horizon, equidistant_steps(problem, params), keys, prior, labels=idx
@@ -188,13 +189,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
         for f in (2.0, 1.0)
     )
     t0 = time.perf_counter()
-    rows = []
-    for delta in config.deltas:
-        sq, n_fine, _ = _map_batches(
-            _coupled_job, (problem, delta, config.master_seed), config.samples, workers
+    # one pooled job for all rungs; columns are rungs, made rows here
+    sq, n_fine, _ = (
+        np.ascontiguousarray(col.T)
+        for col in _map_batches(
+            _coupled_job, (problem, config.deltas, config.master_seed), config.samples, workers
         )
-        msq, msq_se = _mean_stderr(sq)
-        cost, cost_se = _mean_stderr(n_fine.astype(float))
+    )
+    rows = []
+    for delta, sq_r, n_r in zip(config.deltas, sq, n_fine):
+        msq, msq_se = _mean_stderr(sq_r)
+        cost, cost_se = _mean_stderr(n_r.astype(float))
         row = {
             "delta": float(delta),
             "msq": msq,

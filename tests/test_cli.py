@@ -169,6 +169,46 @@ def test_config_expression_with_failing_constant_is_rejected(expr):
         problem_from_config(broken)
 
 
+def test_config_branch_failing_at_its_breakpoint_is_rejected(tmp_path):
+    # the drift's limits are read at the breakpoint with a Python float
+    broken = dict(_CONFIG_1D, drift={"breakpoints": [0.5], "branches": ["1/(x-0.5)", "-1.0"]})
+    with pytest.raises(click.UsageError, match="bad problem config"):
+        problem_from_config(broken)
+    config = _write_config(tmp_path, broken)
+    result = _invoke(["run", "--config", str(config), "--samples", "4", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "bad problem config" in _all_text(result)
+
+
+# the diffusion vanishes at the breakpoint: the scheme runs, the transform does not exist
+_CONFIG_DEGENERATE = dict(_CONFIG_1D, diffusion="x-0.5", sigma_sup=2.0)
+
+
+def test_degenerate_diffusion_runs_without_a_transform(tmp_path):
+    config = _write_config(tmp_path, _CONFIG_DEGENERATE)
+    result = _invoke(
+        ["run", "--config", str(config), "--deltas", "2^-2,2^-3",
+         "--samples", "16", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, _all_text(result)
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 3
+    result = _invoke(
+        ["occupation", "--config", str(config), "--delta", "2^-3", "--epsilons", "0.05",
+         "--samples", "16", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, _all_text(result)
+
+
+def test_verify_transform_rejects_degenerate_diffusion(tmp_path):
+    config = _write_config(tmp_path, _CONFIG_DEGENERATE)
+    result = _invoke(
+        ["verify-transform", "--config", str(config), "--samples", "4", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "diffusion vanishes at breakpoint 0.5" in _all_text(result)
+    assert not (tmp_path / "verify.csv").exists()
+
+
 def test_config_expression_grammar_accepts_operators_and_listed_calls():
     f = ExpressionFunction(
         "where((x1 < 0) & ~(x2 >= 1), -abs(x1) ** 2 // 1 % 3, sqrt(maximum(x2, 0)) / pi)",

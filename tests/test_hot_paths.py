@@ -204,7 +204,7 @@ def test_point_set_distance_matches_min_reduce(points, xs):
         assert_equal(surface.distance(v), _distance_reference(surface, v))
 
 
-_, _CONFIG_TRANSFORM = problem_from_config(
+_, _make_config_transform = problem_from_config(
     {
         "dimension": 1,
         "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
@@ -220,6 +220,7 @@ _, _CONFIG_TRANSFORM = problem_from_config(
         "mu_sup": 3.0,
     }
 )
+_CONFIG_TRANSFORM = _make_config_transform()
 
 TRANSFORMS = {
     "example1": get_example("example1").transform(),

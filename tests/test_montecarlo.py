@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adaptive_em import _engine
+from adaptive_em.brownian import BrownianPath
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
     ExperimentConfig,
@@ -17,7 +18,13 @@ from adaptive_em.montecarlo import (
     verify_transform,
 )
 from adaptive_em.problems import get_example
-from adaptive_em.solver import RunawaySimulationError, SdeProblem, StepSizeParams
+from adaptive_em.solver import (
+    RunawaySimulationError,
+    SdeProblem,
+    StepSizeParams,
+    interpolate,
+    simulate_adaptive,
+)
 from oracles import coupled_difference_sample, occupation_sample, verify_transform_sample
 
 EX1 = get_example("example1").problem
@@ -88,14 +95,46 @@ def test_config_validation():
 
 
 def test_batched_coupled_matches_sequential():
+    # one pooled job over the whole ladder; every rung of every sample
+    deltas = (0.25, 0.125, 0.0625)
     for prob, count in ((EX1, 12), (EX3, 6)):
-        delta = 0.125
-        sq, n_fine, n_coarse = _coupled_job((prob, delta, 77), 0, count)
-        for i in range(count):
-            s_sq, s_f, s_c = coupled_difference_sample(prob, delta, i, 77)
-            assert sq[i] == s_sq
-            assert n_fine[i] == s_f
-            assert n_coarse[i] == s_c
+        sq, n_fine, n_coarse = _coupled_job((prob, deltas, 77), 0, count)
+        assert sq.shape == n_fine.shape == n_coarse.shape == (count, len(deltas))
+        for r, delta in enumerate(deltas):
+            for i in range(count):
+                s_sq, s_f, s_c = coupled_difference_sample(prob, delta, i, 77)
+                assert sq[i, r] == s_sq
+                assert n_fine[i, r] == s_f
+                assert n_coarse[i, r] == s_c
+
+
+def test_forward_pass_ragged_knots_match_the_path():
+    # two rungs pooled, rung-major; each lane's slice of the knot store is
+    # the sequential path's knots after the coarse run and the horizon query
+    deltas = (0.25, 0.0625)
+    count = 5
+    for prob in (EX1, EX3):
+        idx = np.tile(np.arange(count, dtype=np.uint64), len(deltas))
+        rung = np.repeat(np.arange(len(deltas)), count)
+        params = tuple(StepSizeParams.for_problem(prob, d) for d in deltas)
+        keys = _engine.path_key(13, idx)
+        prior = _engine.forward_pass(prob, params, rung, keys, labels=idx)
+        assert prior["kt"].shape == (prior["end"][-1],)
+        assert prior["kw"].shape == (prior["end"][-1], prob.dimension)
+        np.testing.assert_array_equal(prior["start"][1:], prior["end"][:-1])
+        assert prior["start"][0] == 0
+        for lane in range(idx.size):
+            kt = prior["kt"][prior["start"][lane]:prior["end"][lane]]
+            kw = prior["kw"][prior["start"][lane]:prior["end"][lane]]
+            assert np.all(np.diff(kt) > 0.0)
+            assert np.count_nonzero(kt == prob.horizon) == 1
+            path = BrownianPath(prob.dimension, 13, int(idx[lane]))
+            traj = simulate_adaptive(prob, params[rung[lane]], path)
+            interpolate(traj, prob, path, prob.horizon)
+            assert prior["n"][lane] == traj.step_count
+            times = np.array(path.knot_times[1:])
+            assert kt.tobytes() == times.tobytes()
+            assert kw.tobytes() == np.array([path.query(t) for t in times]).tobytes()
 
 
 def test_batched_occupation_matches_sequential():
@@ -118,9 +157,22 @@ def test_batched_budget_guard_names_the_sample(monkeypatch):
     monkeypatch.setattr(_engine, "_step_budget", lambda p, s: 2)
     params = StepSizeParams.for_problem(EX1, 0.125)
     with pytest.raises(RunawaySimulationError, match=r"^sample 700 exceeded 2 steps"):
-        _coupled_job((EX1, 0.125, 3), 700, 710)
+        _coupled_job((EX1, (0.125,), 3), 700, 710)
     with pytest.raises(RunawaySimulationError, match=r"^sample 700 exceeded 2 steps"):
         _occupation_job((EX1, params, 0.1, 3), 700, 710)
+
+
+def test_pooled_budget_guard_names_the_rung(monkeypatch):
+    # only the finest fine pass runs out; at step 40 rung 1 still has
+    # sample 703 live ahead of the finest rung's slice, so the message must
+    # come from that slice and name its own delta
+    monkeypatch.setattr(
+        _engine, "_step_budget", lambda p, s: 40 if s.delta == 0.0625 else 10**6
+    )
+    with pytest.raises(
+        RunawaySimulationError, match=r"^sample 700 exceeded 40 steps at delta=0.0625$"
+    ):
+        _coupled_job((EX1, (0.25, 0.125, 0.0625), 3), 700, 710)
 
 
 def test_batched_finite_guard_names_the_sample():
@@ -139,7 +191,7 @@ def test_batched_finite_guard_names_the_sample():
     params = StepSizeParams.for_problem(prob, 0.125)
     message = r"^non-finite state during simulation in sample 300$"
     with pytest.raises(ValueError, match=message):
-        _coupled_job((prob, 0.125, 3), 300, 305)
+        _coupled_job((prob, (0.125,), 3), 300, 305)
     with pytest.raises(ValueError, match=message):
         _occupation_job((prob, params, 0.1, 3), 300, 305)
 
@@ -204,14 +256,16 @@ def test_stderr_shrinks_like_root_samples():
 
 
 def test_workers_do_not_change_results():
+    # three batches of the pooled three-rung job
     cfg = ExperimentConfig(
-        problem="example1", deltas=(0.125,), samples=1100, master_seed=99
+        problem="example1", deltas=(0.25, 0.125, 0.0625), samples=1100, master_seed=99
     )
     solo = run_experiment(cfg, workers=1).rows
     pooled = run_experiment(cfg, workers=2).rows
-    assert len(solo) == len(pooled) == 1
-    for key in ("delta", "msq", "msq_stderr", "cost_mean", "cost_stderr"):
-        assert solo[0][key] == pooled[0][key]
+    assert len(solo) == len(pooled) == 3
+    for a, b in zip(solo, pooled):
+        for key in ("delta", "msq", "msq_stderr", "cost_mean", "cost_stderr"):
+            assert a[key] == b[key]
 
 
 def test_rerun_is_bit_identical():
