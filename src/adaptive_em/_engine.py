@@ -4,18 +4,17 @@ One driver, :func:`_adaptive_lockstep`, advances a batch of independent
 paths through the adaptive scheme in lockstep, retiring lanes as they reach
 the horizon.  It holds the only copy of the step: the step budget, the step
 size from the distance to the surface, the Euler update, the finiteness
-check, the horizon crossing and the update of the live lanes.  A batch may
-pool several rungs of a ladder, each with its own step-size parameters:
-:func:`coupled_pair` runs the coarse passes of every rung in one lockstep
-and then the fine passes of every rung in another, so each pass costs as
-many iterations as its slowest lane, not the sum over rungs.  Each pass
-supplies three parts:
+check, the horizon crossing and the update of the live lanes.  A batch
+pools every rung of a ladder, laid out rung by rung by
+:func:`ladder_lanes`, each rung with its own step-size parameters, so a
+pass costs as many iterations as its slowest lane, not the sum over rungs.
+Each pass supplies three parts:
 
 - a Brownian source for the path value at the next grid time: a fresh
   increment, recorded as a knot by :func:`forward_pass` (in a ragged store
-  sized by the lane-steps taken) and followed by a
-  midpoint draw in :func:`occupation_pass`, or a bridge against the knots
-  of an earlier forward pass in :func:`bridged_pass`;
+  sized by the lane-steps taken) and followed by a midpoint draw in
+  :func:`occupation_pass`, or a bridge against the knots of an earlier
+  forward pass in :func:`bridged_pass`;
 - the path value at the horizon for lanes whose last step overshoots it:
   a bridge draw inserted as a knot, the recorded value, or a bridge from
   the step's midpoint;
@@ -57,20 +56,13 @@ def _euler(x, mu, sig, dt, dw):
     return x + mu * dt[:, None] + np.einsum("bij,bj->bi", sig, dw)
 
 
-def _sample_name(labels, lane):
-    return f"sample {labels[lane]}" if labels is not None else f"lane {lane}"
-
-
-def _check_finite(x, act=None, labels=None):
+def _check_finite(x, act, labels):
     ok = np.isfinite(x)
     if ok.all():
         return
     if x.ndim > 1:
         ok = ok.all(axis=tuple(range(1, x.ndim)))
-    lane = int(np.flatnonzero(~ok)[0])
-    if act is not None:
-        lane = int(act[lane])
-    raise ValueError(f"non-finite state during simulation in {_sample_name(labels, lane)}")
+    raise ValueError(f"non-finite state during simulation in sample {labels[act[~ok][0]]}")
 
 
 def _live_spans(rung_live, n_rungs):
@@ -120,7 +112,7 @@ def _adaptive_lockstep(problem, params, rung, keys, labels, draw, horizon_value,
         for r, a, _ in spans:
             if k >= budgets[r]:
                 raise RunawaySimulationError(
-                    f"{_sample_name(labels, int(act[a]))} exceeded {budgets[r]} steps "
+                    f"sample {labels[act[a]]} exceeded {budgets[r]} steps "
                     f"at delta={params[r].delta:.4g}"
                 )
         k += 1
@@ -197,7 +189,7 @@ def _bridged_values(act, pt, pw, u_t, u_w, has_right, t_next, keys, kc, dim):
     return wn
 
 
-def forward_pass(problem, params, rung, keys, labels=None):
+def forward_pass(problem, params, rung, keys, labels):
     """Adaptive scheme on fresh paths, recording every knot.
 
     ``params`` and ``rung`` are as in :func:`_adaptive_lockstep`.  Returns a
@@ -298,7 +290,7 @@ class _KnotWalker:
         return pt, pw, u_t, self.kw[g], has_right
 
 
-def bridged_pass(problem, params, rung, keys, prior, labels=None):
+def bridged_pass(problem, params, rung, keys, prior, labels):
     """Adaptive scheme on paths conditioned on previously recorded knots.
 
     ``prior`` is the dict returned by :func:`forward_pass` for the same
@@ -321,6 +313,23 @@ def bridged_pass(problem, params, rung, keys, prior, labels=None):
     return {"n": steps, "x_T": x_T}
 
 
+def ladder_lanes(indices, n_rungs, master_seed):
+    """Rung-major lanes that run every sample index once on each rung.
+
+    Returns the lane labels (the sample indices, tiled once per rung), their
+    path keys, the non-decreasing rung index of each lane, and ``by_sample``,
+    which reshapes a per-lane array to (samples, rungs, ...).
+    """
+    idx = np.asarray(indices, dtype=np.uint64)
+    labels = np.tile(idx, n_rungs)
+    rung = np.repeat(np.arange(n_rungs), idx.size)
+
+    def by_sample(v):
+        return v.reshape(n_rungs, idx.size, *v.shape[1:]).swapaxes(0, 1)
+
+    return labels, path_key(master_seed, labels), rung, by_sample
+
+
 def coupled_pair(problem, deltas, indices, master_seed):
     """Coarse (2 delta) then fine (delta) adaptive runs on shared paths.
 
@@ -330,32 +339,31 @@ def coupled_pair(problem, deltas, indices, master_seed):
     coarse step counts), each of shape (samples, rungs), for the given
     sample indices.
     """
-    idx = np.asarray(indices, dtype=np.uint64)
-    n_rungs = len(deltas)
-    labels = np.tile(idx, n_rungs)
-    keys = path_key(master_seed, labels)
-    rung = np.repeat(np.arange(n_rungs), idx.size)
+    labels, keys, rung, by_sample = ladder_lanes(indices, len(deltas), master_seed)
     coarse = tuple(StepSizeParams.for_problem(problem, 2.0 * d) for d in deltas)
     fine = tuple(StepSizeParams.for_problem(problem, d) for d in deltas)
     prior = forward_pass(problem, coarse, rung, keys, labels=labels)
     out = bridged_pass(problem, fine, rung, keys, prior, labels=labels)
     diff = out["x_T"] - prior["x_T"]
     sq = np.einsum("bj,bj->b", diff, diff)
-    return tuple(v.reshape(n_rungs, idx.size).T for v in (sq, out["n"], prior["n"]))
+    return tuple(by_sample(v) for v in (sq, out["n"], prior["n"]))
 
 
-def occupation_pass(problem, params: StepSizeParams, epsilon, keys, labels=None):
-    """Time spent by the interpolated scheme within ``epsilon`` of the surface.
+def occupation_pass(problem, params, rung, epsilons, keys, labels):
+    """Time the interpolated scheme spends within each of ``epsilons`` of the surface.
 
-    Each step contributes trapezoidal occupancy from its endpoints and
-    midpoint; the final step is truncated at the horizon.  Returns the
-    per-lane occupation times.
+    ``params`` and ``rung`` are as in :func:`_adaptive_lockstep`.  Each step
+    contributes trapezoidal occupancy from its endpoints and midpoint; the
+    final step is truncated at the horizon.  The draws do not depend on the
+    tube half-width, so one run serves every epsilon.  Returns the per-lane
+    occupation times, shape (lanes, epsilons).
     """
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
+    eps = np.asarray(epsilons, dtype=float)
     kc = np.ones(n, dtype=np.uint64)
-    occ = np.zeros(n)
+    occ = np.zeros((n, eps.size))
     h_cut = t_mid = w_mid = None
 
     # the midpoint is drawn with the step: a horizon value bridges from it
@@ -375,41 +383,55 @@ def occupation_pass(problem, params: StepSizeParams, epsilon, keys, labels=None)
 
     def trapezoid(act, tc, wc, x, mu, sig, dist, dist_end):
         xm = _euler(x, mu, sig, t_mid - tc, w_mid - wc)
-        in_m = np.asarray(problem.surface.distance(xm)) < epsilon
-        occ[act] += h_cut * ((dist < epsilon) + 2.0 * in_m + (dist_end < epsilon)) * 0.25
+        in_m = np.asarray(problem.surface.distance(xm))[:, None] < eps
+        inside = (dist[:, None] < eps) + 2.0 * in_m + (dist_end[:, None] < eps)
+        occ[act] += h_cut[:, None] * inside * 0.25
 
     _adaptive_lockstep(
-        problem, (params,), np.zeros(n, dtype=np.int64), keys, labels,
-        draw, bridge_from_midpoint, trapezoid,
+        problem, params, rung, keys, labels, draw, bridge_from_midpoint, trapezoid
     )
     return occ
 
 
-def equidistant_transformed_pass(transform, z0, horizon, n_steps, keys, prior, labels=None):
+def equidistant_transformed_pass(transform, z0, horizon, n_steps, rung, keys, prior, labels):
     """Uniform-grid Euler run of the transformed scalar equation.
 
-    Starts from the transformed initial value ``z0``, shares the Brownian
-    paths recorded in ``prior`` (whose knots include the horizon), and
-    returns the transformed state at the horizon for every lane.
+    The lanes of rung ``r`` (``rung`` as in :func:`_adaptive_lockstep`) take
+    ``n_steps[r]`` equal steps to the horizon and then retire, so the pass
+    takes ``max(n_steps)`` iterations.  Starts from the transformed initial
+    value ``z0``, shares the Brownian paths recorded in ``prior`` (whose
+    knots include the horizon), and returns the transformed state at the
+    horizon for every lane.
     """
-    n = keys.size
     kc = prior["kc"].copy()
     walker = _KnotWalker(prior)
-    act = np.arange(n)
-    dt = horizon / n_steps
-    t = np.zeros(n)
-    w_cur = np.zeros((n, 1))
-    z_cur = np.full(n, z0)
-    for k in range(n_steps):
-        tk1 = horizon if k == n_steps - 1 else (k + 1) * dt
-        t_next = np.full(n, tk1)
+    # state of the live lanes act only, compacted when a rung retires
+    act = np.arange(keys.size)
+    steps = np.asarray(n_steps)[rung]
+    dt = horizon / steps
+    t = np.zeros(keys.size)
+    w_cur = np.zeros((keys.size, 1))
+    z_cur = np.full(keys.size, z0)
+    z_T = np.empty(keys.size)
+    for k in range(1, max(n_steps) + 1):
+        t_next = k * dt
+        retire = k in n_steps
+        if retire:
+            done = steps == k
+            t_next[done] = horizon
         bracket = walker.bracket(act, t, w_cur, t_next)
         wn = _bridged_values(act, *bracket, t_next, keys, kc, 1)
         mu_g, sig_g = transform.transformed_coeffs(z_cur)
         h = t_next - t
         dw = wn[:, 0] - w_cur[:, 0]
         z_cur = z_cur + mu_g * h + sig_g * dw
-        _check_finite(z_cur, None, labels)
+        _check_finite(z_cur, act, labels)
         t = t_next
         w_cur = wn
-    return z_cur
+        if retire:
+            z_T[act[done]] = z_cur[done]
+            live = ~done
+            act, steps, dt, t, w_cur, z_cur = (
+                v[live] for v in (act, steps, dt, t, w_cur, z_cur)
+            )
+    return z_T

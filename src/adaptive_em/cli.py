@@ -165,12 +165,13 @@ class ExpressionFunction:
 class VectorField:
     """Vector field with one expression per component in variables x1..xd."""
 
-    def __init__(self, exprs):
-        names = tuple(f"x{i + 1}" for i in range(len(exprs)))
+    def __init__(self, exprs, dimension):
+        self.dimension = dimension
+        names = tuple(f"x{i + 1}" for i in range(dimension))
         self.fns = tuple(ExpressionFunction(e, names) for e in exprs)
 
     def __call__(self, x):
-        comps = tuple(x[..., i] for i in range(len(self.fns)))
+        comps = tuple(x[..., i] for i in range(self.dimension))
         shape = x[..., 0].shape
         cols = [
             np.broadcast_to(np.asarray(f(*comps), dtype=float), shape)
@@ -180,29 +181,13 @@ class VectorField:
 
 
 class MatrixField:
-    """Matrix field with one expression per entry in variables x1..xd."""
+    """Matrix field with one VectorField per row, in variables x1..xd."""
 
-    def __init__(self, rows):
-        d = len(rows)
-        names = tuple(f"x{i + 1}" for i in range(d))
-        self.fns = tuple(
-            tuple(ExpressionFunction(e, names) for e in row) for row in rows
-        )
+    def __init__(self, rows, dimension):
+        self.rows = tuple(VectorField(row, dimension) for row in rows)
 
     def __call__(self, x):
-        comps = tuple(x[..., i] for i in range(len(self.fns)))
-        shape = x[..., 0].shape
-        rows = [
-            np.stack(
-                [
-                    np.broadcast_to(np.asarray(f(*comps), dtype=float), shape)
-                    for f in row
-                ],
-                axis=-1,
-            )
-            for row in self.fns
-        ]
-        return np.stack(rows, axis=-2)
+        return np.stack([row(x) for row in self.rows], axis=-2)
 
 
 def _parse_delta_token(token: str) -> float:
@@ -249,7 +234,7 @@ def _drift_from_config(cfg: dict, dimension: int):
             ),
         )
         return _Lift1D(pw), pw
-    return VectorField(list(drift)), None
+    return VectorField(list(drift), dimension), None
 
 
 def _diffusion_from_config(cfg: dict, dimension: int):
@@ -257,7 +242,7 @@ def _diffusion_from_config(cfg: dict, dimension: int):
     if dimension == 1:
         scalar = ExpressionFunction(diffusion, ("x",))
         return _LiftDiffusion1D(scalar), scalar
-    return MatrixField(list(diffusion)), None
+    return MatrixField(list(diffusion), dimension), None
 
 
 def problem_from_config(cfg: dict):
@@ -328,6 +313,12 @@ def _check_samples(ctx, param, value):
     return value
 
 
+def _check_workers(ctx, param, value):
+    if value < 1:
+        raise click.BadParameter("need at least 1 worker")
+    return value
+
+
 def _dump_trajectory(problem, delta, master_seed, out_dir: Path):
     """Write the sample-0 fine-scheme trajectory for debugging."""
     path = BrownianPath(problem.dimension, master_seed, 0)
@@ -350,7 +341,7 @@ def main():
 @click.option("--deltas", default="2^-2..2^-6", show_default=True, help="Dyadic range 2^-a..2^-b or comma list.")
 @click.option("--samples", default=1000, show_default=True, callback=_check_samples, help="Monte Carlo samples per delta.")
 @click.option("--seed", default=0, show_default=True, help="Master seed for all sample streams.")
-@click.option("--workers", default=1, show_default=True, help="Worker processes; results do not depend on this.")
+@click.option("--workers", default=1, show_default=True, callback=_check_workers, help="Worker processes; results do not depend on this.")
 @click.option("--occupation-epsilons", default=None, help="Comma list of tube half-widths to estimate alongside.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
 @click.option("--dump-trajectories", is_flag=True, help="Also write the sample-0 trajectory per delta.")
@@ -438,7 +429,7 @@ def cmd_fit(report_csv, column, out_path):
 @click.option("--delta", default="2^-6", show_default=True, help="Step-size parameter.")
 @click.option("--samples", default=1000, show_default=True, callback=_check_samples, help="Monte Carlo samples per epsilon.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, callback=_check_workers)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def cmd_occupation(example, config_path, epsilons, delta, samples, seed, workers, out_dir):
     """Estimate time spent within epsilon of the discontinuity surface.
@@ -476,7 +467,7 @@ def cmd_occupation(example, config_path, epsilons, delta, samples, seed, workers
 @click.option("--deltas", default="2^-3,2^-5,2^-7", show_default=True, help="Dyadic range or comma list.")
 @click.option("--samples", default=4000, show_default=True, callback=_check_samples)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, callback=_check_workers)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def cmd_verify_transform(example, config_path, deltas, samples, seed, workers, out_dir):
     """Compare the adaptive scheme against the transformed-equation benchmark.
@@ -489,11 +480,16 @@ def cmd_verify_transform(example, config_path, deltas, samples, seed, workers, o
         raise click.UsageError(
             "transform verification needs a one-dimensional problem with piecewise drift"
         )
+    delta_values = parse_deltas(deltas)
+    try:
+        for delta in delta_values:
+            StepSizeParams.for_problem(problem, delta)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     try:
         transform = make_transform()
     except (ArithmeticError, ValueError) as exc:  # DegenerateDiffusionError among them
         raise click.UsageError(f"no transform for this problem: {exc}") from exc
-    delta_values = parse_deltas(deltas)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -35,10 +35,6 @@ class Hypersurface(ABC):
     def distance(self, x):
         """Euclidean distance from ``x`` to the surface, shape ``(...,)``."""
 
-    @abstractmethod
-    def to_config(self) -> dict:
-        """JSON-serializable description of the surface."""
-
 
 def _scalar_input(x):
     # map (..., 1) or scalar input onto plain elementwise values
@@ -81,9 +77,6 @@ class PointSet1D(Hypersurface):
             d = np.minimum(d, np.abs(s - p))
         return d
 
-    def to_config(self) -> dict:
-        return {"type": "points1d", "points": list(self.points)}
-
 
 @dataclass(frozen=True)
 class Hyperplane(Hypersurface):
@@ -119,13 +112,6 @@ class Hyperplane(Hypersurface):
     def distance(self, x):
         return np.abs(self._signed(x))
 
-    def to_config(self) -> dict:
-        return {
-            "type": "hyperplane",
-            "normal": list(self.normal),
-            "offset": self.offset,
-        }
-
 
 @dataclass(frozen=True)
 class Circle2D(Hypersurface):
@@ -159,16 +145,14 @@ class Circle2D(Hypersurface):
     def distance(self, x):
         return np.abs(self._radial(x) - self.radius)
 
-    def to_config(self) -> dict:
-        return {
-            "type": "circle",
-            "center": list(self.center),
-            "radius": self.radius,
-        }
-
 
 def surface_from_config(config: dict) -> Hypersurface:
-    """Rebuild a surface from its ``to_config`` dictionary."""
+    """Build a surface from a config dict with a ``type`` key.
+
+    ``{"type": "points1d", "points": [...]}``, ``{"type": "hyperplane",
+    "normal": [...], "offset": ...}`` or ``{"type": "circle", "center":
+    [x, y], "radius": ...}``; the other keys are the constructor's arguments.
+    """
     kind = config.get("type")
     if kind == "points1d":
         return PointSet1D(points=tuple(config["points"]))

@@ -118,34 +118,40 @@ def equidistant_steps(problem, params) -> int:
 
 def _coupled_job(payload, start, stop):
     problem, deltas, master_seed = payload
-    idx = np.arange(start, stop, dtype=np.uint64)
-    return _engine.coupled_pair(problem, deltas, idx, master_seed)
+    return _engine.coupled_pair(problem, deltas, np.arange(start, stop), master_seed)
 
 
 def _occupation_job(payload, start, stop):
-    problem, params, epsilon, master_seed = payload
-    idx = np.arange(start, stop, dtype=np.uint64)
-    keys = _engine.path_key(master_seed, idx)
-    return (_engine.occupation_pass(problem, params, epsilon, keys, labels=idx),)
+    problem, params, epsilons, master_seed = payload
+    labels, keys, rung, by_sample = _engine.ladder_lanes(
+        np.arange(start, stop), len(params), master_seed
+    )
+    occ = _engine.occupation_pass(problem, params, rung, epsilons, keys, labels)
+    return (by_sample(occ),)
 
 
 def _verify_job(payload, start, stop):
-    problem, transform, delta, master_seed = payload
-    idx = np.arange(start, stop, dtype=np.uint64)
-    keys = _engine.path_key(master_seed, idx)
-    params = StepSizeParams.for_problem(problem, delta)
-    rung = np.zeros(idx.size, dtype=np.int64)
-    prior = _engine.forward_pass(problem, (params,), rung, keys, labels=idx)
+    problem, transform, deltas, master_seed = payload
+    labels, keys, rung, by_sample = _engine.ladder_lanes(
+        np.arange(start, stop), len(deltas), master_seed
+    )
+    params = tuple(StepSizeParams.for_problem(problem, d) for d in deltas)
+    prior = _engine.forward_pass(problem, params, rung, keys, labels=labels)
     z0 = float(transform.value(problem.x0[0]))
+    n_steps = [equidistant_steps(problem, p) for p in params]
     z_T = _engine.equidistant_transformed_pass(
-        transform, z0, problem.horizon, equidistant_steps(problem, params), keys, prior, labels=idx
+        transform, z0, problem.horizon, n_steps, rung, keys, prior, labels
     )
     diff = prior["x_T"][:, 0] - transform.inverse(z_T)
-    return (diff * diff,)
+    return (by_sample(diff * diff),)
 
 
 def _map_batches(job, payload, samples, workers):
-    """Run a batch job over [0, samples) and concatenate in index order."""
+    """Run a batch job over [0, samples) and concatenate in index order.
+
+    Each output has its sample axis moved last and is made contiguous, so
+    a (samples, rungs) column comes back as one row of samples per rung.
+    """
     spans = [(a, min(a + _BATCH, samples)) for a in range(0, samples, _BATCH)]
     if workers > 1 and len(spans) > 1:
         starts, stops = zip(*spans)
@@ -153,7 +159,7 @@ def _map_batches(job, payload, samples, workers):
             parts = list(pool.map(job, repeat(payload), starts, stops))
     else:
         parts = [job(payload, a, b) for a, b in spans]
-    return [np.concatenate(col) for col in zip(*parts)]
+    return [np.ascontiguousarray(np.moveaxis(np.concatenate(c), 0, -1)) for c in zip(*parts)]
 
 
 def _mean_stderr(values):
@@ -189,37 +195,27 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
         for f in (2.0, 1.0)
     )
     t0 = time.perf_counter()
-    # one pooled job for all rungs; columns are rungs, made rows here
-    sq, n_fine, _ = (
-        np.ascontiguousarray(col.T)
-        for col in _map_batches(
-            _coupled_job, (problem, config.deltas, config.master_seed), config.samples, workers
-        )
+    sq, n_fine, _ = _map_batches(
+        _coupled_job, (problem, config.deltas, config.master_seed), config.samples, workers
     )
+    if config.occupation_epsilons:
+        fine = tuple(StepSizeParams.for_problem(problem, d) for d in config.deltas)
+        (occ,) = _map_batches(
+            _occupation_job,
+            (problem, fine, config.occupation_epsilons, config.master_seed),
+            config.samples,
+            workers,
+        )
     rows = []
-    for delta, sq_r, n_r in zip(config.deltas, sq, n_fine):
-        msq, msq_se = _mean_stderr(sq_r)
-        cost, cost_se = _mean_stderr(n_r.astype(float))
-        row = {
-            "delta": float(delta),
-            "msq": msq,
-            "msq_stderr": msq_se,
-            "cost_mean": cost,
-            "cost_stderr": cost_se,
-        }
+    for r, delta in enumerate(config.deltas):
+        # the pinned CSV columns, in order
+        stats = (delta, *_mean_stderr(sq[r]), *_mean_stderr(n_fine[r].astype(float)))
+        row = dict(zip(MonteCarloReport._CSV_COLUMNS, stats))
         if config.occupation_epsilons:
-            params = StepSizeParams.for_problem(problem, delta)
-            entries = []
-            for eps in config.occupation_epsilons:
-                (vals,) = _map_batches(
-                    _occupation_job,
-                    (problem, params, eps, config.master_seed),
-                    config.samples,
-                    workers,
-                )
-                mean, se = _mean_stderr(vals)
-                entries.append({"epsilon": float(eps), "mean": mean, "stderr": se})
-            row["occupation"] = entries
+            row["occupation"] = [
+                {"epsilon": eps, "mean": mean, "stderr": se}
+                for eps, (mean, se) in zip(config.occupation_epsilons, map(_mean_stderr, occ[r]))
+            ]
         rows.append(row)
     return MonteCarloReport(
         rows=rows,
@@ -237,9 +233,9 @@ def occupation_values(problem, params, epsilon, samples, master_seed, workers=1)
     _check_occupation_epsilon(problem, epsilon)
     _warn_outside_regime([params])
     (vals,) = _map_batches(
-        _occupation_job, (problem, params, epsilon, master_seed), samples, workers
+        _occupation_job, (problem, (params,), (epsilon,), master_seed), samples, workers
     )
-    return vals
+    return vals[0, 0]
 
 
 def verify_transform(problem, transform: Transform1D, deltas, samples, master_seed, workers=1):
@@ -247,17 +243,17 @@ def verify_transform(problem, transform: Transform1D, deltas, samples, master_se
 
     For each delta, compares the adaptive scheme against an equidistant
     Euler run of the transformed equation mapped back to original
-    coordinates.  Returns a list of dict rows with keys ``delta``,
-    ``mean_sq`` and ``stderr``.
+    coordinates; every delta runs in one pooled job.  Returns a list of dict
+    rows with keys ``delta``, ``mean_sq`` and ``stderr``.
     """
     if problem.dimension != 1:
         raise ValueError("transform verification requires a one-dimensional problem")
-    _warn_outside_regime(StepSizeParams.for_problem(problem, float(d)) for d in deltas)
-    rows = []
-    for delta in deltas:
-        (vals,) = _map_batches(
-            _verify_job, (problem, transform, float(delta), master_seed), samples, workers
-        )
-        mean, se = _mean_stderr(vals)
-        rows.append({"delta": float(delta), "mean_sq": mean, "stderr": se})
-    return rows
+    deltas = tuple(float(d) for d in deltas)
+    _warn_outside_regime(StepSizeParams.for_problem(problem, d) for d in deltas)
+    (vals,) = _map_batches(
+        _verify_job, (problem, transform, deltas, master_seed), samples, workers
+    )
+    return [
+        {"delta": delta, "mean_sq": mean, "stderr": se}
+        for delta, (mean, se) in zip(deltas, map(_mean_stderr, vals))
+    ]

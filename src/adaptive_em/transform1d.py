@@ -238,20 +238,20 @@ class Transform1D:
             return np.zeros_like(x)
         return self._bend(*self._split(x))[1]
 
-    def _newton(self, z, pick, tol, max_iter):
+    def _newton(self, z, pick):
         # safeguarded Newton for in-bump points z of the bumps pick; a lane
-        # keeps its iterate once its residual meets tol
+        # keeps its iterate once its residual meets _TOL
         c = self.params.c
         xi = self._bp[pick]
         a = self._alphas[pick]
         lo = xi - c
         hi = xi + c
         x = z
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             s = x - xi
             r = np.abs(s)
             resid = x + a * _psi(s, r, c) - z
-            done = np.abs(resid) <= tol
+            done = np.abs(resid) <= _TOL
             if done.all():
                 return x
             # monotone map: the residual sign tells the bracket side
@@ -264,7 +264,7 @@ class Transform1D:
             x = np.where(done, x, cand)
         raise RootFindError("transform inversion did not converge")
 
-    def _invert(self, z, tol, max_iter):
+    def _invert(self, z):
         # the inverse of z, with the flat indices of the points inside a
         # bump interval, the breakpoint index of their bump and their inverses
         z = np.asarray(z, dtype=float)
@@ -276,17 +276,17 @@ class Transform1D:
             pick = np.take(near, lanes)
         xb = np.take(z, lanes)
         if lanes.size:
-            xb = self._newton(xb, pick, tol, max_iter)
+            xb = self._newton(xb, pick)
             np.put(x, lanes, xb)
         return x, lanes, pick, xb
 
-    def inverse(self, z, tol: float = _TOL, max_iter: int = _MAX_ITER):
-        """Invert the forward map to residual ``tol`` by safeguarded Newton.
+    def inverse(self, z):
+        """Invert the forward map to residual ``_TOL`` by safeguarded Newton.
 
         Each bump interval maps onto itself, so points outside all bump
         intervals come back unchanged.
         """
-        return self._invert(z, tol, max_iter)[0]
+        return self._invert(z)[0]
 
     def transformed_coeffs(self, z):
         """Drift and diffusion of the transformed equation at ``z``.
@@ -299,7 +299,7 @@ class Transform1D:
         at most half the smallest gap, so the inverse of a point keeps the
         breakpoint of the point itself.
         """
-        x, lanes, pick, xb = self._invert(z, _TOL, _MAX_ITER)
+        x, lanes, pick, xb = self._invert(z)
         gp = np.ones(x.shape)
         gs = np.zeros(x.shape)
         gp_b, gs_b = self._bend(pick, xb - self._bp[pick])

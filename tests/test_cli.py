@@ -209,6 +209,20 @@ def test_verify_transform_rejects_degenerate_diffusion(tmp_path):
     assert not (tmp_path / "verify.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("drift", ["-x1", "x2", "1.0"]),
+        ("diffusion", [["0.5*x1", "0.0", "0.0"], ["0.5*x2", "0.0", "0.0"]]),
+    ],
+)
+def test_config_field_of_wrong_size_is_rejected(tmp_path, field, value):
+    config = _write_config(tmp_path, dict(_CONFIG_2D, **{field: value}))
+    result = _invoke(["run", "--config", str(config), "--samples", "4", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "bad problem config" in _all_text(result)
+
+
 def test_config_expression_grammar_accepts_operators_and_listed_calls():
     f = ExpressionFunction(
         "where((x1 < 0) & ~(x2 >= 1), -abs(x1) ** 2 // 1 % 3, sqrt(maximum(x2, 0)) / pi)",
@@ -355,6 +369,17 @@ def test_run_rejects_out_of_range_delta():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "occupation", "verify-transform"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_commands_reject_fewer_than_one_worker(tmp_path, command, workers):
+    result = _invoke(
+        [command, "example1", "--samples", "4", "--workers", workers, "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "at least 1 worker" in _all_text(result)
+    assert not any(tmp_path.iterdir())
+
+
 def test_fit_on_generated_report(report_dir, tmp_path):
     out = tmp_path / "fit.json"
     result = _invoke(["fit", str(report_dir / "report.csv"), "--out", str(out)])
@@ -448,6 +473,17 @@ def test_verify_transform_command(tmp_path):
         _, mean_sq, stderr = (float(tok) for tok in line.split(","))
         assert 0.0 < mean_sq < 1.0
         assert stderr >= 0.0
+
+
+@pytest.mark.parametrize("delta", ["1.5", "0", "nan"])
+def test_verify_transform_rejects_out_of_range_delta(tmp_path, delta):
+    result = _invoke(
+        ["verify-transform", "example1", "--deltas", f"0.25,{delta}",
+         "--samples", "4", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "delta must lie in (0, 1)" in _all_text(result)
+    assert not (tmp_path / "verify.csv").exists()
 
 
 def test_verify_transform_needs_one_dimension():

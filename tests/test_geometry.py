@@ -82,16 +82,20 @@ def test_distance_rejects_dimension_mismatch():
         s.distance(np.array([1.0, 2.0, 3.0]))
 
 
-def test_config_round_trip():
-    surfaces = [
-        PointSet1D(points=(0.0, 1.0)),
-        Hyperplane(normal=(0.0, 1.0), offset=0.25),
-        Circle2D(center=(0.5, -0.5), radius=2.0),
+def test_surface_from_config():
+    cases = [
+        ({"type": "points1d", "points": [0.0, 1.0]}, PointSet1D(points=(0.0, 1.0))),
+        (
+            {"type": "hyperplane", "normal": [0.0, 1.0], "offset": 0.25},
+            Hyperplane(normal=(0.0, 1.0), offset=0.25),
+        ),
+        (
+            {"type": "circle", "center": [0.5, -0.5], "radius": 2.0},
+            Circle2D(center=(0.5, -0.5), radius=2.0),
+        ),
     ]
-    for s in surfaces:
-        clone = surface_from_config(s.to_config())
-        assert type(clone) is type(s)
-        assert clone.to_config() == s.to_config()
+    for config, surface in cases:
+        assert surface_from_config(config) == surface
 
 
 def test_config_rejects_unknown_type():

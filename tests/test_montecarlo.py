@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptive_em import _engine
+from adaptive_em import _engine, montecarlo
 from adaptive_em.brownian import BrownianPath
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
@@ -138,19 +138,30 @@ def test_forward_pass_ragged_knots_match_the_path():
 
 
 def test_batched_occupation_matches_sequential():
-    params = StepSizeParams.for_problem(EX1, 2.0 ** -4)
-    (vals,) = _occupation_job((EX1, params, 0.1, 55), 0, 10)
-    for i in range(10):
-        assert vals[i] == occupation_sample(EX1, params, 0.1, i, 55)
+    # one pooled job over three rungs and two tube half-widths
+    params = tuple(StepSizeParams.for_problem(EX1, d) for d in (0.25, 0.125, 2.0 ** -4))
+    epsilons = (0.1, 0.05)
+    (vals,) = _occupation_job((EX1, params, epsilons, 55), 0, 10)
+    assert vals.shape == (10, len(params), len(epsilons))
+    for r, p in enumerate(params):
+        for e, eps in enumerate(epsilons):
+            for i in range(10):
+                assert vals[i, r, e] == occupation_sample(EX1, p, eps, i, 55)
 
 
 def test_batched_verify_matches_sequential():
+    # one pooled job; the deltas are not in decreasing order, so the rung
+    # with the longest grid is not the last one, and 0.143 has a 49-step
+    # grid whose last node 49 * (1/49) falls short of the horizon
+    deltas = (0.125, 2.0 ** -4, 0.143, 0.25)
     for name, count in (("example1", 4), ("example2", 6)):
         entry = get_example(name)
         tr = entry.transform()
-        (vals,) = _verify_job((entry.problem, tr, 0.125, 31), 0, count)
-        for i in range(count):
-            assert vals[i] == verify_transform_sample(entry.problem, tr, 0.125, i, 31)
+        (vals,) = _verify_job((entry.problem, tr, deltas, 31), 0, count)
+        assert vals.shape == (count, len(deltas))
+        for r, delta in enumerate(deltas):
+            for i in range(count):
+                assert vals[i, r] == verify_transform_sample(entry.problem, tr, delta, i, 31)
 
 
 def test_batched_budget_guard_names_the_sample(monkeypatch):
@@ -159,7 +170,7 @@ def test_batched_budget_guard_names_the_sample(monkeypatch):
     with pytest.raises(RunawaySimulationError, match=r"^sample 700 exceeded 2 steps"):
         _coupled_job((EX1, (0.125,), 3), 700, 710)
     with pytest.raises(RunawaySimulationError, match=r"^sample 700 exceeded 2 steps"):
-        _occupation_job((EX1, params, 0.1, 3), 700, 710)
+        _occupation_job((EX1, (params,), (0.1,), 3), 700, 710)
 
 
 def test_pooled_budget_guard_names_the_rung(monkeypatch):
@@ -193,7 +204,7 @@ def test_batched_finite_guard_names_the_sample():
     with pytest.raises(ValueError, match=message):
         _coupled_job((prob, (0.125,), 3), 300, 305)
     with pytest.raises(ValueError, match=message):
-        _occupation_job((prob, params, 0.1, 3), 300, 305)
+        _occupation_job((prob, (params,), (0.1,), 3), 300, 305)
 
 
 def test_frozen_problem_gives_zero_difference_and_fixed_cost():
@@ -266,6 +277,28 @@ def test_workers_do_not_change_results():
     for a, b in zip(solo, pooled):
         for key in ("delta", "msq", "msq_stderr", "cost_mean", "cost_stderr"):
             assert a[key] == b[key]
+
+
+def test_each_command_starts_one_pool_per_job(monkeypatch):
+    # a pool per _map_batches call: the coupled rows and the occupation rows
+    # of a run are one job each, and a verification is one job over all deltas
+    starts = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            starts.append(1)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    cfg = ExperimentConfig(
+        problem="example1", deltas=(0.25, 0.125), samples=600, occupation_epsilons=(0.1, 0.05)
+    )
+    rows = run_experiment(cfg, workers=2).rows
+    assert [len(r["occupation"]) for r in rows] == [2, 2]
+    assert len(starts) == 2
+    entry = get_example("example2")
+    verify_transform(entry.problem, entry.transform(), (0.25, 0.125, 0.0625), 600, 4, workers=2)
+    assert len(starts) == 3
 
 
 def test_rerun_is_bit_identical():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adaptive_em import transform1d
 from adaptive_em.problems import get_example
 from adaptive_em.transform1d import (
     DegenerateDiffusionError,
@@ -194,10 +195,11 @@ def test_degenerate_diffusion_rejected_at_construction():
         Transform1D(mu, lambda x: 0.0 * np.asarray(x), eps0=1.0)
 
 
-def test_inverse_iteration_cap():
+def test_inverse_iteration_cap(monkeypatch):
     tr = EX1.transform()
+    monkeypatch.setattr(transform1d, "_MAX_ITER", 1)
     with pytest.raises(RootFindError):
-        tr.inverse(0.1, max_iter=1)
+        tr.inverse(0.1)
 
 
 def test_identity_transform_without_breakpoints():
