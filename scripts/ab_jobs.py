@@ -1,0 +1,95 @@
+"""Time one benchmark workload's batch job from two source trees, alternating.
+
+Usage, with checkouts of the two trees in ``$A`` and ``$B``:
+
+    python3 scripts/ab_jobs.py $A $B --workload ladder-ex1 --pairs 7
+
+Each tree's package is imported under its own module name (the package uses
+only relative imports), so both run in one interpreter.  A pair runs the
+workload's batch job once from each tree, in alternating order: the pooled
+``_coupled_job`` for ``ladder-ex1`` and ``_verify_job`` for ``transform-ex2``,
+at the benchmark's sizes and package seed 1000, in one process without
+workers.  Both trees' outputs must be byte-identical.  Prints each tree's
+median CPU seconds and the median over pairs of B's time divided by A's.
+Separate processes on a busy machine drift apart by tens of percent;
+alternating in one process cancels most of that drift.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SEED = 1000
+# name: (example, deltas, samples), as in perfbench/workloads.py
+WORKLOADS = {
+    "ladder-ex1": ("example1", tuple(2.0**-k for k in range(2, 9)), 256),
+    "transform-ex2": ("example2", (2.0**-3, 2.0**-5, 2.0**-7), 512),
+}
+
+
+def load_tree(root: Path, name: str):
+    """Import ``root/src/adaptive_em`` as the package ``name``."""
+    pkg = root / "src" / "adaptive_em"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.montecarlo")
+
+
+def make_job(montecarlo, workload: str):
+    """A zero-argument call of the workload's batch job over every sample."""
+    example, deltas, samples = WORKLOADS[workload]
+    entry = montecarlo.get_example(example)
+    if workload == "ladder-ex1":
+        payload = (entry.problem, deltas, SEED)
+        return lambda: montecarlo._coupled_job(payload, 0, samples)
+    payload = (entry.problem, entry.transform(), deltas, SEED)
+    return lambda: montecarlo._verify_job(payload, 0, samples)
+
+
+def timed(job):
+    c0 = time.process_time()
+    out = job()
+    return time.process_time() - c0, [np.ascontiguousarray(v).tobytes() for v in out]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="ladder-ex1")
+    parser.add_argument("--pairs", type=int, default=5)
+    args = parser.parse_args(argv)
+    jobs = [
+        make_job(load_tree(root.resolve(), f"_ab_tree_{i}"), args.workload)
+        for i, root in enumerate((args.tree_a, args.tree_b))
+    ]
+    cpu = ([], [])
+    for p in range(args.pairs):
+        order = (0, 1) if p % 2 == 0 else (1, 0)
+        outs = {}
+        for i in order:
+            s, outs[i] = timed(jobs[i])
+            cpu[i].append(s)
+        if outs[0] != outs[1]:
+            print(f"pair {p}: the outputs differ", file=sys.stderr)
+            return 1
+        print(f"pair {p}: A {cpu[0][-1]:.3f} s  B {cpu[1][-1]:.3f} s", flush=True)
+    ratios = [b / a for a, b in zip(*cpu)]
+    print(f"{args.workload}: outputs identical over {args.pairs} pairs")
+    print(f"A median {statistics.median(cpu[0]):.3f} s, B median {statistics.median(cpu[1]):.3f} s")
+    print(f"median B/A {statistics.median(ratios):.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,7 +58,7 @@ def _euler(x, mu, sig, dt, dw):
 
 def _check_finite(x, act, labels):
     ok = np.isfinite(x)
-    if ok.all():
+    if np.count_nonzero(ok) == ok.size:
         return
     if x.ndim > 1:
         ok = ok.all(axis=tuple(range(1, x.ndim)))
@@ -71,13 +71,15 @@ def _live_spans(rung_live, n_rungs):
     return [(r, a, b) for r, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
 
 
-def _adaptive_lockstep(problem, params, rung, keys, labels, draw, horizon_value, observe=None):
+def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_value, observe=None):
     """Run the adaptive scheme on every lane until it reaches the horizon.
 
     ``params`` holds one StepSizeParams per rung and ``rung`` the
     non-decreasing rung index of each lane, so the live lanes of a rung
     always form one contiguous slice; each slice takes its step sizes and
-    its step budget from its own rung.
+    its step budget from its own rung.  ``carried`` holds the per-lane
+    state of the callables (draw counters, knot walkers); each is
+    compacted by ``keep(live)`` together with the live lanes.
 
     The callables see arrays aligned with the active lanes ``act``:
     ``draw(act, tc, wc, h, t_next)`` returns the path values at the next
@@ -91,7 +93,7 @@ def _adaptive_lockstep(problem, params, rung, keys, labels, draw, horizon_value,
 
     Returns per-lane step counts and the state and path value at the horizon.
     """
-    n = keys.size
+    n = labels.size
     d = problem.dimension
     horizon = problem.horizon
     budgets = [_step_budget(problem, p) for p in params]
@@ -116,9 +118,8 @@ def _adaptive_lockstep(problem, params, rung, keys, labels, draw, horizon_value,
                     f"at delta={params[r].delta:.4g}"
                 )
         k += 1
-        h = np.concatenate(
-            [step_size_from_distance(dist[a:b], params[r]) for r, a, b in spans]
-        )
+        h = [step_size_from_distance(dist[a:b], params[r]) for r, a, b in spans]
+        h = h[0] if len(h) == 1 else np.concatenate(h)
         t_next = t + h
         wn = draw(act, t, w, h, t_next)
         mu = _drift(problem, x)
@@ -127,7 +128,7 @@ def _adaptive_lockstep(problem, params, rung, keys, labels, draw, horizon_value,
         _check_finite(xn, act, labels)
         x_end = xn
         crossed = t_next >= horizon
-        retire = crossed.any()
+        retire = np.count_nonzero(crossed)
         if retire:
             sel = np.flatnonzero(crossed)
             lanes = act[sel]
@@ -148,45 +149,69 @@ def _adaptive_lockstep(problem, params, rung, keys, labels, draw, horizon_value,
         if retire:
             live = ~crossed
             act, t, x, w, dist = act[live], t[live], x[live], w[live], dist[live]
+            for c in carried:
+                c.keep(live)
             spans = _live_spans(rung[act], len(params))
     return steps, x_T, w_T
 
 
-def _normals(act, t, keys, kc, dim):
-    """Keyed normals inserting time ``t`` on lanes ``act``; advances their counters."""
-    idx = kc[act]
-    z = keyed_normals(keys[act], idx, time_bits(t), dim)
-    kc[act] = idx + 1
-    return z
+class _Counters:
+    """Path keys and draw counters of the live lanes.
+
+    ``keep(live)`` compacts them and writes the counters of the retiring
+    lanes back to ``kc``, from which a later pass over the paths continues.
+    """
+
+    def __init__(self, keys, kc):
+        self.kc = kc.copy()
+        self.lanes = np.arange(keys.size)
+        self.keys = keys
+        self.idx = kc.copy()
+
+    def normals(self, t, dim, used=True):
+        """Keyed normals at time ``t`` on every live lane; ``used`` ones advance."""
+        z = keyed_normals(self.keys, self.idx, time_bits(t), dim)
+        self.idx += used
+        return z
+
+    def normals_of(self, sel, t, dim):
+        """Keyed normals inserting time ``t`` on the live lanes ``sel``."""
+        idx = self.idx[sel]
+        self.idx[sel] = idx + 1
+        return keyed_normals(self.keys[sel], idx, time_bits(t), dim)
+
+    def keep(self, live):
+        gone = ~live
+        self.kc[self.lanes[gone]] = self.idx[gone]
+        self.lanes, self.keys, self.idx = self.lanes[live], self.keys[live], self.idx[live]
 
 
-def _fresh(act, tc, wc, t, keys, kc, dim):
+def _fresh(tc, wc, t, counters, dim):
     """Path values at ``t`` past the last known values ``wc`` at ``tc``."""
-    return wc + np.sqrt(t - tc)[:, None] * _normals(act, t, keys, kc, dim)
+    return wc + np.sqrt(t - tc)[:, None] * counters.normals(t, dim)
 
 
-def _bridge(act, pt, pw, u_t, u_w, t, keys, kc, dim):
+def _bridge(pt, pw, u_t, u_w, t, z):
     """Path values at ``t`` between the known values at ``pt`` and ``u_t``."""
     frac = (t - pt) / (u_t - pt)
-    z = _normals(act, t, keys, kc, dim)
     return pw + frac[:, None] * (u_w - pw) + np.sqrt(frac * (u_t - t))[:, None] * z
 
 
-def _bridged_values(act, pt, pw, u_t, u_w, has_right, t_next, keys, kc, dim):
+def _bridged_values(pt, pw, u_t, u_w, has_right, t_next, counters, dim):
     """Sample path values at ``t_next`` given brackets; no draw on exact hits.
 
-    Lanes without a right bracket draw a free increment.
+    Lanes without a right bracket draw a free increment.  Every lane gets a
+    normal, but only the lanes off a knot use it and advance their counter.
     """
+    drew = pt != t_next
+    if not np.count_nonzero(drew):
+        return pw
     frac = (t_next - pt) / np.where(has_right, u_t - pt, 1.0)
     # without a right bracket frac is t_next - pt, the free variance
     mean = np.where(has_right[:, None], pw + frac[:, None] * (u_w - pw), pw)
     var = np.where(has_right, frac * (u_t - t_next), frac)
-    wn = pw.copy()
-    drew = (pt != t_next).nonzero()[0]
-    if drew.size:
-        z = _normals(act[drew], t_next[drew], keys, kc, dim)
-        wn[drew] = mean[drew] + np.sqrt(var[drew])[:, None] * z
-    return wn
+    z = counters.normals(t_next, dim, drew)
+    return np.where(drew[:, None], mean + np.sqrt(var)[:, None] * z, pw)
 
 
 def forward_pass(problem, params, rung, keys, labels):
@@ -202,28 +227,28 @@ def forward_pass(problem, params, rung, keys, labels):
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
-    kc = np.ones(n, dtype=np.uint64)
+    counters = _Counters(keys, np.ones(n, dtype=np.uint64))
     # references to each knot drawn, in drawing order; nothing writes to them
     log_lane, log_t, log_w = [], [], []
 
     def draw(act, tc, wc, h, t_next):
-        wn = _fresh(act, tc, wc, t_next, keys, kc, d)
+        wn = _fresh(tc, wc, t_next, counters, d)
         log_lane.append(act)
         log_t.append(t_next)
         log_w.append(wn)
         return wn
 
     def bridge_to_horizon(act, sel, tc, wc, t_next, wn):
-        lanes = act[sel]
         t_hor = np.full(sel.size, horizon)
-        wt = _bridge(lanes, tc[sel], wc[sel], t_next[sel], wn[sel], t_hor, keys, kc, d)
-        log_lane.append(lanes)
+        z = counters.normals_of(sel, t_hor, d)
+        wt = _bridge(tc[sel], wc[sel], t_next[sel], wn[sel], t_hor, z)
+        log_lane.append(act[sel])
         log_t.append(t_hor)
         log_w.append(wt)
         return wt
 
     steps, x_T, w_T = _adaptive_lockstep(
-        problem, params, rung, keys, labels, draw, bridge_to_horizon
+        problem, params, rung, labels, (counters,), draw, bridge_to_horizon
     )
     lane = np.concatenate(log_lane)
     order = np.argsort(lane, kind="stable")
@@ -243,17 +268,19 @@ def forward_pass(problem, params, rung, keys, labels):
         "kw": kw,
         "start": end - count,
         "end": end,
-        "kc": kc,
+        "kc": counters.kc,
     }
 
 
 class _KnotWalker:
     """Forward walk over recorded knots for strictly increasing queries.
 
-    Maintains, per lane, the latest known knot at or before the running
-    query time and the index of the next recorded knot after it.  A query
-    returns the bracketing data and flags exact hits on existing knots.
-    ``prior`` is the ragged knot store of :func:`forward_pass`.
+    Keeps, per live lane, the index ``ptr`` of the first recorded knot past
+    the latest query and that knot's time and value, so a query that passes
+    no knot gathers nothing.  A query returns the bracketing data and flags
+    exact hits on existing knots.  ``prior`` is the ragged knot store of
+    :func:`forward_pass`; ``keep(live)`` compacts the walker with the live
+    lanes.
     """
 
     def __init__(self, prior):
@@ -261,33 +288,39 @@ class _KnotWalker:
         self.kw = prior["kw"]
         self.last = prior["end"] - 1
         self.ptr = prior["start"].copy()
+        self._load()
 
-    def bracket(self, act, t_node, w_node, t_next):
+    def _load(self):
+        # the knot at ptr, or the last knot of a lane that passed them all
+        g = np.minimum(self.ptr, self.last)
+        self.u_t = self.kt[g]
+        self.u_w = self.kw[g]
+        self.has_right = self.ptr <= self.last
+        self.due = np.where(self.has_right, self.u_t, np.inf)
+
+    def keep(self, live):
+        for name in ("last", "ptr", "u_t", "u_w", "has_right", "due"):
+            setattr(self, name, getattr(self, name)[live])
+
+    def bracket(self, t_node, w_node, t_next):
         """Bracket data for querying ``t_next`` from nodes at ``t_node``.
 
         Returns (left time, left value, right time, right value, has_right)
         where the left side accounts for any recorded knots passed during
-        this step.  Arrays are aligned with ``act``; the left side may be
-        ``t_node`` and ``w_node`` themselves, so callers must not write to it.
+        this step.  Arrays are aligned with the live lanes; the left side may
+        be ``t_node`` and ``w_node`` themselves, so callers must not write to
+        any of them.
         """
         pt, pw = t_node, w_node
-        ptr = self.ptr[act]
-        last = self.last[act]
-        g = np.minimum(ptr, last)
-        u_t = self.kt[g]
-        has_right = ptr <= last
-        can = has_right & (u_t <= t_next)
-        while can.any():
+        can = self.due <= t_next
+        while np.count_nonzero(can):
             # lanes in can pass their next knot: it becomes the left side
-            pt = np.where(can, u_t, pt)
-            pw = np.where(can[:, None], self.kw[g], pw)
-            ptr += can
-            g = np.minimum(ptr, last)
-            u_t = self.kt[g]
-            has_right = ptr <= last
-            can = has_right & (u_t <= t_next)
-        self.ptr[act] = ptr
-        return pt, pw, u_t, self.kw[g], has_right
+            pt = np.where(can, self.u_t, pt)
+            pw = np.where(can[:, None], self.u_w, pw)
+            self.ptr += can
+            self._load()
+            can = self.due <= t_next
+        return pt, pw, self.u_t, self.u_w, self.has_right
 
 
 def bridged_pass(problem, params, rung, keys, prior, labels):
@@ -299,17 +332,19 @@ def bridged_pass(problem, params, rung, keys, prior, labels):
     :func:`_adaptive_lockstep`.  Returns per-lane step counts and the state
     at the horizon.
     """
-    kc = prior["kc"].copy()
+    counters = _Counters(keys, prior["kc"])
     walker = _KnotWalker(prior)
 
     def draw(act, tc, wc, h, t_next):
-        bracket = walker.bracket(act, tc, wc, t_next)
-        return _bridged_values(act, *bracket, t_next, keys, kc, problem.dimension)
+        bracket = walker.bracket(tc, wc, t_next)
+        return _bridged_values(*bracket, t_next, counters, problem.dimension)
 
     def recorded(act, sel, *_):
         return prior["w_T"][act[sel]]
 
-    steps, x_T, _ = _adaptive_lockstep(problem, params, rung, keys, labels, draw, recorded)
+    steps, x_T, _ = _adaptive_lockstep(
+        problem, params, rung, labels, (counters, walker), draw, recorded
+    )
     return {"n": steps, "x_T": x_T}
 
 
@@ -362,24 +397,23 @@ def occupation_pass(problem, params, rung, epsilons, keys, labels):
     d = problem.dimension
     horizon = problem.horizon
     eps = np.asarray(epsilons, dtype=float)
-    kc = np.ones(n, dtype=np.uint64)
+    counters = _Counters(keys, np.ones(n, dtype=np.uint64))
     occ = np.zeros((n, eps.size))
     h_cut = t_mid = w_mid = None
 
     # the midpoint is drawn with the step: a horizon value bridges from it
     def draw(act, tc, wc, h, t_next):
         nonlocal h_cut, t_mid, w_mid
-        wn = _fresh(act, tc, wc, t_next, keys, kc, d)
+        wn = _fresh(tc, wc, t_next, counters, d)
         h_cut = np.where(t_next >= horizon, horizon - tc, h)
         t_mid = tc + 0.5 * h_cut
-        w_mid = _bridge(act, tc, wc, t_next, wn, t_mid, keys, kc, d)
+        w_mid = _bridge(tc, wc, t_next, wn, t_mid, counters.normals(t_mid, d))
         return wn
 
     def bridge_from_midpoint(act, sel, tc, wc, t_next, wn):
-        return _bridge(
-            act[sel], t_mid[sel], w_mid[sel], t_next[sel], wn[sel],
-            np.full(sel.size, horizon), keys, kc, d,
-        )
+        t_hor = np.full(sel.size, horizon)
+        z = counters.normals_of(sel, t_hor, d)
+        return _bridge(t_mid[sel], w_mid[sel], t_next[sel], wn[sel], t_hor, z)
 
     def trapezoid(act, tc, wc, x, mu, sig, dist, dist_end):
         xm = _euler(x, mu, sig, t_mid - tc, w_mid - wc)
@@ -388,7 +422,7 @@ def occupation_pass(problem, params, rung, epsilons, keys, labels):
         occ[act] += h_cut[:, None] * inside * 0.25
 
     _adaptive_lockstep(
-        problem, params, rung, keys, labels, draw, bridge_from_midpoint, trapezoid
+        problem, params, rung, labels, (counters,), draw, bridge_from_midpoint, trapezoid
     )
     return occ
 
@@ -403,7 +437,7 @@ def equidistant_transformed_pass(transform, z0, horizon, n_steps, rung, keys, pr
     knots include the horizon), and returns the transformed state at the
     horizon for every lane.
     """
-    kc = prior["kc"].copy()
+    counters = _Counters(keys, prior["kc"])
     walker = _KnotWalker(prior)
     # state of the live lanes act only, compacted when a rung retires
     act = np.arange(keys.size)
@@ -419,8 +453,8 @@ def equidistant_transformed_pass(transform, z0, horizon, n_steps, rung, keys, pr
         if retire:
             done = steps == k
             t_next[done] = horizon
-        bracket = walker.bracket(act, t, w_cur, t_next)
-        wn = _bridged_values(act, *bracket, t_next, keys, kc, 1)
+        bracket = walker.bracket(t, w_cur, t_next)
+        wn = _bridged_values(*bracket, t_next, counters, 1)
         mu_g, sig_g = transform.transformed_coeffs(z_cur)
         h = t_next - t
         dw = wn[:, 0] - w_cur[:, 0]
@@ -434,4 +468,6 @@ def equidistant_transformed_pass(transform, z0, horizon, n_steps, rung, keys, pr
             act, steps, dt, t, w_cur, z_cur = (
                 v[live] for v in (act, steps, dt, t, w_cur, z_cur)
             )
+            counters.keep(live)
+            walker.keep(live)
     return z_T

@@ -41,6 +41,8 @@ _S30 = _u64(30)
 _S27 = _u64(27)
 _S31 = _u64(31)
 _S11 = _u64(11)
+_HALF = np.array(0.5)
+_ULP = np.array(2.0**-53)
 
 
 def _mix64(z):
@@ -83,11 +85,9 @@ def keyed_normals(key, knot_index, t_bits, dim: int):
     Returns:
         Array of shape (n, dim), or (dim,) for scalar inputs.
     """
-    key_a = np.atleast_1d(np.asarray(key, dtype=np.uint64))
-    idx = np.atleast_1d(np.asarray(knot_index, dtype=np.uint64))
-    tb = np.atleast_1d(np.asarray(t_bits, dtype=np.uint64))
-    h = _mix64(key_a ^ (idx * _GOLD))
-    h = _mix64(h ^ tb)
+    idx = np.asarray(knot_index, dtype=np.uint64)
+    h = _mix64(np.asarray(key, dtype=np.uint64) ^ (idx * _GOLD))
+    h = _mix64(h ^ np.asarray(t_bits, dtype=np.uint64))
     if dim == 1:
         # lane 0's salt is 0, so its word is h itself
         z = _mix64(h[..., None])
@@ -95,12 +95,9 @@ def keyed_normals(key, knot_index, t_bits, dim: int):
         z = _mix64(h[..., None] ^ (np.arange(dim, dtype=np.uint64) * _SALT_LANE))
     z >>= _S11
     u = z.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    out = ndtri(u)
-    if np.ndim(key) == 0 and np.ndim(knot_index) == 0:
-        return out[0]
-    return out
+    u += _HALF
+    u *= _ULP
+    return ndtri(u)
 
 
 class BrownianPath:

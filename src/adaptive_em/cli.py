@@ -445,16 +445,16 @@ def cmd_occupation(example, config_path, epsilons, delta, samples, seed, workers
         raise click.UsageError(str(exc)) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        vals = occupation_values(problem, params, eps_values, samples, seed, workers)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    except Exception as exc:
+        click.echo(f"occupation failed: {exc}", err=True)
+        sys.exit(1)
     lines = ["epsilon,occupation,occupation_stderr"]
-    for eps in eps_values:
-        try:
-            vals = occupation_values(problem, params, eps, samples, seed, workers)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-        except Exception as exc:
-            click.echo(f"occupation failed: {exc}", err=True)
-            sys.exit(1)
-        mean, stderr = _mean_stderr(vals)
+    for eps, row in zip(eps_values, vals):
+        mean, stderr = _mean_stderr(row)
         lines.append(f"{eps!r},{mean!r},{stderr!r}")
     target = out / "occupation.csv"
     target.write_text("\n".join(lines) + "\n")

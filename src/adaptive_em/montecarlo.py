@@ -228,14 +228,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
 def occupation_values(problem, params, epsilon, samples, master_seed, workers=1):
     """Per-sample occupation times near the surface, in index order.
 
-    ``epsilon`` must lie in (0, eps0/2).
+    ``epsilon`` is one tube half-width, giving shape (samples,), or a
+    sequence of them, giving one row per epsilon from one pooled job; each
+    must lie in (0, eps0/2).
     """
-    _check_occupation_epsilon(problem, epsilon)
+    epsilons = tuple(float(e) for e in np.atleast_1d(epsilon))
+    for e in epsilons:
+        _check_occupation_epsilon(problem, e)
     _warn_outside_regime([params])
     (vals,) = _map_batches(
-        _occupation_job, (problem, (params,), (epsilon,), master_seed), samples, workers
+        _occupation_job, (problem, (params,), epsilons, master_seed), samples, workers
     )
-    return vals[0, 0]
+    return vals[0] if np.ndim(epsilon) else vals[0, 0]
 
 
 def verify_transform(problem, transform: Transform1D, deltas, samples, master_seed, workers=1):

@@ -79,9 +79,9 @@ def step_size_from_distance(dist, params: StepSizeParams):
     # array ufunc, and the batched kernels must reproduce scalar runs bit for bit
     ratio = dist / params.eps1
     ramp = params.delta * ratio * ratio
+    # from eps1 on the ratio rounds to at least 1, so the ramp is capped at delta
     h = np.minimum(params.delta, np.maximum(params.delta_sq, ramp))
-    h = np.where(dist <= params.eps2, params.delta_sq, h)
-    return np.where(dist >= params.eps1, params.delta, h)
+    return np.where(dist <= params.eps2, params.delta_sq, h)
 
 
 def step_size(x, params: StepSizeParams, surface: Hypersurface):

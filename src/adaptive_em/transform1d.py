@@ -111,37 +111,38 @@ def bump(u):
 
     Has three vanishing derivatives at the support edges.
     """
-    u = np.asarray(u, dtype=float)
-    inside = np.abs(u) <= 1.0
-    # powers spelled out as products so scalar and batched evaluations agree
+    return _bump(np.abs(u))  # the product is the same for u and -u
+
+
+def _bump(u):
+    # bump at u >= 0; powers spelled out as products so scalar and batched
+    # evaluations agree
     q = (1.0 + u) * (1.0 - u)
     q2 = q * q
-    return np.where(inside, q2 * q2, 0.0)
+    return np.where(u <= 1.0, q2 * q2, 0.0)
 
 
-def _psi(s, r, c):
-    # s |s| bump(|s|/c), the odd profile multiplying the jump strength; r = |s|
-    return s * r * bump(r / c)
+def _psi(s, r, u):
+    # s |s| bump(|s|/c), the odd profile multiplying the jump strength.  It and
+    # its derivatives take r = |s| and u = r/c: fl(r/c) = |fl(s/c)|, so u * u
+    # is (s/c)**2 to the bit
+    return s * r * _bump(u)
 
 
-def _psi_prime(s, r, c):
-    q = s / c
-    v = q * q
+def _psi_prime(r, u):
+    v = u * u
     w = 1.0 - v
-    inside = v < 1.0
     val = 2.0 * r * (w * w * w) * (1.0 - 5.0 * v)
-    return np.where(inside, val, 0.0)
+    return np.where(v < 1.0, val, 0.0)
 
 
-def _psi_second(s, c):
+def _psi_second(s, u):
     # odd in s; the convention at s = 0 is the right-hand branch
-    q = s / c
-    v = q * q
+    v = u * u
     w = 1.0 - v
-    inside = v < 1.0
     sign = np.where(np.asarray(s, dtype=float) >= 0.0, 1.0, -1.0)
     val = sign * 2.0 * (w * w) * (1.0 - 22.0 * v + 45.0 * v * v)
-    return np.where(inside, val, 0.0)
+    return np.where(v < 1.0, val, 0.0)
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,8 @@ class Transform1D:
     def _derivative_floor_ok(self, c: float) -> bool:
         if self._bp.size == 0:
             return True
-        s = np.linspace(-c, c, 2001)
-        slopes = 1.0 + self._alphas[:, None] * _psi_prime(s, np.abs(s), c)[None, :]
+        r = np.abs(np.linspace(-c, c, 2001))
+        slopes = 1.0 + self._alphas[:, None] * _psi_prime(r, r / c)[None, :]
         return bool(slopes.min() >= 0.1)
 
     def _split(self, x):
@@ -209,10 +210,11 @@ class Transform1D:
         # first and second derivative at offset s from breakpoint pick
         c = self.params.c
         r = np.abs(s)
+        u = r / c
         inside = r < c
         a = self._alphas[pick]
-        gp = 1.0 + np.where(inside, a * _psi_prime(s, r, c), 0.0)
-        gs = np.where(inside, a * _psi_second(s, c), 0.0)
+        gp = 1.0 + np.where(inside, a * _psi_prime(r, u), 0.0)
+        gs = np.where(inside, a * _psi_second(s, u), 0.0)
         return gp, gs
 
     def value(self, x):
@@ -223,7 +225,7 @@ class Transform1D:
         pick, s = self._split(x)
         c = self.params.c
         r = np.abs(s)
-        return x + np.where(r < c, self._alphas[pick] * _psi(s, r, c), 0.0)
+        return x + np.where(r < c, self._alphas[pick] * _psi(s, r, r / c), 0.0)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -250,17 +252,18 @@ class Transform1D:
         for _ in range(_MAX_ITER):
             s = x - xi
             r = np.abs(s)
-            resid = x + a * _psi(s, r, c) - z
+            u = r / c
+            resid = x + a * _psi(s, r, u) - z
             done = np.abs(resid) <= _TOL
-            if done.all():
+            if np.count_nonzero(done) == done.size:
                 return x
             # monotone map: the residual sign tells the bracket side
             hi = np.where(resid > 0.0, np.minimum(hi, x), hi)
             lo = np.where(resid < 0.0, np.maximum(lo, x), lo)
-            slope = 1.0 + a * _psi_prime(s, r, c)
+            slope = 1.0 + a * _psi_prime(r, u)
             cand = x - resid / slope
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
+            # a NaN or infinite step fails both tests and bisects
+            cand = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
             x = np.where(done, x, cand)
         raise RootFindError("transform inversion did not converge")
 

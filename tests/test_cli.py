@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import logging
 import math
 
 import click
@@ -453,6 +454,31 @@ def test_occupation_command(tmp_path):
     # indicator tubes are nested, so the estimate is monotone in epsilon
     assert wide[1] >= narrow[1] >= 0.0
     assert wide[1] <= 1.0
+
+
+def test_occupation_runs_every_epsilon_in_one_job(tmp_path, monkeypatch, caplog):
+    # one pooled job for all epsilons: one process pool, one regime warning
+    from adaptive_em import montecarlo
+
+    starts = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            starts.append(1)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    with caplog.at_level(logging.WARNING, logger="adaptive_em"):
+        result = _invoke(
+            ["occupation", "example3", "--epsilons", "0.1,0.05,0.2", "--samples", "600",
+             "--workers", "2", "--out", str(tmp_path)]
+        )
+    assert result.exit_code == 0, _all_text(result)
+    assert len(starts) == 1
+    hits = [r for r in caplog.records if "analyzed regime" in r.getMessage()]
+    assert len(hits) == 1
+    lines = (tmp_path / "occupation.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.1", "0.05", "0.2"]
 
 
 def test_occupation_rejects_wide_epsilon():

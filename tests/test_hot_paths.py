@@ -3,8 +3,9 @@
 Each function that every lockstep iteration pays for is compared bit for
 bit with a plainer formulation written out here: the step-size rule with
 three masked passes, the piecewise drift through ``np.piecewise``, the
-point-set distance as a min-reduce over all points, and the transformed
-coefficients through the public inverse and derivatives of the transform.
+point-set distance as a min-reduce over all points, the transformed
+coefficients through the public inverse and derivatives of the transform,
+and the knot walker's brackets through a per-lane ``np.searchsorted``.
 The transform's round trip and monotonicity are checked as well.
 """
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptive_em import _engine
 from adaptive_em.cli import ExpressionFunction, problem_from_config
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.problems import get_example
@@ -307,3 +309,59 @@ def test_transform_round_trip_and_monotone(name, data):
     assert np.all(np.diff(z) >= 0.0)
     np.testing.assert_allclose(tr.inverse(z), x, rtol=0.0, atol=1e-10)
     assert float(tr.inverse(float(z[0]))) == pytest.approx(float(x[0]), abs=1e-10)
+
+
+def _bracket_reference(kt, kw, t_node, w_node, t_next):
+    # one lane: the last knot in (t_node, t_next] if any, else the node, and
+    # the first knot past t_next, or the last knot when there is none
+    j = int(np.searchsorted(kt, t_next, side="right"))
+    passed = j > int(np.searchsorted(kt, t_node, side="right"))
+    g = min(j, kt.size - 1)
+    return (
+        kt[j - 1] if passed else t_node,
+        kw[j - 1] if passed else w_node,
+        kt[g],
+        kw[g],
+        j < kt.size,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_knot_walker_matches_searchsorted(data):
+    # knots on a 1/16 grid, the horizon 1 among them and often more past it;
+    # steps of 1/16 to 10/16 land on knots, pass none, one or several, and
+    # run past the last knot; random lanes retire after every query
+    n = data.draw(st.integers(1, 6), label="lanes")
+    ticks = [
+        sorted(data.draw(st.sets(st.integers(1, 40), max_size=12), label="knots") | {16})
+        for _ in range(n)
+    ]
+    count = np.array([len(k) for k in ticks])
+    end = np.cumsum(count)
+    kt = np.concatenate(ticks) / 16.0
+    kw = np.stack([np.arange(kt.size) + 0.5, -kt], axis=1)
+    walker = _engine._KnotWalker({"kt": kt, "kw": kw, "start": end - count, "end": end})
+    lanes = np.arange(n)
+    t_node = np.zeros(n)
+    w_node = np.zeros((n, 2))
+    while lanes.size:
+        ticks_ahead = data.draw(
+            st.lists(st.integers(1, 10), min_size=lanes.size, max_size=lanes.size), label="steps"
+        )
+        t_next = t_node + np.array(ticks_ahead) / 16.0
+        got = walker.bracket(t_node, w_node, t_next)
+        rows = [
+            _bracket_reference(kt[end[i] - count[i]:end[i]], kw[end[i] - count[i]:end[i]],
+                               t_node[j], w_node[j], t_next[j])
+            for j, i in enumerate(lanes)
+        ]
+        for g, want in zip(got, zip(*rows)):
+            assert_equal(g, np.array(want))
+        keep = np.array(
+            data.draw(st.lists(st.booleans(), min_size=lanes.size, max_size=lanes.size), label="keep")
+        )
+        keep &= t_next < 3.0  # every lane retires once past all knots
+        walker.keep(keep)
+        lanes, t_node = lanes[keep], t_next[keep]
+        w_node = np.stack([t_node, -2.0 * t_node], axis=1)

@@ -132,6 +132,8 @@ def test_forward_pass_ragged_knots_match_the_path():
             traj = simulate_adaptive(prob, params[rung[lane]], path)
             interpolate(traj, prob, path, prob.horizon)
             assert prior["n"][lane] == traj.step_count
+            # the bridged and fixed-grid passes continue from this counter
+            assert prior["kc"][lane] == len(path.knot_times)
             times = np.array(path.knot_times[1:])
             assert kt.tobytes() == times.tobytes()
             assert kw.tobytes() == np.array([path.query(t) for t in times]).tobytes()
@@ -332,6 +334,17 @@ def test_occupation_epsilon_precondition():
         occupation_values(EX1, params, 0.2, 8, 1)  # eps0/2 for example1
     with pytest.raises(ValueError):
         occupation_values(EX1, params, 0.0, 8, 1)
+    with pytest.raises(ValueError):
+        occupation_values(EX1, params, (0.1, 0.2), 8, 1)
+
+
+def test_occupation_values_takes_a_sequence_of_epsilons():
+    # one row per epsilon, each the values of a one-epsilon call
+    params = StepSizeParams.for_problem(EX1, 0.125)
+    rows = occupation_values(EX1, params, (0.1, 0.05, 0.15), 40, 3)
+    assert rows.shape == (3, 40)
+    for eps, row in zip((0.1, 0.05, 0.15), rows):
+        assert row.tobytes() == occupation_values(EX1, params, eps, 40, 3).tobytes()
 
 
 def test_occupation_grows_with_tube_width():
