@@ -9,8 +9,10 @@ only relative imports), so both run in one interpreter.  A pair runs the
 workload's batch job once from each tree, in alternating order: the pooled
 ``_coupled_job`` for ``ladder-ex1`` and ``_verify_job`` for ``transform-ex2``,
 at the benchmark's sizes and package seed 1000, in one process without
-workers.  Both trees' outputs must be byte-identical.  Prints each tree's
-median CPU seconds and the median over pairs of B's time divided by A's.
+workers.  Both trees' outputs must be byte-identical; the script exits 1 if
+they differ.  Prints each tree's median CPU seconds and the median and
+quartiles over pairs of B's time divided by A's: a ratio inside the
+quartiles of a tree run against itself is not resolved.
 Separate processes on a busy machine drift apart by tens of percent;
 alternating in one process cancels most of that drift.
 """
@@ -36,6 +38,9 @@ WORKLOADS = {
 def load_tree(root: Path, name: str):
     """Import ``root/src/adaptive_em`` as the package ``name``."""
     pkg = root / "src" / "adaptive_em"
+    # a module of an earlier tree loaded under this name must not be reused
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
     )
@@ -84,10 +89,10 @@ def main(argv=None) -> int:
             print(f"pair {p}: the outputs differ", file=sys.stderr)
             return 1
         print(f"pair {p}: A {cpu[0][-1]:.3f} s  B {cpu[1][-1]:.3f} s", flush=True)
-    ratios = [b / a for a, b in zip(*cpu)]
+    q1, med, q3 = np.percentile([b / a for a, b in zip(*cpu)], [25, 50, 75])
     print(f"{args.workload}: outputs identical over {args.pairs} pairs")
     print(f"A median {statistics.median(cpu[0]):.3f} s, B median {statistics.median(cpu[1]):.3f} s")
-    print(f"median B/A {statistics.median(ratios):.4f}")
+    print(f"median B/A {med:.4f} [quartiles {q1:.4f}, {q3:.4f}]")
     return 0
 
 

@@ -204,14 +204,23 @@ def _bridged_values(pt, pw, u_t, u_w, has_right, t_next, counters, dim):
     normal, but only the lanes off a knot use it and advance their counter.
     """
     drew = pt != t_next
-    if not np.count_nonzero(drew):
+    n_drew = np.count_nonzero(drew)
+    if not n_drew:
         return pw
-    frac = (t_next - pt) / np.where(has_right, u_t - pt, 1.0)
-    # without a right bracket frac is t_next - pt, the free variance
-    mean = np.where(has_right[:, None], pw + frac[:, None] * (u_w - pw), pw)
-    var = np.where(has_right, frac * (u_t - t_next), frac)
+    free = None if np.count_nonzero(has_right) == has_right.size else ~has_right
+    span = u_t - pt
+    if free is not None:
+        span[free] = 1.0
+    frac = (t_next - pt) / span
+    mean = pw + frac[:, None] * (u_w - pw)
+    var = frac * (u_t - t_next)
+    if free is not None:
+        # without a right bracket frac is t_next - pt, the free variance
+        mean[free] = pw[free]
+        var[free] = frac[free]
     z = counters.normals(t_next, dim, drew)
-    return np.where(drew[:, None], mean + np.sqrt(var)[:, None] * z, pw)
+    w = mean + np.sqrt(var)[:, None] * z
+    return w if n_drew == drew.size else np.where(drew[:, None], w, pw)
 
 
 def forward_pass(problem, params, rung, keys, labels):

@@ -76,13 +76,13 @@ class PiecewiseDrift1D:
         """
         x = np.asarray(x, dtype=float)
         bp = self.breakpoints
-        if not bp:
-            return self.branches[0](x)
+        # the last branch starts at the last breakpoint, or covers the line
+        last = bp[-1] if bp else -math.inf
         out = np.zeros(x.shape)
         idx = np.searchsorted(self._bp, x, side="right")
         for i, branch in enumerate(self.branches):
             # NaN sorts past the last breakpoint but belongs to no branch
-            own = idx == i if i < len(bp) else x >= bp[-1]
+            own = idx == i if i < len(bp) else x >= last
             vals = x[own]
             if vals.size:
                 out[own] = branch(vals)
@@ -180,6 +180,8 @@ class Transform1D:
         )
         gaps = np.diff(self._bp)
         half_gap = float(gaps.min()) / 2.0 if gaps.size else math.inf
+        # the midpoints between breakpoints split the line by nearest breakpoint
+        self._mid = 0.5 * (self._bp[:-1] + self._bp[1:])
         c = min(self.eps0, half_gap) / 2.0
         for _ in range(80):
             if self._derivative_floor_ok(c):
@@ -197,22 +199,23 @@ class Transform1D:
         return bool(slopes.min() >= 0.1)
 
     def _split(self, x):
-        # nearest breakpoint index and signed offset from it
+        # nearest breakpoint index and signed offset from it.  c is at most a
+        # quarter of the smallest gap, so every point within c of a
+        # breakpoint picks that breakpoint; the callers read pick only there
         x = np.asarray(x, dtype=float)
-        i = np.searchsorted(self._bp, x)
-        lo = np.maximum(i - 1, 0)
-        hi = np.minimum(i, self._bp.size - 1)
-        use_hi = np.abs(x - self._bp[hi]) < np.abs(x - self._bp[lo])
-        pick = np.where(use_hi, hi, lo)
+        pick = np.searchsorted(self._mid, x)
         return pick, x - self._bp[pick]
 
-    def _bend(self, pick, s):
-        # first and second derivative at offset s from breakpoint pick
-        c = self.params.c
+    def _local(self, x):
+        # offset s from the nearest breakpoint, r = |s|, u = r/c and the jump
+        # strength a of that breakpoint
+        pick, s = self._split(x)
         r = np.abs(s)
-        u = r / c
-        inside = r < c
-        a = self._alphas[pick]
+        return s, r, r / self.params.c, self._alphas[pick]
+
+    def _bend(self, s, r, u, a):
+        # first and second derivative at local coordinates (s, r, u, a)
+        inside = r < self.params.c
         gp = 1.0 + np.where(inside, a * _psi_prime(r, u), 0.0)
         gs = np.where(inside, a * _psi_second(s, u), 0.0)
         return gp, gs
@@ -222,27 +225,31 @@ class Transform1D:
         x = np.asarray(x, dtype=float)
         if self._bp.size == 0:
             return x + 0.0
-        pick, s = self._split(x)
-        c = self.params.c
-        r = np.abs(s)
-        return x + np.where(r < c, self._alphas[pick] * _psi(s, r, r / c), 0.0)
+        s, r, u, a = self._local(x)
+        return x + np.where(r < self.params.c, a * _psi(s, r, u), 0.0)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         if self._bp.size == 0:
             return np.ones_like(x)
-        return self._bend(*self._split(x))[0]
+        return self._bend(*self._local(x))[0]
 
     def second_derivative(self, x):
         """Piecewise second derivative; right-hand branch at breakpoints."""
         x = np.asarray(x, dtype=float)
         if self._bp.size == 0:
             return np.zeros_like(x)
-        return self._bend(*self._split(x))[1]
+        return self._bend(*self._local(x))[1]
 
     def _newton(self, z, pick):
         # safeguarded Newton for in-bump points z of the bumps pick; a lane
-        # keeps its iterate once its residual meets _TOL
+        # keeps its iterate once its residual meets _TOL.  Returns the roots
+        # and their local coordinates (s, r, u, a), as _local gives them.
+        # Every iterate x lies in [lo, hi]: z does, since fl(z - xi) < c puts
+        # z at or below fl(xi + c) (a z above it is at least xi + c, so
+        # fl(z - xi) >= c), and at or above fl(xi - c) likewise; a Newton
+        # candidate is kept only strictly inside the bracket, and fl(lo + hi)/2
+        # lies in [lo, hi].  So a lane that moves a bracket end moves it to x.
         c = self.params.c
         xi = self._bp[pick]
         a = self._alphas[pick]
@@ -255,33 +262,35 @@ class Transform1D:
             u = r / c
             resid = x + a * _psi(s, r, u) - z
             done = np.abs(resid) <= _TOL
-            if np.count_nonzero(done) == done.size:
-                return x
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
+                return x, s, r, u, a
             # monotone map: the residual sign tells the bracket side
-            hi = np.where(resid > 0.0, np.minimum(hi, x), hi)
-            lo = np.where(resid < 0.0, np.maximum(lo, x), lo)
+            hi = np.where(resid > 0.0, x, hi)
+            lo = np.where(resid < 0.0, x, lo)
             slope = 1.0 + a * _psi_prime(r, u)
             cand = x - resid / slope
             # a NaN or infinite step fails both tests and bisects
-            cand = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
-            x = np.where(done, x, cand)
+            ok = (cand > lo) & (cand < hi)
+            if np.count_nonzero(ok) < ok.size:
+                cand = np.where(ok, cand, 0.5 * (lo + hi))
+            x = np.where(done, x, cand) if n_done else cand
         raise RootFindError("transform inversion did not converge")
 
     def _invert(self, z):
         # the inverse of z, with the flat indices of the points inside a
-        # bump interval, the breakpoint index of their bump and their inverses
+        # bump interval and the local coordinates of their inverses (None
+        # when there are none)
         z = np.asarray(z, dtype=float)
         x = z.copy()
-        lanes = pick = np.zeros(0, dtype=np.intp)
         if self._bp.size:
             near, s = self._split(z)
             lanes = np.flatnonzero(np.abs(s) < self.params.c)
-            pick = np.take(near, lanes)
-        xb = np.take(z, lanes)
-        if lanes.size:
-            xb = self._newton(xb, pick)
-            np.put(x, lanes, xb)
-        return x, lanes, pick, xb
+            if lanes.size:
+                xb, *local = self._newton(np.take(z, lanes), np.take(near, lanes))
+                np.put(x, lanes, xb)
+                return x, lanes, local
+        return x, None, None
 
     def inverse(self, z):
         """Invert the forward map to residual ``_TOL`` by safeguarded Newton.
@@ -302,12 +311,13 @@ class Transform1D:
         at most half the smallest gap, so the inverse of a point keeps the
         breakpoint of the point itself.
         """
-        x, lanes, pick, xb = self._invert(z)
+        x, lanes, local = self._invert(z)
         gp = np.ones(x.shape)
         gs = np.zeros(x.shape)
-        gp_b, gs_b = self._bend(pick, xb - self._bp[pick])
-        np.put(gp, lanes, gp_b)
-        np.put(gs, lanes, gs_b)
+        if lanes is not None:
+            gp_b, gs_b = self._bend(*local)
+            np.put(gp, lanes, gp_b)
+            np.put(gs, lanes, gs_b)
         sg = np.asarray(self.sigma(x), dtype=float)
         mu = np.asarray(self.drift(x), dtype=float)
         return gp * mu + 0.5 * sg * sg * gs, gp * sg

@@ -6,6 +6,9 @@ batch job in ``adaptive_em.montecarlo`` returns for that sample:
 ``coupled_difference_sample`` for ``_coupled_job``, ``occupation_sample``
 for ``_occupation_job`` and ``verify_transform_sample`` for ``_verify_job``.
 The tests require the two to agree bit for bit.
+
+``FrozenInverse`` keeps an earlier form of the transform's Newton inversion,
+against which the current one must also agree bit for bit.
 """
 
 import numpy as np
@@ -18,6 +21,14 @@ from adaptive_em.solver import (
     interpolate,
     simulate_adaptive,
     step_size,
+)
+from adaptive_em.transform1d import (
+    _MAX_ITER,
+    _TOL,
+    RootFindError,
+    _psi,
+    _psi_prime,
+    _psi_second,
 )
 
 
@@ -112,3 +123,117 @@ def verify_transform_sample(problem, transform, delta, sample_index, master_seed
     x_ref = float(transform.inverse(z))
     gap = x_T - x_ref
     return gap * gap
+
+
+class FrozenInverse:
+    """The inverse and the transformed coefficients of a Transform1D, frozen.
+
+    The methods are copied verbatim from ``Transform1D`` as it stood before
+    its Newton inversion was trimmed: the nearest breakpoint by two gathers
+    and a comparison, the bracket clamped by ``np.minimum``/``np.maximum``,
+    the safeguard's midpoint formed on every pass, and the bend gathered
+    again from the breakpoint index.  One line is added: ``bisections``
+    counts the unconverged lanes whose Newton candidate left the bracket.
+    """
+
+    def __init__(self, tr):
+        self.drift = tr.drift
+        self.sigma = tr.sigma
+        self.params = tr.params
+        self._bp = tr._bp
+        self._alphas = tr._alphas
+        self.bisections = 0
+
+    def _split(self, x):
+        # nearest breakpoint index and signed offset from it
+        x = np.asarray(x, dtype=float)
+        i = np.searchsorted(self._bp, x)
+        lo = np.maximum(i - 1, 0)
+        hi = np.minimum(i, self._bp.size - 1)
+        use_hi = np.abs(x - self._bp[hi]) < np.abs(x - self._bp[lo])
+        pick = np.where(use_hi, hi, lo)
+        return pick, x - self._bp[pick]
+
+    def _bend(self, pick, s):
+        # first and second derivative at offset s from breakpoint pick
+        c = self.params.c
+        r = np.abs(s)
+        u = r / c
+        inside = r < c
+        a = self._alphas[pick]
+        gp = 1.0 + np.where(inside, a * _psi_prime(r, u), 0.0)
+        gs = np.where(inside, a * _psi_second(s, u), 0.0)
+        return gp, gs
+
+    def _newton(self, z, pick):
+        # safeguarded Newton for in-bump points z of the bumps pick; a lane
+        # keeps its iterate once its residual meets _TOL
+        c = self.params.c
+        xi = self._bp[pick]
+        a = self._alphas[pick]
+        lo = xi - c
+        hi = xi + c
+        x = z
+        for _ in range(_MAX_ITER):
+            s = x - xi
+            r = np.abs(s)
+            u = r / c
+            resid = x + a * _psi(s, r, u) - z
+            done = np.abs(resid) <= _TOL
+            if np.count_nonzero(done) == done.size:
+                return x
+            # monotone map: the residual sign tells the bracket side
+            hi = np.where(resid > 0.0, np.minimum(hi, x), hi)
+            lo = np.where(resid < 0.0, np.maximum(lo, x), lo)
+            slope = 1.0 + a * _psi_prime(r, u)
+            cand = x - resid / slope
+            # a NaN or infinite step fails both tests and bisects
+            self.bisections += int(np.count_nonzero(~((cand > lo) & (cand < hi)) & ~done))
+            cand = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
+            x = np.where(done, x, cand)
+        raise RootFindError("transform inversion did not converge")
+
+    def _invert(self, z):
+        # the inverse of z, with the flat indices of the points inside a
+        # bump interval, the breakpoint index of their bump and their inverses
+        z = np.asarray(z, dtype=float)
+        x = z.copy()
+        lanes = pick = np.zeros(0, dtype=np.intp)
+        if self._bp.size:
+            near, s = self._split(z)
+            lanes = np.flatnonzero(np.abs(s) < self.params.c)
+            pick = np.take(near, lanes)
+        xb = np.take(z, lanes)
+        if lanes.size:
+            xb = self._newton(xb, pick)
+            np.put(x, lanes, xb)
+        return x, lanes, pick, xb
+
+    def inverse(self, z):
+        """Invert the forward map to residual ``_TOL`` by safeguarded Newton.
+
+        Each bump interval maps onto itself, so points outside all bump
+        intervals come back unchanged.
+        """
+        return self._invert(z)[0]
+
+    def transformed_coeffs(self, z):
+        """Drift and diffusion of the transformed equation at ``z``.
+
+        Returns the pair (drift value, diffusion value), both shaped like
+        ``z``.  The drift picks up the Ito correction through the second
+        derivative, which is what cancels the jumps.  Only the points inside
+        a bump interval are inverted and bent; the others are fixed points
+        with unit slope.  Each bump interval maps onto itself and ``c`` is
+        at most half the smallest gap, so the inverse of a point keeps the
+        breakpoint of the point itself.
+        """
+        x, lanes, pick, xb = self._invert(z)
+        gp = np.ones(x.shape)
+        gs = np.zeros(x.shape)
+        gp_b, gs_b = self._bend(pick, xb - self._bp[pick])
+        np.put(gp, lanes, gp_b)
+        np.put(gs, lanes, gs_b)
+        sg = np.asarray(self.sigma(x), dtype=float)
+        mu = np.asarray(self.drift(x), dtype=float)
+        return gp * mu + 0.5 * sg * sg * gs, gp * sg

@@ -5,6 +5,7 @@ bit with a plainer formulation written out here: the step-size rule with
 three masked passes, the piecewise drift through ``np.piecewise``, the
 point-set distance as a min-reduce over all points, the transformed
 coefficients through the public inverse and derivatives of the transform,
+the transform's Newton inversion through a frozen copy of an earlier form,
 and the knot walker's brackets through a per-lane ``np.searchsorted``.
 The transform's round trip and monotonicity are checked as well.
 """
@@ -16,13 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import FrozenInverse
 
-from adaptive_em import _engine
+from adaptive_em import _engine, transform1d
 from adaptive_em.cli import ExpressionFunction, problem_from_config
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.problems import get_example
 from adaptive_em.solver import StepSizeParams, step_size, step_size_from_distance
-from adaptive_em.transform1d import PiecewiseDrift1D
+from adaptive_em.transform1d import PiecewiseDrift1D, Transform1D, _psi
 
 # bitwise, and of the same shape and dtype
 assert_equal = functools.partial(np.testing.assert_array_equal, strict=True)
@@ -92,6 +94,9 @@ def test_step_size_scalar_matches_reference(p, kind, value):
 def _piecewise_reference(drift, x):
     x = np.asarray(x, dtype=float)
     bp = drift.breakpoints
+    if not bp:
+        # one branch on the whole line, which NaN is not on
+        return np.piecewise(x, [~np.isnan(x)], list(drift.branches))
     conds = [x < bp[0]]
     conds += [(a <= x) & (x < b) for a, b in zip(bp, bp[1:])]
     conds.append(x >= bp[-1])
@@ -137,11 +142,15 @@ DRIFTS = {
             _confined(1.0, math.inf, lambda x: 2.0 / x - 3.0 / (x * x)),
         ),
     ),
+    # no breakpoint: one constant branch fills the line
+    "unbroken": PiecewiseDrift1D(breakpoints=(), branches=(ExpressionFunction("1.5", ("x",)),)),
 }
 
 
 def _points_st(drift):
     bp = drift.breakpoints
+    if not bp:
+        return st.floats(-4.0, 4.0)
     return st.one_of(
         st.floats(-4.0, 4.0),
         st.sampled_from(bp),
@@ -172,7 +181,7 @@ def test_piecewise_drift_matches_np_piecewise(name, data):
 @pytest.mark.parametrize("name", sorted(DRIFTS))
 def test_piecewise_drift_edge_inputs(name):
     drift = DRIFTS[name]
-    for x in [np.array(0.3), np.array(drift.breakpoints[0]), np.array(-7.5)]:
+    for x in [np.array(0.3), np.array((drift.breakpoints or (0.0,))[0]), np.array(-7.5)]:
         assert_equal(drift(x), _piecewise_reference(drift, x))
     empty = np.zeros(0)
     assert_equal(drift(empty), _piecewise_reference(drift, empty))
@@ -311,6 +320,61 @@ def test_transform_round_trip_and_monotone(name, data):
     assert float(tr.inverse(float(z[0]))) == pytest.approx(float(x[0]), abs=1e-10)
 
 
+def _assert_matches_frozen(tr, frozen, z):
+    _assert_same_bits((tr.inverse(z),), (frozen.inverse(z),))
+    _assert_same_bits(tr.transformed_coeffs(z), frozen.transformed_coeffs(z))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_newton_matches_frozen_copy(name, data):
+    # the reference above inverts through the same Newton; this one does not
+    tr = TRANSFORMS[name]
+    frozen = FrozenInverse(tr)
+    points = _region_st(tr) if data.draw(st.booleans(), label="uniform") else _transform_points_st(tr)
+    z = np.array(data.draw(st.lists(points, max_size=40), label="zs"), dtype=float)
+    _assert_matches_frozen(tr, frozen, z)
+    if z.size % 2 == 0:
+        _assert_matches_frozen(tr, frozen, z.reshape(2, -1))
+    _assert_matches_frozen(tr, frozen, data.draw(_transform_points_st(tr), label="z"))
+
+
+def _unit_sigma(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def test_newton_bisection_matches_frozen_copy():
+    # a jump of 100 bends the map so far that Newton steps leave the bracket
+    steep = PiecewiseDrift1D(
+        breakpoints=(0.0,), branches=(lambda x: 100.0 + 0.0 * x, lambda x: 0.0 * x)
+    )
+    tr = Transform1D(steep, _unit_sigma, eps0=1.0)
+    frozen = FrozenInverse(tr)
+    c = tr.params.c
+    z = np.linspace(-c, c, 801)
+    _assert_matches_frozen(tr, frozen, z)
+    assert frozen.bisections > 0
+
+
+def test_newton_stops_at_exactly_the_tolerance():
+    # a jump strength chosen so that the first residual at z = 0 is _TOL to
+    # the bit: the lane is done at once, and a strict test would step on
+    xi = 2.0**-20
+    s = np.array(-xi)
+    p = _psi(s, np.abs(s), np.abs(s) / 0.5)
+    a = transform1d._TOL / p
+    drift = PiecewiseDrift1D(
+        breakpoints=(xi,), branches=(lambda x: 2.0 * a + 0.0 * x, lambda x: 0.0 * x)
+    )
+    tr = Transform1D(drift, _unit_sigma, eps0=1.0)
+    assert tr.params.c == 0.5
+    assert abs(tr._alphas[0] * p) == transform1d._TOL
+    z = np.array([0.0, -0.0, xi / 2.0])
+    _assert_matches_frozen(tr, FrozenInverse(tr), z)
+    assert tr.inverse(0.0) == 0.0
+
+
 def _bracket_reference(kt, kw, t_node, w_node, t_next):
     # one lane: the last knot in (t_node, t_next] if any, else the node, and
     # the first knot past t_next, or the last knot when there is none
@@ -365,3 +429,40 @@ def test_knot_walker_matches_searchsorted(data):
         walker.keep(keep)
         lanes, t_node = lanes[keep], t_next[keep]
         w_node = np.stack([t_node, -2.0 * t_node], axis=1)
+
+
+def _bridged_reference(pt, pw, u_t, u_w, has_right, t_next, counters, dim):
+    # every lane through the same masks: the bridge where a right knot
+    # exists, a free increment where none does, the left value on a knot
+    drew = pt != t_next
+    frac = (t_next - pt) / np.where(has_right, u_t - pt, 1.0)
+    mean = np.where(has_right[:, None], pw + frac[:, None] * (u_w - pw), pw)
+    var = np.where(has_right, frac * (u_t - t_next), frac)
+    z = counters.normals(t_next, dim, drew)
+    return np.where(drew[:, None], mean + np.sqrt(var)[:, None] * z, pw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bridged_values_match_masked_reference(data):
+    # lanes on a knot or off it, with a right knot or past the last one, in
+    # any mix; left values include signed zeros, which a lane on a knot keeps
+    n = data.draw(st.integers(1, 8), label="lanes")
+    dim = data.draw(st.sampled_from((1, 2)), label="dim")
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    on_knot = np.array(data.draw(flags, label="on_knot"))
+    has_right = np.array(data.draw(flags, label="has_right"))
+    pt = np.array(data.draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 16.0
+    ahead = np.array(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 32.0
+    t_next = np.where(on_knot, pt, pt + ahead)
+    u_t = np.where(has_right, t_next + ahead, pt)
+    values = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0)))
+    pw = np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    u_w = np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    keys = np.arange(1, n + 1, dtype=np.uint64)
+    kc = np.array(data.draw(st.lists(st.integers(1, 50), min_size=n, max_size=n)), dtype=np.uint64)
+    got_c, want_c = _engine._Counters(keys, kc), _engine._Counters(keys, kc)
+    got = _engine._bridged_values(pt, pw, u_t, u_w, has_right, t_next, got_c, dim)
+    want = _bridged_reference(pt, pw, u_t, u_w, has_right, t_next, want_c, dim)
+    assert got.tobytes() == want.tobytes()
+    assert_equal(got_c.idx, want_c.idx)
