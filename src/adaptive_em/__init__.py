@@ -2,10 +2,10 @@
 
 The step size shrinks from delta to delta^2 as the state approaches the
 discontinuity surface, which restores close-to-classical strong convergence.
-The package bundles the solver, lazily refined Brownian paths, the coupled
-Monte Carlo estimators for convergence rate and cost, a jump-removing
-transform for scalar problems, rate regression, and a CLI around three
-registered example problems.
+The package bundles the step-size rule, lazily refined Brownian paths, the
+batched lockstep solver behind the coupled Monte Carlo estimators for
+convergence rate and cost, a jump-removing transform for scalar problems,
+rate regression, and a CLI around three registered example problems.
 """
 
 from .brownian import BrownianPath, keyed_normals, path_key
@@ -25,16 +25,7 @@ from .montecarlo import (
 )
 from .problems import EXAMPLES, example_names, get_example
 from .regression import RegressionFit, SingularFitError, fit_rate
-from .solver import (
-    RunawaySimulationError,
-    SdeProblem,
-    StepSizeParams,
-    Trajectory,
-    em_step,
-    interpolate,
-    simulate_adaptive,
-    step_size,
-)
+from .solver import RunawaySimulationError, SdeProblem, StepSizeParams
 from .transform1d import (
     DegenerateDiffusionError,
     PiecewiseDrift1D,
@@ -62,22 +53,17 @@ __all__ = [
     "SdeProblem",
     "SingularFitError",
     "StepSizeParams",
-    "Trajectory",
     "Transform1D",
     "TransformParams",
     "alpha",
     "bump",
-    "em_step",
     "example_names",
     "fit_rate",
     "get_example",
-    "interpolate",
     "keyed_normals",
     "occupation_values",
     "path_key",
     "run_experiment",
-    "simulate_adaptive",
-    "step_size",
     "surface_from_config",
     "verify_transform",
 ]

@@ -19,17 +19,17 @@ Each pass supplies three parts:
   a bridge draw inserted as a knot, the recorded value, or a bridge from
   the step's midpoint;
 - an optional observer of each step, which accumulates the trapezoidal
-  occupation time.
+  occupation time or records the grid nodes of one path.
 
 :func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
 transformed coordinates and shares the knot walker and the bridge rule.
 
-All Gaussian draws go through the same keyed counters as the sequential
-classes (BrownianPath, simulate_adaptive, interpolate), and every
-floating-point expression mirrors the sequential code, so a batched run
-reproduces the per-sample results bit for bit.  In particular Brownian
-increments are always formed as a difference of materialized knot values,
-never as the raw scaled normal.
+All Gaussian draws go through the same keyed counters as
+``brownian.BrownianPath``, and every floating-point expression mirrors a
+one-sample run on such a path, so a batched run reproduces the per-sample
+results bit for bit.  In particular Brownian increments are always formed
+as a difference of materialized knot values, never as the raw scaled
+normal.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
     ``draw(act, tc, wc, h, t_next)`` returns the path values at the next
     grid time; ``horizon_value(act, sel, tc, wc, t_next, wn)`` returns the
     path values at the horizon of the lanes ``act[sel]``, whose step
-    overshoots it; ``observe(act, tc, wc, x, mu, sig, dist, dist_end)`` sees
-    each step with the distances to the surface at its start and at its end,
-    the end being cut at the horizon under the frozen coefficients.  The
+    overshoots it; ``observe(act, tc, wc, x, mu, sig, dist, dist_end,
+    t_next, xn)`` sees each step with the distances to the surface at its
+    start and at its end, the end being cut at the horizon under the frozen
+    coefficients, and with the step's full end node ``(t_next, xn)``.  The
     arrays they see, ``t_next`` and the returned path values among them, are
     never written to in place, so they may keep references to them.
 
@@ -144,7 +145,7 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
             steps[lanes] = k
         dist_end = np.asarray(problem.surface.distance(x_end), dtype=float)
         if observe is not None:
-            observe(act, t, w, x, mu, sig, dist, dist_end)
+            observe(act, t, w, x, mu, sig, dist, dist_end, t_next, xn)
         t, x, w, dist = t_next, xn, wn, dist_end
         if retire:
             live = ~crossed
@@ -223,15 +224,15 @@ def _bridged_values(pt, pw, u_t, u_w, has_right, t_next, counters, dim):
     return w if n_drew == drew.size else np.where(drew[:, None], w, pw)
 
 
-def forward_pass(problem, params, rung, keys, labels):
+def forward_pass(problem, params, rung, keys, labels, observe=None):
     """Adaptive scheme on fresh paths, recording every knot.
 
-    ``params`` and ``rung`` are as in :func:`_adaptive_lockstep`.  Returns a
-    dict with per-lane step counts ``n``, the interpolated state and path
-    value at the horizon (``x_T``, ``w_T``), the continued draw counter
-    ``kc``, and the knots past time 0 in a ragged store: lane ``i`` owns the
-    strictly increasing times ``kt[start[i]:end[i]]``, the horizon among
-    them, and the path values in the same rows of ``kw``.
+    ``params``, ``rung`` and ``observe`` are as in :func:`_adaptive_lockstep`.
+    Returns a dict with per-lane step counts ``n``, the interpolated state
+    and path value at the horizon (``x_T``, ``w_T``), the continued draw
+    counter ``kc``, and the knots past time 0 in a ragged store: lane ``i``
+    owns the strictly increasing times ``kt[start[i]:end[i]]``, the horizon
+    among them, and the path values in the same rows of ``kw``.
     """
     n = keys.size
     d = problem.dimension
@@ -257,7 +258,7 @@ def forward_pass(problem, params, rung, keys, labels):
         return wt
 
     steps, x_T, w_T = _adaptive_lockstep(
-        problem, params, rung, labels, (counters,), draw, bridge_to_horizon
+        problem, params, rung, labels, (counters,), draw, bridge_to_horizon, observe
     )
     lane = np.concatenate(log_lane)
     order = np.argsort(lane, kind="stable")
@@ -424,7 +425,7 @@ def occupation_pass(problem, params, rung, epsilons, keys, labels):
         z = counters.normals_of(sel, t_hor, d)
         return _bridge(t_mid[sel], w_mid[sel], t_next[sel], wn[sel], t_hor, z)
 
-    def trapezoid(act, tc, wc, x, mu, sig, dist, dist_end):
+    def trapezoid(act, tc, wc, x, mu, sig, dist, dist_end, *_):
         xm = _euler(x, mu, sig, t_mid - tc, w_mid - wc)
         in_m = np.asarray(problem.surface.distance(xm))[:, None] < eps
         inside = (dist[:, None] < eps) + 2.0 * in_m + (dist_end[:, None] < eps)

@@ -24,7 +24,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .brownian import BrownianPath
+from . import _engine
+from .brownian import path_key
 from .geometry import surface_from_config
 from .montecarlo import (
     ExperimentConfig,
@@ -35,7 +36,7 @@ from .montecarlo import (
 )
 from .problems import _Lift1D, _LiftDiffusion1D, example_names, get_example
 from .regression import SingularFitError, fit_rate
-from .solver import SdeProblem, StepSizeParams, simulate_adaptive
+from .solver import SdeProblem, StepSizeParams
 from .transform1d import PiecewiseDrift1D, Transform1D
 
 _EXPR_GLOBALS = {
@@ -319,14 +320,35 @@ def _check_workers(ctx, param, value):
     return value
 
 
+def _trajectory(problem, params, master_seed, index=0):
+    """Grid times, states and step count of one path from a one-lane forward pass.
+
+    The nodes are ``(0, x0)`` and then every step's end, so the last one is
+    at or past the horizon, exactly as the estimators step the path.
+    """
+    times, states = [0.0], [problem.x0]
+
+    def record(act, tc, wc, x, mu, sig, dist, dist_end, t_next, xn):
+        times.append(t_next[0])
+        states.append(xn[0])
+
+    labels = np.array([index], dtype=np.uint64)
+    out = _engine.forward_pass(
+        problem, (params,), np.zeros(1, dtype=np.intp), path_key(master_seed, labels),
+        labels, observe=record,
+    )
+    return np.array(times), np.array(states), int(out["n"][0])
+
+
 def _dump_trajectory(problem, delta, master_seed, out_dir: Path):
-    """Write the sample-0 fine-scheme trajectory for debugging."""
-    path = BrownianPath(problem.dimension, master_seed, 0)
+    """Write the sample-0 fine-scheme trajectory, rows ``k,tau_k,x1..xd``."""
     params = StepSizeParams.for_problem(problem, delta)
-    traj = simulate_adaptive(problem, params, path)
+    times, states, _ = _trajectory(problem, params, master_seed)
     target = out_dir / f"trajectory_delta_{delta!r}.csv"
     with open(target, "w") as fh:
-        traj.to_csv(fh)
+        fh.write("k,tau_k," + ",".join(f"x{j + 1}" for j in range(problem.dimension)) + "\n")
+        for k, (t, x) in enumerate(zip(times, states)):
+            fh.write(",".join([str(k), repr(float(t))] + [repr(float(v)) for v in x]) + "\n")
     click.echo(f"wrote {target}")
 
 

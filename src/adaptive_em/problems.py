@@ -49,7 +49,7 @@ class _LiftDiffusion1D:
 
 
 def _ex1_branch_low(x):
-    return -2.0 * np.ones_like(x)
+    return -2.0
 
 
 def _ex1_branch_mid(x):
@@ -65,11 +65,11 @@ def _ex1_sigma(x):
 
 
 def _ex2_branch_low(x):
-    return -1.0 * np.ones_like(x)
+    return -1.0
 
 
 def _ex2_branch_mid(x):
-    return np.ones_like(x)
+    return 1.0
 
 
 def _ex2_branch_high(x):
@@ -77,7 +77,7 @@ def _ex2_branch_high(x):
 
 
 def _ex2_sigma(x):
-    return np.ones_like(x)
+    return 1.0
 
 
 def _ex3_drift(x):

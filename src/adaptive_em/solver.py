@@ -1,24 +1,22 @@
-"""Adaptive Euler-Maruyama scheme for drift discontinuous on a hypersurface.
+"""Step-size rule and problem definition of the adaptive Euler-Maruyama scheme.
 
 The step size shrinks from delta far away from the discontinuity set to
 delta squared inside a narrow band around it, with a continuous quadratic
 ramp between the two bands.  Band widths scale with ``sigma_sup * log(1/delta)``
 where ``sigma_sup`` bounds the Frobenius norm of the diffusion near the
-surface.  Between grid points the scheme is extended by freezing the
-coefficients at the left node, which is also how the value at the time
-horizon is recovered from the final overshooting step.
+surface.  The stepping itself, with the step budget set here, the horizon
+crossing and the value at the horizon, lives in the lockstep driver of
+``_engine``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .brownian import BrownianPath
 from .geometry import Hypersurface
 
 
@@ -84,38 +82,6 @@ def step_size_from_distance(dist, params: StepSizeParams):
     return np.where(dist <= params.eps2, params.delta_sq, h)
 
 
-def step_size(x, params: StepSizeParams, surface: Hypersurface):
-    """Adaptive step size at state ``x``; scalar for a single point."""
-    d = surface.distance(x)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("non-finite distance to the surface")
-    h = step_size_from_distance(d, params)
-    return float(h) if np.ndim(d) == 0 else h
-
-
-def em_step(state, drift_value, diffusion_value, h, dw):
-    """One Euler-Maruyama update with frozen coefficients.
-
-    Args:
-        state: current state, shape (d,).
-        drift_value: drift evaluated at ``state``, shape (d,).
-        diffusion_value: diffusion matrix at ``state``, shape (d, d).
-        h: time increment.
-        dw: Brownian increment over the step, shape (d,).
-    """
-    state = np.asarray(state, dtype=float)
-    mu = np.asarray(drift_value, dtype=float)
-    sig = np.asarray(diffusion_value, dtype=float)
-    ok = (
-        np.all(np.isfinite(state)) and np.all(np.isfinite(mu))
-        and np.all(np.isfinite(sig)) and math.isfinite(h)
-        and np.all(np.isfinite(dw))
-    )
-    if not ok:
-        raise ValueError("non-finite input to the Euler step")
-    return state + mu * h + np.einsum("ij,j->i", sig, dw)
-
-
 @dataclass(frozen=True, eq=False)
 class SdeProblem:
     """SDE with drift discontinuous on ``surface``, plus scheme constants.
@@ -164,78 +130,5 @@ class SdeProblem:
             raise ValueError("diffusion(x0) must return a finite (d, d) matrix")
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Grid times and states of one simulated path."""
-
-    times: np.ndarray
-    states: np.ndarray
-    step_count: int
-
-    def to_csv(self, stream) -> None:
-        """Write rows ``k, tau_k, x1..xd`` with full float precision."""
-        d = self.states.shape[1]
-        stream.write("k,tau_k," + ",".join(f"x{j + 1}" for j in range(d)) + "\n")
-        for k in range(len(self.times)):
-            cells = [str(k), repr(float(self.times[k]))]
-            cells += [repr(float(v)) for v in self.states[k]]
-            stream.write(",".join(cells) + "\n")
-
-
 def _step_budget(problem: SdeProblem, params: StepSizeParams) -> int:
     return int(10.0 * problem.horizon / params.delta_sq) + 1
-
-
-def simulate_adaptive(
-    problem: SdeProblem, params: StepSizeParams, path: BrownianPath
-) -> Trajectory:
-    """Run the adaptive scheme until the first grid time at or past the horizon.
-
-    The final step is taken at full length, so the last grid time generally
-    overshoots the horizon; use :func:`interpolate` to read off the value at
-    the horizon itself.
-    """
-    if path.dimension != problem.dimension:
-        raise ValueError("path dimension does not match the problem")
-    budget = _step_budget(problem, params)
-    t = 0.0
-    x = problem.x0.copy()
-    times = [t]
-    states = [x]
-    while t < problem.horizon:
-        if len(states) > budget:
-            raise RunawaySimulationError(
-                f"exceeded {budget} steps at t={t:.6g} (delta={params.delta:.4g}, "
-                f"|x|={float(np.linalg.norm(x)):.4g}); check the problem bounds "
-                f"mu_sup={problem.mu_sup:.4g}, sigma_sup={problem.sigma_sup:.4g}"
-            )
-        h = step_size(x, params, problem.surface)
-        t_next = t + h
-        dw = path.query(t_next) - path.query(t)
-        x = em_step(x, problem.drift(x), problem.diffusion(x), h, dw)
-        t = t_next
-        times.append(t)
-        states.append(x)
-    return Trajectory(
-        times=np.asarray(times), states=np.asarray(states), step_count=len(times) - 1
-    )
-
-
-def interpolate(
-    trajectory: Trajectory, problem: SdeProblem, path: BrownianPath, t
-) -> np.ndarray:
-    """Evaluate the time-continuous extension of a trajectory at time ``t``.
-
-    Freezes the coefficients at the last grid node not past ``t`` and adds
-    the drift and Brownian increments up to ``t``.  Valid for ``t`` between
-    0 and the final grid time.
-    """
-    t = float(t)
-    times = trajectory.times
-    if not 0.0 <= t <= times[-1]:
-        raise ValueError("t must lie within the simulated time range")
-    k = bisect_right(times, t) - 1
-    x = trajectory.states[k]
-    tk = float(times[k])
-    dw = path.query(t) - path.query(tk)
-    return em_step(x, problem.drift(x), problem.diffusion(x), t - tk, dw)

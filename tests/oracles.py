@@ -1,26 +1,37 @@
-"""Sequential single-sample references for the batched Monte Carlo kernels.
+"""Sequential single-sample references for the batched lockstep kernels.
 
-Each function runs one sample through ``solver.simulate_adaptive`` and a
-``brownian.BrownianPath``, one step at a time, and returns what the matching
-batch job in ``adaptive_em.montecarlo`` returns for that sample:
-``coupled_difference_sample`` for ``_coupled_job``, ``occupation_sample``
-for ``_occupation_job`` and ``verify_transform_sample`` for ``_verify_job``.
-The tests require the two to agree bit for bit.
+``simulate_adaptive`` runs the adaptive scheme on one ``brownian.BrownianPath``,
+one step at a time, with ``step_size`` and ``em_step``; ``interpolate``
+reads the time-continuous extension off its ``Trajectory``, the horizon
+value among them.  ``_engine``'s one lockstep driver must reproduce them
+bit for bit, the one-lane trajectory behind ``run --dump-trajectories``
+included.
+
+The functions below them run one sample through that solver and return
+what the matching batch job in ``adaptive_em.montecarlo`` returns for that
+sample: ``coupled_difference_sample`` for ``_coupled_job``,
+``occupation_sample`` for ``_occupation_job`` and
+``verify_transform_sample`` for ``_verify_job``.  The tests require the two
+to agree bit for bit.
 
 ``FrozenInverse`` keeps an earlier form of the transform's Newton inversion,
 against which the current one must also agree bit for bit.
 """
+
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from adaptive_em.brownian import BrownianPath
 from adaptive_em.montecarlo import equidistant_steps
 from adaptive_em.solver import (
+    RunawaySimulationError,
+    SdeProblem,
     StepSizeParams,
-    em_step,
-    interpolate,
-    simulate_adaptive,
-    step_size,
+    _step_budget,
+    step_size_from_distance,
 )
 from adaptive_em.transform1d import (
     _MAX_ITER,
@@ -30,6 +41,111 @@ from adaptive_em.transform1d import (
     _psi_prime,
     _psi_second,
 )
+
+
+def step_size(x, params: StepSizeParams, surface):
+    """Adaptive step size at state ``x``; scalar for a single point."""
+    d = surface.distance(x)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("non-finite distance to the surface")
+    h = step_size_from_distance(d, params)
+    return float(h) if np.ndim(d) == 0 else h
+
+
+def em_step(state, drift_value, diffusion_value, h, dw):
+    """One Euler-Maruyama update with frozen coefficients.
+
+    Args:
+        state: current state, shape (d,).
+        drift_value: drift evaluated at ``state``, shape (d,).
+        diffusion_value: diffusion matrix at ``state``, shape (d, d).
+        h: time increment.
+        dw: Brownian increment over the step, shape (d,).
+    """
+    state = np.asarray(state, dtype=float)
+    mu = np.asarray(drift_value, dtype=float)
+    sig = np.asarray(diffusion_value, dtype=float)
+    ok = (
+        np.all(np.isfinite(state)) and np.all(np.isfinite(mu))
+        and np.all(np.isfinite(sig)) and math.isfinite(h)
+        and np.all(np.isfinite(dw))
+    )
+    if not ok:
+        raise ValueError("non-finite input to the Euler step")
+    return state + mu * h + np.einsum("ij,j->i", sig, dw)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Grid times and states of one simulated path."""
+
+    times: np.ndarray
+    states: np.ndarray
+    step_count: int
+
+    def to_csv(self, stream) -> None:
+        """Write rows ``k, tau_k, x1..xd`` with full float precision."""
+        d = self.states.shape[1]
+        stream.write("k,tau_k," + ",".join(f"x{j + 1}" for j in range(d)) + "\n")
+        for k in range(len(self.times)):
+            cells = [str(k), repr(float(self.times[k]))]
+            cells += [repr(float(v)) for v in self.states[k]]
+            stream.write(",".join(cells) + "\n")
+
+
+def simulate_adaptive(
+    problem: SdeProblem, params: StepSizeParams, path: BrownianPath
+) -> Trajectory:
+    """Run the adaptive scheme until the first grid time at or past the horizon.
+
+    The final step is taken at full length, so the last grid time generally
+    overshoots the horizon; use :func:`interpolate` to read off the value at
+    the horizon itself.
+    """
+    if path.dimension != problem.dimension:
+        raise ValueError("path dimension does not match the problem")
+    budget = _step_budget(problem, params)
+    t = 0.0
+    x = problem.x0.copy()
+    times = [t]
+    states = [x]
+    while t < problem.horizon:
+        if len(states) > budget:
+            raise RunawaySimulationError(
+                f"exceeded {budget} steps at t={t:.6g} (delta={params.delta:.4g}, "
+                f"|x|={float(np.linalg.norm(x)):.4g}); check the problem bounds "
+                f"mu_sup={problem.mu_sup:.4g}, sigma_sup={problem.sigma_sup:.4g}"
+            )
+        h = step_size(x, params, problem.surface)
+        t_next = t + h
+        dw = path.query(t_next) - path.query(t)
+        x = em_step(x, problem.drift(x), problem.diffusion(x), h, dw)
+        t = t_next
+        times.append(t)
+        states.append(x)
+    return Trajectory(
+        times=np.asarray(times), states=np.asarray(states), step_count=len(times) - 1
+    )
+
+
+def interpolate(
+    trajectory: Trajectory, problem: SdeProblem, path: BrownianPath, t
+) -> np.ndarray:
+    """Evaluate the time-continuous extension of a trajectory at time ``t``.
+
+    Freezes the coefficients at the last grid node not past ``t`` and adds
+    the drift and Brownian increments up to ``t``.  Valid for ``t`` between
+    0 and the final grid time.
+    """
+    t = float(t)
+    times = trajectory.times
+    if not 0.0 <= t <= times[-1]:
+        raise ValueError("t must lie within the simulated time range")
+    k = bisect_right(times, t) - 1
+    x = trajectory.states[k]
+    tk = float(times[k])
+    dw = path.query(t) - path.query(tk)
+    return em_step(x, problem.drift(x), problem.diffusion(x), t - tk, dw)
 
 
 def coupled_difference_sample(problem, delta, sample_index, master_seed):

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import io
 import json
 import logging
 import math
@@ -8,7 +9,9 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import simulate_adaptive
 
+from adaptive_em.brownian import BrownianPath
 from adaptive_em.cli import (
     ExpressionFunction,
     main,
@@ -16,6 +19,8 @@ from adaptive_em.cli import (
     parse_epsilons,
     problem_from_config,
 )
+from adaptive_em.problems import get_example
+from adaptive_em.solver import StepSizeParams
 
 
 def _invoke(args):
@@ -298,15 +303,25 @@ def test_run_rejects_wide_occupation_epsilon(tmp_path):
 
 
 def test_run_dump_trajectories(tmp_path):
-    result = _invoke(
-        ["run", "example1", "--deltas", "2^-2,2^-3", "--samples", "2",
-         "--dump-trajectories", "--out", str(tmp_path)]
-    )
-    assert result.exit_code == 0, _all_text(result)
-    for name in ("trajectory_delta_0.25.csv", "trajectory_delta_0.125.csv"):
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == "k,tau_k,x1"
-        assert len(lines) > 2
+    # each dumped CSV is the sequential oracle's sample-0 trajectory to the byte
+    for name in ("example1", "example2", "example3"):
+        prob = get_example(name).problem
+        out = tmp_path / name
+        result = _invoke(
+            ["run", name, "--deltas", "2^-2,2^-5", "--samples", "2", "--seed", "7",
+             "--dump-trajectories", "--out", str(out)]
+        )
+        assert result.exit_code == 0, _all_text(result)
+        for delta in (0.25, 0.03125):
+            text = (out / f"trajectory_delta_{delta!r}.csv").read_text()
+            buf = io.StringIO()
+            params = StepSizeParams.for_problem(prob, delta)
+            simulate_adaptive(prob, params, BrownianPath(prob.dimension, 7, 0)).to_csv(buf)
+            assert text == buf.getvalue()
+            lines = text.splitlines()
+            assert lines[0] == "k,tau_k," + ",".join(f"x{j + 1}" for j in range(prob.dimension))
+            assert len(lines) > 2
+            assert float(lines[-1].split(",")[1]) >= prob.horizon
 
 
 def test_run_config_problem_matches_registry_example(tmp_path):

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import FrozenInverse
+from oracles import FrozenInverse, step_size
 
 from adaptive_em import _engine, transform1d
 from adaptive_em.cli import ExpressionFunction, problem_from_config
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.problems import get_example
-from adaptive_em.solver import StepSizeParams, step_size, step_size_from_distance
+from adaptive_em.solver import StepSizeParams, step_size_from_distance
 from adaptive_em.transform1d import PiecewiseDrift1D, Transform1D, _psi
 
 # bitwise, and of the same shape and dtype

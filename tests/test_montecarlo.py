@@ -18,14 +18,14 @@ from adaptive_em.montecarlo import (
     verify_transform,
 )
 from adaptive_em.problems import get_example
-from adaptive_em.solver import (
-    RunawaySimulationError,
-    SdeProblem,
-    StepSizeParams,
+from adaptive_em.solver import RunawaySimulationError, SdeProblem, StepSizeParams
+from oracles import (
+    coupled_difference_sample,
     interpolate,
+    occupation_sample,
     simulate_adaptive,
+    verify_transform_sample,
 )
-from oracles import coupled_difference_sample, occupation_sample, verify_transform_sample
 
 EX1 = get_example("example1").problem
 EX2 = get_example("example2").problem

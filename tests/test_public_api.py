@@ -1,0 +1,43 @@
+"""The public API is pinned: adding or removing a name is a reviewed change."""
+
+import adaptive_em
+
+PUBLIC = {
+    "BrownianPath",
+    "Circle2D",
+    "DegenerateDiffusionError",
+    "EXAMPLES",
+    "ExperimentConfig",
+    "Hyperplane",
+    "Hypersurface",
+    "MonteCarloReport",
+    "PiecewiseDrift1D",
+    "PointSet1D",
+    "RegressionFit",
+    "RootFindError",
+    "RunawaySimulationError",
+    "SdeProblem",
+    "SingularFitError",
+    "StepSizeParams",
+    "Transform1D",
+    "TransformParams",
+    "alpha",
+    "bump",
+    "example_names",
+    "fit_rate",
+    "get_example",
+    "keyed_normals",
+    "occupation_values",
+    "path_key",
+    "run_experiment",
+    "surface_from_config",
+    "verify_transform",
+}
+
+
+def test_all_is_exactly_the_pinned_names_and_each_resolves():
+    assert len(PUBLIC) == 29
+    assert len(adaptive_em.__all__) == len(set(adaptive_em.__all__))
+    assert set(adaptive_em.__all__) == PUBLIC
+    for name in adaptive_em.__all__:
+        assert getattr(adaptive_em, name) is not None

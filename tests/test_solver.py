@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-import adaptive_em.solver as solver_mod
+import oracles
+from adaptive_em import _engine
 from adaptive_em.brownian import BrownianPath
+from adaptive_em.cli import _trajectory
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
     ExperimentConfig,
@@ -19,14 +21,21 @@ from adaptive_em.solver import (
     RunawaySimulationError,
     SdeProblem,
     StepSizeParams,
-    em_step,
-    interpolate,
-    simulate_adaptive,
-    step_size,
     step_size_from_distance,
 )
+from oracles import em_step, interpolate, simulate_adaptive, step_size
 
 DELTA16 = 2.0 ** -4
+
+
+def _sequential(problem, params, master_seed, index):
+    traj = simulate_adaptive(problem, params, BrownianPath(problem.dimension, master_seed, index))
+    return traj.times, traj.states, traj.step_count
+
+
+# the sequential oracle and the one-lane lockstep behind --dump-trajectories:
+# each returns (grid times, states, step count) of one sample path
+RUNNERS = (_sequential, _trajectory)
 
 
 def _params(delta=DELTA16, eps0=3.0, sigma_sup=1.0):
@@ -208,63 +217,70 @@ def test_problem_validation():
 def test_constant_path_far_from_surface_uses_coarse_steps():
     prob = _constant_problem(10.0)
     params = StepSizeParams.for_problem(prob, DELTA16)
-    traj = simulate_adaptive(prob, params, BrownianPath(1, 7, 0))
-    assert traj.step_count == 16
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == 1.0
-    np.testing.assert_array_equal(np.diff(traj.times), np.full(16, DELTA16))
-    np.testing.assert_array_equal(traj.states, np.full((17, 1), 10.0))
+    for run in RUNNERS:
+        times, states, step_count = run(prob, params, 7, 0)
+        assert step_count == 16
+        assert times[0] == 0.0
+        assert times[-1] == 1.0
+        np.testing.assert_array_equal(np.diff(times), np.full(16, DELTA16))
+        np.testing.assert_array_equal(states, np.full((17, 1), 10.0))
 
 
 def test_constant_path_on_surface_uses_fine_steps():
     prob = _constant_problem(0.0)
     delta = 2.0 ** -3
     params = StepSizeParams.for_problem(prob, delta)
-    traj = simulate_adaptive(prob, params, BrownianPath(1, 7, 1))
-    assert traj.step_count == 64  # horizon / delta**2
-    np.testing.assert_array_equal(np.diff(traj.times), np.full(64, delta ** 2))
-    np.testing.assert_array_equal(traj.states, np.zeros((65, 1)))
+    for run in RUNNERS:
+        times, states, step_count = run(prob, params, 7, 1)
+        assert step_count == 64  # horizon / delta**2
+        np.testing.assert_array_equal(np.diff(times), np.full(64, delta ** 2))
+        np.testing.assert_array_equal(states, np.zeros((65, 1)))
 
 
 def test_final_step_overshoots_horizon():
     prob = _constant_problem(10.0)
     params = StepSizeParams.for_problem(prob, 0.3)
-    traj = simulate_adaptive(prob, params, BrownianPath(1, 7, 2))
-    assert traj.times[-1] >= prob.horizon
-    assert traj.times[-2] < prob.horizon
-    assert traj.times[-1] == pytest.approx(1.2)
+    for run in RUNNERS:
+        times, _, _ = run(prob, params, 7, 2)
+        assert times[-1] >= prob.horizon
+        assert times[-2] < prob.horizon
+        assert times[-1] == pytest.approx(1.2)
 
 
 def test_trajectory_invariants_example1():
     prob = get_example("example1").problem
     params = StepSizeParams.for_problem(prob, DELTA16)
-    traj = simulate_adaptive(prob, params, BrownianPath(1, 11, 4))
-    steps = np.diff(traj.times)
-    assert traj.times[0] == 0.0
-    assert np.all(steps > 0.0)
-    assert np.all(steps >= params.delta_sq * (1.0 - 1e-9))
-    assert np.all(steps <= params.delta * (1.0 + 1e-9))
-    assert traj.times[-1] >= prob.horizon > traj.times[-2]
-    assert traj.step_count == len(traj.times) - 1 == len(traj.states) - 1
-    np.testing.assert_array_equal(traj.states[0], prob.x0)
+    for run in RUNNERS:
+        times, states, step_count = run(prob, params, 11, 4)
+        steps = np.diff(times)
+        assert times[0] == 0.0
+        assert np.all(steps > 0.0)
+        assert np.all(steps >= params.delta_sq * (1.0 - 1e-9))
+        assert np.all(steps <= params.delta * (1.0 + 1e-9))
+        assert times[-1] >= prob.horizon > times[-2]
+        assert step_count == len(times) - 1 == len(states) - 1
+        np.testing.assert_array_equal(states[0], prob.x0)
 
 
 def test_adaptive_rerun_is_bit_identical():
     prob = get_example("example1").problem
     params = StepSizeParams.for_problem(prob, DELTA16)
-    a = simulate_adaptive(prob, params, BrownianPath(1, 314, 9))
-    b = simulate_adaptive(prob, params, BrownianPath(1, 314, 9))
-    np.testing.assert_array_equal(a.times, b.times)
-    np.testing.assert_array_equal(a.states, b.states)
-    assert a.step_count == b.step_count
+    runs = [run(prob, params, 314, 9) for run in RUNNERS for _ in range(2)]
+    # the lockstep reproduces the sequential path as well as a rerun does
+    for a, b in zip(runs, runs[1:]):
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        assert a[2] == b[2]
 
 
 def test_step_budget_guard(monkeypatch):
     prob = get_example("example1").problem
     params = StepSizeParams.for_problem(prob, DELTA16)
-    monkeypatch.setattr(solver_mod, "_step_budget", lambda p, s: 2)
-    with pytest.raises(RunawaySimulationError, match="exceeded"):
-        simulate_adaptive(prob, params, BrownianPath(1, 5, 0))
+    monkeypatch.setattr(oracles, "_step_budget", lambda p, s: 2)
+    monkeypatch.setattr(_engine, "_step_budget", lambda p, s: 2)
+    for run in RUNNERS:
+        with pytest.raises(RunawaySimulationError, match="exceeded"):
+            run(prob, params, 5, 0)
 
 
 def test_path_dimension_must_match():
