@@ -62,7 +62,7 @@ def _check_finite(x, act, labels):
         return
     if x.ndim > 1:
         ok = ok.all(axis=tuple(range(1, x.ndim)))
-    raise ValueError(f"non-finite state during simulation in sample {labels[act[~ok][0]]}")
+    raise RunawaySimulationError(f"non-finite state during simulation in sample {labels[act[~ok][0]]}")
 
 
 def _live_spans(rung_live, n_rungs):

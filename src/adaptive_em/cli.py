@@ -6,13 +6,17 @@ and verify the scheme against the transformed-equation benchmark.  Output
 schemas are pinned: run CSVs have exactly the columns
 ``delta,msq,msq_stderr,cost_mean,cost_stderr`` and fit JSONs exactly the
 keys ``c1,c2,c3,residual_logspace,residual_rawspace``.  Exit codes: 0 on
-success, 1 on runtime failure, 2 on usage errors.
+success, 2 on usage errors, 1 on runtime failure.  The estimator commands
+leave their numeric input rules to ``montecarlo``, so a ValueError it raises
+exits 2 and any other failure, such as a lane that runs away, exits 1.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -308,16 +312,29 @@ def _resolve_problem(example, config_path):
     return problem_from_config(_load_config(config_path))
 
 
-def _check_samples(ctx, param, value):
-    if value < 2:
-        raise click.BadParameter("need at least 2 samples")
-    return value
+@contextlib.contextmanager
+def _estimator_errors(command):
+    """Exit 2 on an input the library rejects (ValueError), 1 on any other failure."""
+    try:
+        yield
+    except click.ClickException:
+        raise
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    except Exception as exc:
+        click.echo(f"{command} failed: {exc}", err=True)
+        sys.exit(1)
 
 
-def _check_workers(ctx, param, value):
-    if value < 1:
-        raise click.BadParameter("need at least 1 worker")
-    return value
+def _write_rows(out_dir, name, header, rows):
+    """Write ``out_dir/name``, a CSV of ints and repr floats, which read back exactly."""
+    target = Path(out_dir) / name
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with open(target, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
+    click.echo(f"wrote {target}")
 
 
 def _trajectory(problem, params, master_seed, index=0):
@@ -344,12 +361,11 @@ def _dump_trajectory(problem, delta, master_seed, out_dir: Path):
     """Write the sample-0 fine-scheme trajectory, rows ``k,tau_k,x1..xd``."""
     params = StepSizeParams.for_problem(problem, delta)
     times, states, _ = _trajectory(problem, params, master_seed)
-    target = out_dir / f"trajectory_delta_{delta!r}.csv"
-    with open(target, "w") as fh:
-        fh.write("k,tau_k," + ",".join(f"x{j + 1}" for j in range(problem.dimension)) + "\n")
-        for k, (t, x) in enumerate(zip(times, states)):
-            fh.write(",".join([str(k), repr(float(t))] + [repr(float(v)) for v in x]) + "\n")
-    click.echo(f"wrote {target}")
+    _write_rows(
+        out_dir, f"trajectory_delta_{delta!r}.csv",
+        ["k", "tau_k"] + [f"x{j + 1}" for j in range(problem.dimension)],
+        ((k, t, *x) for k, (t, x) in enumerate(zip(times, states))),
+    )
 
 
 @click.group()
@@ -361,9 +377,9 @@ def main():
 @click.argument("example", required=False)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="Problem config JSON instead of a named example.")
 @click.option("--deltas", default="2^-2..2^-6", show_default=True, help="Dyadic range 2^-a..2^-b or comma list.")
-@click.option("--samples", default=1000, show_default=True, callback=_check_samples, help="Monte Carlo samples per delta.")
+@click.option("--samples", default=1000, show_default=True, help="Monte Carlo samples per delta.")
 @click.option("--seed", default=0, show_default=True, help="Master seed for all sample streams.")
-@click.option("--workers", default=1, show_default=True, callback=_check_workers, help="Worker processes; results do not depend on this.")
+@click.option("--workers", default=1, show_default=True, help="Worker processes; results do not depend on this.")
 @click.option("--occupation-epsilons", default=None, help="Comma list of tube half-widths to estimate alongside.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
 @click.option("--dump-trajectories", is_flag=True, help="Also write the sample-0 trajectory per delta.")
@@ -374,35 +390,27 @@ def cmd_run(example, config_path, deltas, samples, seed, workers, occupation_eps
     directory.  Rerunning with the same seed gives byte-identical CSVs
     for any worker count.
     """
-    problem, _ = _resolve_problem(example, config_path)
-    delta_values = parse_deltas(deltas)
-    eps_values = parse_epsilons(occupation_epsilons) if occupation_epsilons else ()
-    try:
+    with _estimator_errors("run"):
+        problem, _ = _resolve_problem(example, config_path)
         config = ExperimentConfig(
             problem=problem,
-            deltas=delta_values,
+            deltas=parse_deltas(deltas),
             samples=samples,
             master_seed=seed,
-            occupation_epsilons=eps_values,
+            occupation_epsilons=parse_epsilons(occupation_epsilons) if occupation_epsilons else (),
         )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
         report = run_experiment(config, workers=workers)
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         if dump_trajectories:
-            for delta in delta_values:
+            for delta in config.deltas:
                 _dump_trajectory(problem, delta, seed, out)
-    except Exception as exc:
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(1)
-    with open(out / "report.csv", "w") as fh:
-        report.to_csv(fh)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    click.echo(f"wrote {out / 'report.csv'} and {out / 'report.json'}")
+        with open(out / "report.csv", "w") as fh:
+            report.to_csv(fh)
+        with open(out / "report.json", "w") as fh:
+            json.dump(report.to_json_dict(), fh, indent=2)
+            fh.write("\n")
+        click.echo(f"wrote {out / 'report.csv'} and {out / 'report.json'}")
 
 
 def _numeric_column(report_csv, rows, name):
@@ -431,14 +439,7 @@ def cmd_fit(report_csv, column, out_path):
     except (SingularFitError, ValueError) as exc:
         click.echo(f"fit failed: {exc}", err=True)
         sys.exit(1)
-    payload = {
-        "c1": fit.c1,
-        "c2": fit.c2,
-        "c3": fit.c3,
-        "residual_logspace": fit.residual_logspace,
-        "residual_rawspace": fit.residual_rawspace,
-    }
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(dataclasses.asdict(fit), indent=2)
     click.echo(text)
     with open(out_path, "w") as fh:
         fh.write(text + "\n")
@@ -449,47 +450,33 @@ def cmd_fit(report_csv, column, out_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="Problem config JSON instead of a named example.")
 @click.option("--epsilons", default="0.1,0.05", show_default=True, help="Comma list of tube half-widths.")
 @click.option("--delta", default="2^-6", show_default=True, help="Step-size parameter.")
-@click.option("--samples", default=1000, show_default=True, callback=_check_samples, help="Monte Carlo samples per epsilon.")
+@click.option("--samples", default=1000, show_default=True, help="Monte Carlo samples per epsilon.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True, callback=_check_workers)
+@click.option("--workers", default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def cmd_occupation(example, config_path, epsilons, delta, samples, seed, workers, out_dir):
     """Estimate time spent within epsilon of the discontinuity surface.
 
     Writes occupation.csv with one row per epsilon.
     """
-    problem, _ = _resolve_problem(example, config_path)
-    eps_values = parse_epsilons(epsilons)
-    delta_value = _parse_delta_token(delta)
-    try:
-        params = StepSizeParams.for_problem(problem, delta_value)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+    with _estimator_errors("occupation"):
+        problem, _ = _resolve_problem(example, config_path)
+        eps_values = parse_epsilons(epsilons)
+        params = StepSizeParams.for_problem(problem, _parse_delta_token(delta))
         vals = occupation_values(problem, params, eps_values, samples, seed, workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except Exception as exc:
-        click.echo(f"occupation failed: {exc}", err=True)
-        sys.exit(1)
-    lines = ["epsilon,occupation,occupation_stderr"]
-    for eps, row in zip(eps_values, vals):
-        mean, stderr = _mean_stderr(row)
-        lines.append(f"{eps!r},{mean!r},{stderr!r}")
-    target = out / "occupation.csv"
-    target.write_text("\n".join(lines) + "\n")
-    click.echo(f"wrote {target}")
+        _write_rows(
+            out_dir, "occupation.csv", ["epsilon", "occupation", "occupation_stderr"],
+            ((eps, *_mean_stderr(row)) for eps, row in zip(eps_values, vals)),
+        )
 
 
 @main.command("verify-transform")
 @click.argument("example", required=False)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="Problem config JSON instead of a named example.")
 @click.option("--deltas", default="2^-3,2^-5,2^-7", show_default=True, help="Dyadic range or comma list.")
-@click.option("--samples", default=4000, show_default=True, callback=_check_samples)
+@click.option("--samples", default=4000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True, callback=_check_workers)
+@click.option("--workers", default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def cmd_verify_transform(example, config_path, deltas, samples, seed, workers, out_dir):
     """Compare the adaptive scheme against the transformed-equation benchmark.
@@ -497,34 +484,20 @@ def cmd_verify_transform(example, config_path, deltas, samples, seed, workers, o
     Only one-dimensional problems with piecewise drift support the
     transform; writes verify.csv with per-delta mean squared gaps.
     """
-    problem, make_transform = _resolve_problem(example, config_path)
-    if problem.dimension != 1 or make_transform is None:
-        raise click.UsageError(
-            "transform verification needs a one-dimensional problem with piecewise drift"
-        )
-    delta_values = parse_deltas(deltas)
-    try:
-        for delta in delta_values:
-            StepSizeParams.for_problem(problem, delta)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    try:
-        transform = make_transform()
-    except (ArithmeticError, ValueError) as exc:  # DegenerateDiffusionError among them
-        raise click.UsageError(f"no transform for this problem: {exc}") from exc
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+    with _estimator_errors("verify-transform"):
+        problem, make_transform = _resolve_problem(example, config_path)
+        if make_transform is None:
+            raise click.UsageError(
+                "transform verification needs a one-dimensional problem with piecewise drift"
+            )
+        delta_values = parse_deltas(deltas)
+        try:
+            transform = make_transform()
+        except (ArithmeticError, ValueError) as exc:  # DegenerateDiffusionError among them
+            raise click.UsageError(f"no transform for this problem: {exc}") from exc
         rows = verify_transform(problem, transform, delta_values, samples, seed, workers)
-    except Exception as exc:
-        click.echo(f"verification failed: {exc}", err=True)
-        sys.exit(1)
-    lines = ["delta,mean_sq,stderr"]
-    for row in rows:
-        lines.append(f"{row['delta']!r},{row['mean_sq']!r},{row['stderr']!r}")
-    target = out / "verify.csv"
-    target.write_text("\n".join(lines) + "\n")
-    click.echo(f"wrote {target}")
+        header = ["delta", "mean_sq", "stderr"]
+        _write_rows(out_dir, "verify.csv", header, ([row[c] for c in header] for row in rows))
 
 
 if __name__ == "__main__":

@@ -42,6 +42,16 @@ def _check_occupation_epsilon(problem, epsilon) -> None:
         raise ValueError(f"epsilon {epsilon} outside (0, eps0/2)")
 
 
+def _check_samples(samples) -> None:
+    if samples < 2:
+        raise ValueError("need at least 2 samples for standard errors")
+
+
+def _check_workers(workers) -> None:
+    if workers < 1:
+        raise ValueError("need at least 1 worker")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one coupled-difference experiment.
@@ -74,8 +84,7 @@ class ExperimentConfig:
                 raise ValueError(f"delta {d} outside (0, 0.5)")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
-        if self.samples < 2:
-            raise ValueError("need at least 2 samples for standard errors")
+        _check_samples(self.samples)
         for e in self.occupation_epsilons:
             _check_occupation_epsilon(self.resolve_problem(), e)
 
@@ -188,6 +197,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
 
     Identical configs give bit-identical rows regardless of ``workers``.
     """
+    _check_workers(workers)
     problem = config.resolve_problem()
     _warn_outside_regime(
         StepSizeParams.for_problem(problem, f * delta)
@@ -200,12 +210,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
     )
     if config.occupation_epsilons:
         fine = tuple(StepSizeParams.for_problem(problem, d) for d in config.deltas)
-        (occ,) = _map_batches(
-            _occupation_job,
-            (problem, fine, config.occupation_epsilons, config.master_seed),
-            config.samples,
-            workers,
-        )
+        payload = (problem, fine, config.occupation_epsilons, config.master_seed)
+        (occ,) = _map_batches(_occupation_job, payload, config.samples, workers)
     rows = []
     for r, delta in enumerate(config.deltas):
         # the pinned CSV columns, in order
@@ -232,6 +238,8 @@ def occupation_values(problem, params, epsilon, samples, master_seed, workers=1)
     sequence of them, giving one row per epsilon from one pooled job; each
     must lie in (0, eps0/2).
     """
+    _check_samples(samples)
+    _check_workers(workers)
     epsilons = tuple(float(e) for e in np.atleast_1d(epsilon))
     for e in epsilons:
         _check_occupation_epsilon(problem, e)
@@ -252,6 +260,8 @@ def verify_transform(problem, transform: Transform1D, deltas, samples, master_se
     """
     if problem.dimension != 1:
         raise ValueError("transform verification requires a one-dimensional problem")
+    _check_samples(samples)
+    _check_workers(workers)
     deltas = tuple(float(d) for d in deltas)
     _warn_outside_regime(StepSizeParams.for_problem(problem, d) for d in deltas)
     (vals,) = _map_batches(

@@ -21,7 +21,7 @@ from .geometry import Hypersurface
 
 
 class RunawaySimulationError(RuntimeError):
-    """A trajectory exceeded its step budget before reaching the horizon."""
+    """A lane ran away: its state turned non-finite, or it used up its step budget."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import hashlib
 import io
 import json
 import logging
@@ -394,6 +395,64 @@ def test_commands_reject_fewer_than_one_worker(tmp_path, command, workers):
     assert result.exit_code == 2
     assert "at least 1 worker" in _all_text(result)
     assert not any(tmp_path.iterdir())
+
+
+# a drift that turns infinite a few steps after the state passes 0.5; the
+# jump-free breakpoint keeps the transform well defined
+_CONFIG_RUNAWAY = dict(
+    _CONFIG_1D,
+    drift={"breakpoints": [0.5], "branches": ["1.0", "1.0 + 1e6*(x-0.5)**3"]},
+    diffusion="0.1",
+)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("run", []), ("occupation", ["--epsilons", "0.05"]), ("verify-transform", [])],
+)
+def test_runaway_lane_fails_each_estimator_command(tmp_path, command, extra):
+    # a non-finite state is a failed run (exit 1), not a usage error
+    config = _write_config(tmp_path, _CONFIG_RUNAWAY)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _invoke(
+            [command, "--config", str(config), "--samples", "8", "--out", str(out)] + extra
+        )
+    assert result.exit_code == 1
+    assert f"{command} failed: non-finite state" in _all_text(result)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "args, name, digest",
+    [
+        (["occupation", "example1", "--epsilons", "0.1,0.05", "--delta", "2^-4"],
+         "occupation.csv", "db4ad33c998bbc8b17d0aacc32b8c43472d74258faeab1348245e199046cca86"),
+        (["verify-transform", "example2", "--deltas", "2^-3,2^-5"],
+         "verify.csv", "38dcf18a8f203af776451dae95fabd537b54fceb7633dd4b83f2e3b9a9d4337d"),
+    ],
+)
+def test_estimator_csv_bytes_are_pinned(tmp_path, args, name, digest):
+    result = _invoke(args + ["--samples", "64", "--out", str(tmp_path)])
+    assert result.exit_code == 0, _all_text(result)
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+_OPTIONS = {
+    "run": ["example", "--config", "--deltas", "--samples", "--seed", "--workers",
+            "--occupation-epsilons", "--out", "--dump-trajectories"],
+    "fit": ["report_csv", "--column", "--out"],
+    "occupation": ["example", "--config", "--epsilons", "--delta", "--samples", "--seed",
+                   "--workers", "--out"],
+    "verify-transform": ["example", "--config", "--deltas", "--samples", "--seed",
+                         "--workers", "--out"],
+}
+
+
+def test_command_options_are_pinned():
+    # a new knob is a deliberate change to this table
+    assert {name: [opt for p in cmd.params for opt in p.opts]
+            for name, cmd in main.commands.items()} == _OPTIONS
 
 
 def test_fit_on_generated_report(report_dir, tmp_path):

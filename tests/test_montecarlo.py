@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 
 import numpy as np
@@ -203,9 +204,9 @@ def test_batched_finite_guard_names_the_sample():
     )
     params = StepSizeParams.for_problem(prob, 0.125)
     message = r"^non-finite state during simulation in sample 300$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(RunawaySimulationError, match=message):
         _coupled_job((prob, (0.125,), 3), 300, 305)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(RunawaySimulationError, match=message):
         _occupation_job((prob, (params,), (0.1,), 3), 300, 305)
 
 
@@ -380,6 +381,55 @@ def test_verify_transform_requires_scalar_problem():
         verify_transform(EX3, tr, (0.25,), 8, 1)
     with pytest.raises(ValueError):
         verify_transform_sample(EX3, tr, 0.25, 0, 1)
+
+
+@pytest.fixture
+def no_batch_jobs(monkeypatch):
+    def no_job(*args):
+        raise AssertionError("a batch job ran")
+
+    for job in ("_coupled_job", "_occupation_job", "_verify_job"):
+        monkeypatch.setattr(montecarlo, job, no_job)
+
+
+def _rejected_before_running(caplog, call, rule):
+    # delta = 1/4 is outside the analyzed regime of examples 1 and 2, so a
+    # call that got as far as the regime check would log a warning
+    with caplog.at_level(logging.WARNING, logger="adaptive_em"):
+        with pytest.raises(ValueError, match=rule):
+            call()
+    assert not [r for r in caplog.records if "analyzed regime" in r.getMessage()]
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_estimators_reject_too_few_samples_before_running(no_batch_jobs, caplog, samples):
+    params = StepSizeParams.for_problem(EX1, 0.25)
+    transform = get_example("example2").transform()
+    rule = "need at least 2 samples"
+    _rejected_before_running(
+        caplog, lambda: occupation_values(EX1, params, 0.1, samples, 1), rule
+    )
+    _rejected_before_running(
+        caplog, lambda: verify_transform(EX2, transform, (0.25,), samples, 1), rule
+    )
+    _rejected_before_running(
+        caplog, lambda: ExperimentConfig(problem=EX1, deltas=(0.25,), samples=samples), rule
+    )
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_estimators_reject_fewer_than_one_worker_before_running(no_batch_jobs, caplog, workers):
+    params = StepSizeParams.for_problem(EX1, 0.25)
+    transform = get_example("example2").transform()
+    config = ExperimentConfig(problem=EX1, deltas=(0.25,), samples=8)
+    rule = "need at least 1 worker"
+    _rejected_before_running(
+        caplog, lambda: occupation_values(EX1, params, 0.1, 8, 1, workers), rule
+    )
+    _rejected_before_running(
+        caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, 1, workers), rule
+    )
+    _rejected_before_running(caplog, lambda: run_experiment(config, workers), rule)
 
 
 def test_engine_cost_levels_match_fitted_bands():
