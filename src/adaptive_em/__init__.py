@@ -8,13 +8,12 @@ convergence rate and cost, a jump-removing transform for scalar problems,
 rate regression, and a CLI around three registered example problems.
 """
 
-from .brownian import BrownianPath, keyed_normals, path_key
+from .brownian import BrownianPath
 from .geometry import (
     Circle2D,
     Hyperplane,
     Hypersurface,
     PointSet1D,
-    surface_from_config,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -23,7 +22,7 @@ from .montecarlo import (
     run_experiment,
     verify_transform,
 )
-from .problems import EXAMPLES, example_names, get_example
+from .problems import example_names, get_example
 from .regression import RegressionFit, SingularFitError, fit_rate
 from .solver import RunawaySimulationError, SdeProblem, StepSizeParams
 from .transform1d import (
@@ -31,16 +30,12 @@ from .transform1d import (
     PiecewiseDrift1D,
     RootFindError,
     Transform1D,
-    TransformParams,
-    alpha,
-    bump,
 )
 
 __all__ = [
     "BrownianPath",
     "Circle2D",
     "DegenerateDiffusionError",
-    "EXAMPLES",
     "ExperimentConfig",
     "Hyperplane",
     "Hypersurface",
@@ -54,16 +49,10 @@ __all__ = [
     "SingularFitError",
     "StepSizeParams",
     "Transform1D",
-    "TransformParams",
-    "alpha",
-    "bump",
     "example_names",
     "fit_rate",
     "get_example",
-    "keyed_normals",
     "occupation_values",
-    "path_key",
     "run_experiment",
-    "surface_from_config",
     "verify_transform",
 ]

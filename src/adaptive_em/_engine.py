@@ -23,6 +23,9 @@ Each pass supplies three parts:
 
 :func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
 transformed coordinates and shares the knot walker and the bridge rule.
+It stays separate because the two loops differ in the grid, the
+coefficients, the distance, the budget and the horizon crossing, so one
+driver for both would need a hook for each.
 
 All Gaussian draws go through the same keyed counters as
 ``brownian.BrownianPath``, and every floating-point expression mirrors a
@@ -252,9 +255,10 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
         t_hor = np.full(sel.size, horizon)
         z = counters.normals_of(sel, t_hor, d)
         wt = _bridge(tc[sel], wc[sel], t_next[sel], wn[sel], t_hor, z)
-        log_lane.append(act[sel])
-        log_t.append(t_hor)
-        log_w.append(wt)
+        # logged before this iteration's knots, so it sorts before the overshoot
+        log_lane.insert(-1, act[sel])
+        log_t.insert(-1, t_hor)
+        log_w.insert(-1, wt)
         return wt
 
     steps, x_T, w_T = _adaptive_lockstep(
@@ -266,10 +270,6 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     kw = np.concatenate(log_w)[order]
     count = np.bincount(lane, minlength=n)
     end = np.cumsum(count)
-    # an overshooting lane logged its horizon knot after its last knot
-    e = end[count > steps]
-    kt[e - 2], kt[e - 1] = kt[e - 1], kt[e - 2]
-    kw[e - 2], kw[e - 1] = kw[e - 1], kw[e - 2]
     return {
         "n": steps,
         "x_T": x_T,
@@ -375,6 +375,12 @@ def ladder_lanes(indices, n_rungs, master_seed):
     return labels, path_key(master_seed, labels), rung, by_sample
 
 
+def coupled_ladders(problem, deltas):
+    """Step-size parameters of the coarse (2 delta) and the fine (delta) runs, per rung."""
+    coarse = tuple(StepSizeParams.for_problem(problem, 2.0 * d) for d in deltas)
+    return coarse, tuple(StepSizeParams.for_problem(problem, d) for d in deltas)
+
+
 def coupled_pair(problem, deltas, indices, master_seed):
     """Coarse (2 delta) then fine (delta) adaptive runs on shared paths.
 
@@ -385,8 +391,7 @@ def coupled_pair(problem, deltas, indices, master_seed):
     sample indices.
     """
     labels, keys, rung, by_sample = ladder_lanes(indices, len(deltas), master_seed)
-    coarse = tuple(StepSizeParams.for_problem(problem, 2.0 * d) for d in deltas)
-    fine = tuple(StepSizeParams.for_problem(problem, d) for d in deltas)
+    coarse, fine = coupled_ladders(problem, deltas)
     prior = forward_pass(problem, coarse, rung, keys, labels=labels)
     out = bridged_pass(problem, fine, rung, keys, prior, labels=labels)
     diff = out["x_T"] - prior["x_T"]

@@ -17,7 +17,6 @@ import ast
 import contextlib
 import csv
 import dataclasses
-import functools
 import json
 import math
 import operator
@@ -29,19 +28,19 @@ import click
 import numpy as np
 
 from . import _engine
-from .brownian import path_key
 from .geometry import surface_from_config
 from .montecarlo import (
     ExperimentConfig,
     _mean_stderr,
+    _write_csv,
     occupation_values,
     run_experiment,
     verify_transform,
 )
-from .problems import _Lift1D, _LiftDiffusion1D, example_names, get_example
+from .problems import ExampleEntry, _Lift1D, _LiftDiffusion1D, get_example
 from .regression import SingularFitError, fit_rate
 from .solver import SdeProblem, StepSizeParams
-from .transform1d import PiecewiseDrift1D, Transform1D
+from .transform1d import PiecewiseDrift1D
 
 _EXPR_GLOBALS = {
     "abs": np.abs,
@@ -140,7 +139,7 @@ def _check_expression(expr: str, variables) -> None:
 
 
 class ExpressionFunction:
-    """Numpy expression over named variables, compiled lazily so it pickles.
+    """Numpy expression over named variables; it pickles as its text.
 
     The expression and its constant subexpressions are checked when the
     function is built; see ``_check_expression``.
@@ -150,18 +149,12 @@ class ExpressionFunction:
         self.variables = tuple(variables)
         _check_expression(expr, self.variables)
         self.expr = expr
-        self._code = None
+        self._code = compile(expr, "<config expression>", "eval")
 
-    def __getstate__(self):
-        return {"expr": self.expr, "variables": self.variables}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._code = None
+    def __reduce__(self):
+        return ExpressionFunction, (self.expr, self.variables)
 
     def __call__(self, *args):
-        if self._code is None:
-            self._code = compile(self.expr, "<config expression>", "eval")
         env = dict(_EXPR_GLOBALS)
         env.update(zip(self.variables, args))
         return eval(self._code, {"__builtins__": {}}, env)
@@ -280,9 +273,7 @@ def problem_from_config(cfg: dict):
         )
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad problem config: {exc}") from exc
-    if pw is None or scalar_sigma is None:
-        return problem, None
-    return problem, functools.partial(Transform1D, pw, scalar_sigma, problem.eps0)
+    return problem, ExampleEntry("config", problem, pw, scalar_sigma).make_transform
 
 
 def _load_config(path: str):
@@ -304,11 +295,9 @@ def _resolve_problem(example, config_path):
     if example is not None:
         try:
             entry = get_example(example)
-        except KeyError:
-            raise click.UsageError(
-                f"unknown example {example!r}; choose from {', '.join(example_names())}"
-            ) from None
-        return entry.problem, entry.transform if entry.problem.dimension == 1 else None
+        except KeyError as exc:
+            raise click.UsageError(exc.args[0]) from None
+        return entry.problem, entry.make_transform
     return problem_from_config(_load_config(config_path))
 
 
@@ -331,9 +320,7 @@ def _write_rows(out_dir, name, header, rows):
     target = Path(out_dir) / name
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
+        _write_csv(fh, header, rows)
     click.echo(f"wrote {target}")
 
 
@@ -349,11 +336,8 @@ def _trajectory(problem, params, master_seed, index=0):
         times.append(t_next[0])
         states.append(xn[0])
 
-    labels = np.array([index], dtype=np.uint64)
-    out = _engine.forward_pass(
-        problem, (params,), np.zeros(1, dtype=np.intp), path_key(master_seed, labels),
-        labels, observe=record,
-    )
+    labels, keys, rung, _ = _engine.ladder_lanes([index], 1, master_seed)
+    out = _engine.forward_pass(problem, (params,), rung, keys, labels, observe=record)
     return np.array(times), np.array(states), int(out["n"][0])
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,13 +44,24 @@ def _check_occupation_epsilon(problem, epsilon) -> None:
 
 
 def _check_samples(samples) -> None:
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, not {samples!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples for standard errors")
 
 
 def _check_workers(workers) -> None:
+    if not isinstance(workers, numbers.Integral):
+        raise ValueError(f"workers must be an integer, not {workers!r}")
     if workers < 1:
         raise ValueError("need at least 1 worker")
+
+
+def _nonempty_floats(values, what) -> tuple:
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise ValueError(f"need at least one {what}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -73,12 +85,10 @@ class ExperimentConfig:
     occupation_epsilons: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        object.__setattr__(self, "deltas", _nonempty_floats(self.deltas, "delta"))
         object.__setattr__(
             self, "occupation_epsilons", tuple(float(e) for e in self.occupation_epsilons)
         )
-        if not self.deltas:
-            raise ValueError("need at least one delta")
         for d in self.deltas:
             if not 0.0 < d < 0.5:
                 raise ValueError(f"delta {d} outside (0, 0.5)")
@@ -94,6 +104,13 @@ class ExperimentConfig:
         return self.problem
 
 
+def _write_csv(stream, header, rows) -> None:
+    """Write a CSV of ints and repr floats, which read back exactly."""
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
+
+
 @dataclass
 class MonteCarloReport:
     """Per-delta estimate rows plus run metadata."""
@@ -107,9 +124,8 @@ class MonteCarloReport:
 
     def to_csv(self, stream) -> None:
         """Write the pinned estimate columns; floats use repr for exactness."""
-        stream.write(",".join(self._CSV_COLUMNS) + "\n")
-        for row in self.rows:
-            stream.write(",".join(repr(float(row[c])) for c in self._CSV_COLUMNS) + "\n")
+        cols = self._CSV_COLUMNS
+        _write_csv(stream, cols, ([float(row[c]) for c in cols] for row in self.rows))
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,17 +215,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
     """
     _check_workers(workers)
     problem = config.resolve_problem()
-    _warn_outside_regime(
-        StepSizeParams.for_problem(problem, f * delta)
-        for delta in config.deltas
-        for f in (2.0, 1.0)
-    )
+    coarse, fine = _engine.coupled_ladders(problem, config.deltas)
+    _warn_outside_regime(p for pair in zip(coarse, fine) for p in pair)
     t0 = time.perf_counter()
     sq, n_fine, _ = _map_batches(
         _coupled_job, (problem, config.deltas, config.master_seed), config.samples, workers
     )
     if config.occupation_epsilons:
-        fine = tuple(StepSizeParams.for_problem(problem, d) for d in config.deltas)
         payload = (problem, fine, config.occupation_epsilons, config.master_seed)
         (occ,) = _map_batches(_occupation_job, payload, config.samples, workers)
     rows = []
@@ -240,7 +252,7 @@ def occupation_values(problem, params, epsilon, samples, master_seed, workers=1)
     """
     _check_samples(samples)
     _check_workers(workers)
-    epsilons = tuple(float(e) for e in np.atleast_1d(epsilon))
+    epsilons = _nonempty_floats(np.atleast_1d(epsilon), "epsilon")
     for e in epsilons:
         _check_occupation_epsilon(problem, e)
     _warn_outside_regime([params])
@@ -262,7 +274,7 @@ def verify_transform(problem, transform: Transform1D, deltas, samples, master_se
         raise ValueError("transform verification requires a one-dimensional problem")
     _check_samples(samples)
     _check_workers(workers)
-    deltas = tuple(float(d) for d in deltas)
+    deltas = _nonempty_floats(deltas, "delta")
     _warn_outside_regime(StepSizeParams.for_problem(problem, d) for d in deltas)
     (vals,) = _map_batches(
         _verify_job, (problem, transform, deltas, master_seed), samples, workers

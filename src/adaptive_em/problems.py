@@ -125,6 +125,11 @@ class ExampleEntry:
             self.piecewise_drift, self.scalar_sigma, eps0=self.problem.eps0
         )
 
+    @property
+    def make_transform(self):
+        """``transform`` if a transform exists (the drift is piecewise), else None."""
+        return None if self.piecewise_drift is None else self.transform
+
 
 def _build_registry():
     ex1 = SdeProblem(

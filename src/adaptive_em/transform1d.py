@@ -106,17 +106,9 @@ def alpha(drift: PiecewiseDrift1D, sigma: Callable, xi) -> float:
     return (drift.left_limits[i] - drift.right_limits[i]) / (2.0 * sig * sig)
 
 
-def bump(u):
-    """Quartic bump ``(1+u)^4 (1-u)^4`` on [-1, 1], zero outside.
-
-    Has three vanishing derivatives at the support edges.
-    """
-    return _bump(np.abs(u))  # the product is the same for u and -u
-
-
 def _bump(u):
-    # bump at u >= 0; powers spelled out as products so scalar and batched
-    # evaluations agree
+    # the quartic bump (1+u)^4 (1-u)^4 at u >= 0, zero past 1; powers spelled
+    # out as products so scalar and batched evaluations agree
     q = (1.0 + u) * (1.0 - u)
     q2 = q * q
     return np.where(u <= 1.0, q2 * q2, 0.0)

@@ -348,6 +348,21 @@ def test_run_piecewise_config(tmp_path):
     assert len(lines) == 3
 
 
+def test_piecewise_config_gives_the_same_bytes_across_processes(tmp_path):
+    # 600 samples make two batches, so --workers 2 sends the config's
+    # expressions to worker processes by pickling them
+    config = _write_config(tmp_path, _CONFIG_1D)
+    common = ["--config", str(config), "--deltas", "2^-2,2^-3", "--samples", "600", "--seed", "3"]
+    for command, name in (("run", "report.csv"), ("verify-transform", "verify.csv")):
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{command}_{workers}"
+            result = _invoke([command, *common, "--workers", workers, "--out", str(out)])
+            assert result.exit_code == 0, _all_text(result)
+            tables.append((out / name).read_bytes())
+        assert tables[0] == tables[1]
+
+
 def test_run_rejects_unknown_example():
     result = _invoke(["run", "example9"])
     assert result.exit_code == 2

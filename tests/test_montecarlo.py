@@ -432,6 +432,59 @@ def test_estimators_reject_fewer_than_one_worker_before_running(no_batch_jobs, c
     _rejected_before_running(caplog, lambda: run_experiment(config, workers), rule)
 
 
+def test_estimators_reject_empty_sequences_before_running(no_batch_jobs, caplog):
+    params = StepSizeParams.for_problem(EX1, 0.25)
+    transform = get_example("example2").transform()
+    _rejected_before_running(
+        caplog, lambda: occupation_values(EX1, params, (), 8, 1), "need at least one epsilon"
+    )
+    _rejected_before_running(
+        caplog, lambda: verify_transform(EX2, transform, (), 8, 1), "need at least one delta"
+    )
+
+
+@pytest.mark.parametrize("samples", [2.5, 8.0])
+def test_estimators_reject_non_integer_samples_before_running(no_batch_jobs, caplog, samples):
+    params = StepSizeParams.for_problem(EX1, 0.25)
+    transform = get_example("example2").transform()
+    rule = "samples must be an integer"
+    _rejected_before_running(
+        caplog, lambda: occupation_values(EX1, params, 0.1, samples, 1), rule
+    )
+    _rejected_before_running(
+        caplog, lambda: verify_transform(EX2, transform, (0.25,), samples, 1), rule
+    )
+    _rejected_before_running(
+        caplog, lambda: ExperimentConfig(problem=EX1, deltas=(0.25,), samples=samples), rule
+    )
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0])
+def test_estimators_reject_non_integer_workers_before_running(no_batch_jobs, caplog, workers):
+    params = StepSizeParams.for_problem(EX1, 0.25)
+    transform = get_example("example2").transform()
+    config = ExperimentConfig(problem=EX1, deltas=(0.25,), samples=8)
+    rule = "workers must be an integer"
+    _rejected_before_running(
+        caplog, lambda: occupation_values(EX1, params, 0.1, 8, 1, workers), rule
+    )
+    _rejected_before_running(
+        caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, 1, workers), rule
+    )
+    _rejected_before_running(caplog, lambda: run_experiment(config, workers), rule)
+
+
+def test_estimators_accept_numpy_integer_counts():
+    config = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=np.int64(8))
+    plain = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=8)
+    assert run_experiment(config, np.int32(1)).rows == run_experiment(plain, 1).rows
+    params = StepSizeParams.for_problem(EX2, 0.25)
+    np.testing.assert_array_equal(
+        occupation_values(EX2, params, 0.1, np.int64(8), 1, np.int64(1)),
+        occupation_values(EX2, params, 0.1, 8, 1, 1),
+    )
+
+
 def test_engine_cost_levels_match_fitted_bands():
     # at delta = 2^-6 the fitted mean costs are about 217 for the scalar
     # double-well and 350 for the planar problem; stay within factor 2
