@@ -21,6 +21,10 @@ Each pass supplies three parts:
 - an optional observer of each step, which accumulates the trapezoidal
   occupation time or records the grid nodes of one path.
 
+The knot store is the one record of a forward path: each knot past time 0
+took one draw, so the next draw counter is one more than the number of
+knots, and the one knot at the horizon holds the path value there.
+
 :func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
 transformed coordinates and shares the knot walker and the bridge rule.
 It stays separate because the two loops differ in the grid, the
@@ -95,7 +99,7 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
     arrays they see, ``t_next`` and the returned path values among them, are
     never written to in place, so they may keep references to them.
 
-    Returns per-lane step counts and the state and path value at the horizon.
+    Returns per-lane step counts and the state at the horizon.
     """
     n = labels.size
     d = problem.dimension
@@ -103,7 +107,6 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
     budgets = [_step_budget(problem, p) for p in params]
     steps = np.empty(n, dtype=np.int64)
     x_T = np.empty((n, d))
-    w_T = np.empty((n, d))
     # state of the live lanes act only, compacted in order when a lane retires
     act = np.arange(n)
     t = np.zeros(n)
@@ -144,7 +147,6 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
             x_end[sel] = _euler(x[sel], mu[sel], sig[sel], horizon - t[sel], w_hor - w[sel])
             # an exact hit keeps the grid value: horizon - tc can differ from h
             x_T[lanes] = np.where(exact[:, None], xn[sel], x_end[sel])
-            w_T[lanes] = w_hor
             steps[lanes] = k
         dist_end = np.asarray(problem.surface.distance(x_end), dtype=float)
         if observe is not None:
@@ -156,19 +158,13 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
             for c in carried:
                 c.keep(live)
             spans = _live_spans(rung[act], len(params))
-    return steps, x_T, w_T
+    return steps, x_T
 
 
 class _Counters:
-    """Path keys and draw counters of the live lanes.
-
-    ``keep(live)`` compacts them and writes the counters of the retiring
-    lanes back to ``kc``, from which a later pass over the paths continues.
-    """
+    """Path keys and next draw counters ``idx``, from ``kc``, of the live lanes."""
 
     def __init__(self, keys, kc):
-        self.kc = kc.copy()
-        self.lanes = np.arange(keys.size)
         self.keys = keys
         self.idx = kc.copy()
 
@@ -185,9 +181,7 @@ class _Counters:
         return keyed_normals(self.keys[sel], idx, time_bits(t), dim)
 
     def keep(self, live):
-        gone = ~live
-        self.kc[self.lanes[gone]] = self.idx[gone]
-        self.lanes, self.keys, self.idx = self.lanes[live], self.keys[live], self.idx[live]
+        self.keys, self.idx = self.keys[live], self.idx[live]
 
 
 def _fresh(tc, wc, t, counters, dim):
@@ -231,11 +225,11 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     """Adaptive scheme on fresh paths, recording every knot.
 
     ``params``, ``rung`` and ``observe`` are as in :func:`_adaptive_lockstep`.
-    Returns a dict with per-lane step counts ``n``, the interpolated state
-    and path value at the horizon (``x_T``, ``w_T``), the continued draw
-    counter ``kc``, and the knots past time 0 in a ragged store: lane ``i``
+    Returns a dict with per-lane step counts ``n``, the state at the horizon
+    ``x_T``, and the knots past time 0 in a ragged store, which gives the path
+    value at the horizon ``w_T`` and the next draw counter ``kc``: lane ``i``
     owns the strictly increasing times ``kt[start[i]:end[i]]``, the horizon
-    among them, and the path values in the same rows of ``kw``.
+    once among them, and the path values in the same rows of ``kw``.
     """
     n = keys.size
     d = problem.dimension
@@ -261,7 +255,7 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
         log_w.insert(-1, wt)
         return wt
 
-    steps, x_T, w_T = _adaptive_lockstep(
+    steps, x_T = _adaptive_lockstep(
         problem, params, rung, labels, (counters,), draw, bridge_to_horizon, observe
     )
     lane = np.concatenate(log_lane)
@@ -273,12 +267,14 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     return {
         "n": steps,
         "x_T": x_T,
-        "w_T": w_T,
+        # each lane has one knot at the horizon, and the store is in lane order
+        "w_T": kw[kt == horizon],
         "kt": kt,
         "kw": kw,
         "start": end - count,
         "end": end,
-        "kc": counters.kc,
+        # knot 0 takes no draw and every logged knot takes one
+        "kc": (count + 1).astype(np.uint64),
     }
 
 
@@ -352,7 +348,7 @@ def bridged_pass(problem, params, rung, keys, prior, labels):
     def recorded(act, sel, *_):
         return prior["w_T"][act[sel]]
 
-    steps, x_T, _ = _adaptive_lockstep(
+    steps, x_T = _adaptive_lockstep(
         problem, params, rung, labels, (counters, walker), draw, recorded
     )
     return {"n": steps, "x_T": x_T}

@@ -212,12 +212,9 @@ def parse_deltas(spec: str):
 
 def parse_epsilons(spec: str):
     try:
-        values = tuple(float(tok) for tok in spec.split(","))
+        return tuple(float(tok) for tok in spec.split(","))
     except ValueError:
         raise click.BadParameter(f"cannot parse epsilon list {spec!r}") from None
-    if any(v <= 0 for v in values):
-        raise click.BadParameter("epsilons must be positive")
-    return values
 
 
 def _drift_from_config(cfg: dict, dimension: int):

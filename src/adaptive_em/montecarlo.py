@@ -95,6 +95,7 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
         _check_samples(self.samples)
+        object.__setattr__(self, "samples", int(self.samples))
         for e in self.occupation_epsilons:
             _check_occupation_epsilon(self.resolve_problem(), e)
 

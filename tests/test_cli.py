@@ -111,8 +111,6 @@ def test_parse_epsilons():
     assert parse_epsilons("0.1,0.05") == (0.1, 0.05)
     with pytest.raises(click.BadParameter):
         parse_epsilons("0.1,abc")
-    with pytest.raises(click.BadParameter):
-        parse_epsilons("-0.1")
 
 
 def test_problem_from_config_round_trip():
@@ -301,6 +299,21 @@ def test_run_rejects_wide_occupation_epsilon(tmp_path):
     assert result.exit_code == 2
     assert "outside (0, eps0/2)" in _all_text(result)
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, written",
+    [
+        (["occupation", "example1", "--epsilons", "-0.1"], "occupation.csv"),
+        (["run", "example1", "--deltas", "2^-2", "--occupation-epsilons", "-0.1"], "report.csv"),
+    ],
+)
+def test_negative_epsilon_is_rejected_by_the_library_rule(tmp_path, args, written):
+    # the CLI parses the numbers; the (0, eps0/2) rule has its one copy in the library
+    result = _invoke([*args, "--samples", "4", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "epsilon -0.1 outside (0, eps0/2)" in _all_text(result)
+    assert not (tmp_path / written).exists()
 
 
 def test_run_dump_trajectories(tmp_path):

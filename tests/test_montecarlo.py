@@ -1,4 +1,5 @@
 import io
+import json
 import logging
 import math
 
@@ -138,6 +139,32 @@ def test_forward_pass_ragged_knots_match_the_path():
             times = np.array(path.knot_times[1:])
             assert kt.tobytes() == times.tobytes()
             assert kw.tobytes() == np.array([path.query(t) for t in times]).tobytes()
+
+
+def test_forward_pass_store_gives_counter_and_horizon_value():
+    # kc and w_T are read off the knot store: one draw per knot past time 0,
+    # one knot at the horizon, and none inserted when a step lands on it
+    deltas = (0.25, 0.0625)
+    count = 6
+    far = _constant_problem(5.0)  # steps of 2^-4 land exactly on the horizon
+    cases = [(prob, deltas) for prob in (EX1, EX3)] + [(far, (2.0 ** -4,))]
+    for prob, ladder in cases:
+        labels, keys, rung, _ = _engine.ladder_lanes(np.arange(count), len(ladder), 21)
+        params = tuple(StepSizeParams.for_problem(prob, d) for d in ladder)
+        prior = _engine.forward_pass(prob, params, rung, keys, labels=labels)
+        assert prior["kc"].dtype == np.uint64
+        np.testing.assert_array_equal(prior["kc"], 1 + prior["end"] - prior["start"])
+        for lane in range(labels.size):
+            kt = prior["kt"][prior["start"][lane]:prior["end"][lane]]
+            kw = prior["kw"][prior["start"][lane]:prior["end"][lane]]
+            (at,) = np.flatnonzero(kt == prob.horizon)
+            assert prior["w_T"][lane].tobytes() == kw[at].tobytes()
+            # one knot per step, and one inserted only before an overshoot
+            overshoot = kt[-1] > prob.horizon
+            assert kt.size == prior["n"][lane] + overshoot
+            assert at == kt.size - 1 - overshoot
+            if prob is far:
+                assert not overshoot and prior["n"][lane] == 16
 
 
 def test_batched_occupation_matches_sequential():
@@ -483,6 +510,14 @@ def test_estimators_accept_numpy_integer_counts():
         occupation_values(EX2, params, 0.1, np.int64(8), 1, np.int64(1)),
         occupation_values(EX2, params, 0.1, 8, 1, 1),
     )
+
+
+def test_numpy_integer_samples_give_a_json_report():
+    config = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=np.int64(8))
+    assert type(config.samples) is int
+    report = run_experiment(config)
+    assert type(report.samples) is int
+    assert json.loads(json.dumps(report.to_json_dict()))["samples"] == 8
 
 
 def test_engine_cost_levels_match_fitted_bands():
