@@ -23,7 +23,12 @@ Each pass supplies three parts:
 
 The knot store is the one record of a forward path: each knot past time 0
 took one draw, so the next draw counter is one more than the number of
-knots, and the one knot at the horizon holds the path value there.
+knots, and the one knot at the horizon holds the path value there.  The
+forward pass logs each iteration's knots by reference, then scatters the
+log lane by lane into the preallocated store, freeing each entry once it
+is written.  So the pass peaks at the log plus the store, twice the
+store's 8 (1 + d) bytes per knot, plus a few hundred bytes of array
+headers per iteration.
 
 :func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
 transformed coordinates and shares the knot walker and the bridge rule.
@@ -229,7 +234,10 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     ``x_T``, and the knots past time 0 in a ragged store, which gives the path
     value at the horizon ``w_T`` and the next draw counter ``kc``: lane ``i``
     owns the strictly increasing times ``kt[start[i]:end[i]]``, the horizon
-    once among them, and the path values in the same rows of ``kw``.
+    once among them, and the path values in the same rows of ``kw``.  A
+    lane's knot count is its step count, plus one for the horizon knot when
+    its last step overshoots, so the store is sized before it is filled from
+    the log.
     """
     n = keys.size
     d = problem.dimension
@@ -237,6 +245,8 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     counters = _Counters(keys, np.ones(n, dtype=np.uint64))
     # references to each knot drawn, in drawing order; nothing writes to them
     log_lane, log_t, log_w = [], [], []
+    # one knot per step, plus the horizon knot of a lane whose last step overshoots
+    count = np.zeros(n, dtype=np.int64)
 
     def draw(act, tc, wc, h, t_next):
         wn = _fresh(tc, wc, t_next, counters, d)
@@ -249,21 +259,31 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
         t_hor = np.full(sel.size, horizon)
         z = counters.normals_of(sel, t_hor, d)
         wt = _bridge(tc[sel], wc[sel], t_next[sel], wn[sel], t_hor, z)
-        # logged before this iteration's knots, so it sorts before the overshoot
+        # logged before this iteration's knots, so it lands before the overshoot
         log_lane.insert(-1, act[sel])
         log_t.insert(-1, t_hor)
         log_w.insert(-1, wt)
+        count[act[sel]] = 1
         return wt
 
     steps, x_T = _adaptive_lockstep(
         problem, params, rung, labels, (counters,), draw, bridge_to_horizon, observe
     )
-    lane = np.concatenate(log_lane)
-    order = np.argsort(lane, kind="stable")
-    kt = np.concatenate(log_t)[order]
-    kw = np.concatenate(log_w)[order]
-    count = np.bincount(lane, minlength=n)
+    count += steps
     end = np.cumsum(count)
+    start = end - count
+    # scatter the log lane by lane in drawing order, which is each lane's
+    # time order; an entry is freed once written, so only the log and the
+    # store grow with the knots
+    kt = np.empty(end[-1])
+    kw = np.empty((end[-1], d))
+    pos = start.copy()
+    for j, lane in enumerate(log_lane):
+        p = pos[lane]
+        kt[p] = log_t[j]
+        kw[p] = log_w[j]
+        pos[lane] = p + 1
+        log_lane[j] = log_t[j] = log_w[j] = None
     return {
         "n": steps,
         "x_T": x_T,
@@ -271,7 +291,7 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
         "w_T": kw[kt == horizon],
         "kt": kt,
         "kw": kw,
-        "start": end - count,
+        "start": start,
         "end": end,
         # knot 0 takes no draw and every logged knot takes one
         "kc": (count + 1).astype(np.uint64),

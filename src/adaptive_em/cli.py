@@ -422,6 +422,7 @@ def cmd_fit(report_csv, column, out_path):
         sys.exit(1)
     text = json.dumps(dataclasses.asdict(fit), indent=2)
     click.echo(text)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(text + "\n")
 

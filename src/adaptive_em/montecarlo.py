@@ -57,6 +57,13 @@ def _check_workers(workers) -> None:
         raise ValueError("need at least 1 worker")
 
 
+def _check_seed(seed) -> int:
+    # a Python int, so any width and sign keys the paths and the report serializes
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"master_seed must be an integer, not {seed!r}")
+    return int(seed)
+
+
 def _nonempty_floats(values, what) -> tuple:
     values = tuple(float(v) for v in values)
     if not values:
@@ -73,7 +80,8 @@ class ExperimentConfig:
         deltas: step-size parameters, each in (0, 0.5) so the coarse run
             at twice the value stays admissible.
         samples: number of Monte Carlo samples per delta (at least 2).
-        master_seed: seed from which every per-sample stream is derived.
+        master_seed: integer seed from which every per-sample stream is
+            derived, stored as a Python int.
         occupation_epsilons: tube half-widths for optional occupation rows,
             each in (0, eps0/2) for the problem's eps0.
     """
@@ -96,6 +104,7 @@ class ExperimentConfig:
             raise ValueError("deltas must be strictly decreasing")
         _check_samples(self.samples)
         object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
         for e in self.occupation_epsilons:
             _check_occupation_epsilon(self.resolve_problem(), e)
 
@@ -253,6 +262,7 @@ def occupation_values(problem, params, epsilon, samples, master_seed, workers=1)
     """
     _check_samples(samples)
     _check_workers(workers)
+    master_seed = _check_seed(master_seed)
     epsilons = _nonempty_floats(np.atleast_1d(epsilon), "epsilon")
     for e in epsilons:
         _check_occupation_epsilon(problem, e)
@@ -275,6 +285,7 @@ def verify_transform(problem, transform: Transform1D, deltas, samples, master_se
         raise ValueError("transform verification requires a one-dimensional problem")
     _check_samples(samples)
     _check_workers(workers)
+    master_seed = _check_seed(master_seed)
     deltas = _nonempty_floats(deltas, "delta")
     _warn_outside_regime(StepSizeParams.for_problem(problem, d) for d in deltas)
     (vals,) = _map_batches(

@@ -492,6 +492,15 @@ def test_fit_on_generated_report(report_dir, tmp_path):
     assert json.loads(out.read_text()) == payload
 
 
+def test_fit_creates_a_missing_output_directory(report_dir, tmp_path):
+    report = str(report_dir / "report.csv")
+    assert _invoke(["fit", report, "--out", str(tmp_path / "fit.json")]).exit_code == 0
+    nested = tmp_path / "missing" / "dir" / "fit.json"
+    result = _invoke(["fit", report, "--out", str(nested)])
+    assert result.exit_code == 0, _all_text(result)
+    assert nested.read_bytes() == (tmp_path / "fit.json").read_bytes()
+
+
 def test_fit_recovers_exact_power_law(tmp_path):
     csv_path = tmp_path / "report.csv"
     deltas = (0.25, 0.125, 0.0625, 0.03125)

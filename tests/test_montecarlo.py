@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,23 @@ def test_forward_pass_store_gives_counter_and_horizon_value():
             assert at == kt.size - 1 - overshoot
             if prob is far:
                 assert not overshoot and prior["n"][lane] == 16
+
+
+def test_forward_pass_peak_memory_per_knot():
+    # the ladder-ex1 benchmark's coarse pass: the knot log and the store it
+    # is scattered into are the only arrays that grow with the knots
+    deltas = tuple(2.0 ** -k for k in range(2, 9))
+    labels, keys, rung, _ = _engine.ladder_lanes(np.arange(256), len(deltas), 1000)
+    coarse, _ = _engine.coupled_ladders(EX1, deltas)
+    tracemalloc.start()
+    try:
+        prior = _engine.forward_pass(EX1, coarse, rung, keys, labels=labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    knots = prior["kt"].size
+    assert prior["kt"].nbytes + prior["kw"].nbytes == 16 * knots
+    assert peak <= 46 * knots, f"{peak / knots:.1f} bytes per knot"
 
 
 def test_batched_occupation_matches_sequential():
@@ -509,6 +527,50 @@ def test_estimators_accept_numpy_integer_counts():
     np.testing.assert_array_equal(
         occupation_values(EX2, params, 0.1, np.int64(8), 1, np.int64(1)),
         occupation_values(EX2, params, 0.1, 8, 1, 1),
+    )
+
+
+def test_estimators_accept_numpy_integer_seeds():
+    config = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=4, master_seed=np.int64(3))
+    assert type(config.master_seed) is int
+    report = run_experiment(config)
+    plain = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=4, master_seed=3)
+    assert report.rows == run_experiment(plain).rows
+    assert json.loads(json.dumps(report.to_json_dict()))["master_seed"] == 3
+    params = StepSizeParams.for_problem(EX2, 0.25)
+    np.testing.assert_array_equal(
+        occupation_values(EX2, params, 0.1, 4, np.uint64(3)),
+        occupation_values(EX2, params, 0.1, 4, 3),
+    )
+    transform = get_example("example2").transform()
+    assert verify_transform(EX2, transform, (0.25,), 4, np.int32(3)) == verify_transform(
+        EX2, transform, (0.25,), 4, 3
+    )
+
+
+def test_seeds_key_paths_modulo_two_to_the_64():
+    def rows(seed):
+        return run_experiment(
+            ExperimentConfig(problem=EX2, deltas=(0.25,), samples=4, master_seed=seed)
+        ).rows
+
+    assert rows(-1) == rows(2 ** 64 - 1)
+    assert rows(2 ** 64 + 3) == rows(3) != rows(-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, "3"])
+def test_estimators_reject_non_integer_seeds_before_running(no_batch_jobs, caplog, seed):
+    params = StepSizeParams.for_problem(EX1, 0.25)
+    transform = get_example("example2").transform()
+    rule = "master_seed must be an integer"
+    _rejected_before_running(caplog, lambda: occupation_values(EX1, params, 0.1, 8, seed), rule)
+    _rejected_before_running(
+        caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, seed), rule
+    )
+    _rejected_before_running(
+        caplog,
+        lambda: ExperimentConfig(problem=EX1, deltas=(0.25,), samples=8, master_seed=seed),
+        rule,
     )
 
 
