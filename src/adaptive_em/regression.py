@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 class SingularFitError(ValueError):
@@ -54,6 +53,9 @@ def fit_rate(deltas, values) -> RegressionFit:
         ValueError: mismatched lengths, deltas outside (0, 1), or
             non-positive values.
     """
+    # scipy.linalg costs about 7 MB of RSS; only a fit needs it
+    from scipy.linalg import solve_triangular
+
     d = np.asarray(deltas, dtype=float).ravel()
     v = np.asarray(values, dtype=float).ravel()
     if d.size != v.size:

@@ -29,6 +29,18 @@ class RootFindError(RuntimeError):
 _TOL = 1e-12
 _MAX_ITER = 200
 
+# 0-d operands of the per-step kernels: numpy converts a Python float on
+# every call, a 0-d array it takes as it is, and the values are the same
+_ZERO = np.array(0.0)
+_HALF = np.array(0.5)
+_ONE = np.array(1.0)
+_MINUS_ONE = np.array(-1.0)
+_TWO = np.array(2.0)
+_FIVE = np.array(5.0)
+_TWENTY_TWO = np.array(22.0)
+_FORTY_FIVE = np.array(45.0)
+_TOL_0D = np.array(_TOL)
+
 
 @dataclass(frozen=True)
 class PiecewiseDrift1D:
@@ -108,10 +120,13 @@ def alpha(drift: PiecewiseDrift1D, sigma: Callable, xi) -> float:
 
 def _bump(u):
     # the quartic bump (1+u)^4 (1-u)^4 at u >= 0, zero past 1; powers spelled
-    # out as products so scalar and batched evaluations agree
-    q = (1.0 + u) * (1.0 - u)
-    q2 = q * q
-    return np.where(u <= 1.0, q2 * q2, 0.0)
+    # out as products so scalar and batched evaluations agree.  On arrays the
+    # products are taken in place; a scalar u just rebinds q
+    q = _ONE + u
+    q *= _ONE - u
+    q *= q
+    q *= q
+    return np.where(u <= _ONE, q, _ZERO)
 
 
 def _psi(s, r, u):
@@ -123,18 +138,18 @@ def _psi(s, r, u):
 
 def _psi_prime(r, u):
     v = u * u
-    w = 1.0 - v
-    val = 2.0 * r * (w * w * w) * (1.0 - 5.0 * v)
-    return np.where(v < 1.0, val, 0.0)
+    w = _ONE - v
+    val = _TWO * r * (w * w * w) * (_ONE - _FIVE * v)
+    return np.where(v < _ONE, val, _ZERO)
 
 
 def _psi_second(s, u):
     # odd in s; the convention at s = 0 is the right-hand branch
     v = u * u
-    w = 1.0 - v
-    sign = np.where(np.asarray(s, dtype=float) >= 0.0, 1.0, -1.0)
-    val = sign * 2.0 * (w * w) * (1.0 - 22.0 * v + 45.0 * v * v)
-    return np.where(v < 1.0, val, 0.0)
+    w = _ONE - v
+    sign = np.where(np.asarray(s, dtype=float) >= _ZERO, _ONE, _MINUS_ONE)
+    val = sign * _TWO * (w * w) * (_ONE - _TWENTY_TWO * v + _FORTY_FIVE * v * v)
+    return np.where(v < _ONE, val, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -208,8 +223,8 @@ class Transform1D:
     def _bend(self, s, r, u, a):
         # first and second derivative at local coordinates (s, r, u, a)
         inside = r < self.params.c
-        gp = 1.0 + np.where(inside, a * _psi_prime(r, u), 0.0)
-        gs = np.where(inside, a * _psi_second(s, u), 0.0)
+        gp = _ONE + np.where(inside, a * _psi_prime(r, u), _ZERO)
+        gs = np.where(inside, a * _psi_second(s, u), _ZERO)
         return gp, gs
 
     def value(self, x):
@@ -242,7 +257,8 @@ class Transform1D:
         # fl(z - xi) >= c), and at or above fl(xi - c) likewise; a Newton
         # candidate is kept only strictly inside the bracket, and fl(lo + hi)/2
         # lies in [lo, hi].  So a lane that moves a bracket end moves it to x.
-        c = self.params.c
+        # lo, hi and each candidate are fresh arrays, updated in place.
+        c = np.array(self.params.c)
         xi = self._bp[pick]
         a = self._alphas[pick]
         lo = xi - c
@@ -253,20 +269,22 @@ class Transform1D:
             r = np.abs(s)
             u = r / c
             resid = x + a * _psi(s, r, u) - z
-            done = np.abs(resid) <= _TOL
+            done = np.abs(resid) <= _TOL_0D
             n_done = np.count_nonzero(done)
             if n_done == done.size:
                 return x, s, r, u, a
             # monotone map: the residual sign tells the bracket side
-            hi = np.where(resid > 0.0, x, hi)
-            lo = np.where(resid < 0.0, x, lo)
-            slope = 1.0 + a * _psi_prime(r, u)
+            np.copyto(hi, x, where=resid > _ZERO)
+            np.copyto(lo, x, where=resid < _ZERO)
+            slope = _ONE + a * _psi_prime(r, u)
             cand = x - resid / slope
             # a NaN or infinite step fails both tests and bisects
             ok = (cand > lo) & (cand < hi)
             if np.count_nonzero(ok) < ok.size:
-                cand = np.where(ok, cand, 0.5 * (lo + hi))
-            x = np.where(done, x, cand) if n_done else cand
+                cand = np.where(ok, cand, _HALF * (lo + hi))
+            if n_done:
+                np.copyto(cand, x, where=done)
+            x = cand
         raise RootFindError("transform inversion did not converge")
 
     def _invert(self, z):
@@ -312,4 +330,4 @@ class Transform1D:
             np.put(gs, lanes, gs_b)
         sg = np.asarray(self.sigma(x), dtype=float)
         mu = np.asarray(self.drift(x), dtype=float)
-        return gp * mu + 0.5 * sg * sg * gs, gp * sg
+        return gp * mu + _HALF * sg * sg * gs, gp * sg

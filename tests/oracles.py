@@ -16,6 +16,10 @@ to agree bit for bit.
 
 ``FrozenInverse`` keeps an earlier form of the transform's Newton inversion,
 against which the current one must also agree bit for bit.
+
+``CONFIG_PROBLEM`` and ``CONFIG_TRANSFORM`` are a config-file problem with
+three breakpoints, expression branches and a state-dependent diffusion,
+shared by the tests of the transform's kernels and of its batched pass.
 """
 
 import math
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from adaptive_em.brownian import BrownianPath
+from adaptive_em.cli import problem_from_config
 from adaptive_em.montecarlo import equidistant_steps
 from adaptive_em.solver import (
     RunawaySimulationError,
@@ -41,6 +46,24 @@ from adaptive_em.transform1d import (
     _psi_prime,
     _psi_second,
 )
+
+CONFIG_PROBLEM, _make_config_transform = problem_from_config(
+    {
+        "dimension": 1,
+        "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
+        "drift": {
+            "breakpoints": [-0.5, 0.25, 1.0],
+            "branches": ["1.0", "2*x", "-x*x", "sin(x) - 2"],
+        },
+        "diffusion": "1 + 0.25*sin(x)",
+        "x0": [0.0],
+        "horizon": 1.0,
+        "eps0": 0.3,
+        "sigma_sup": 1.25,
+        "mu_sup": 3.0,
+    }
+)
+CONFIG_TRANSFORM = _make_config_transform()
 
 
 def step_size(x, params: StepSizeParams, surface):

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import FrozenInverse, step_size
+from oracles import CONFIG_TRANSFORM, FrozenInverse, step_size
 
 from adaptive_em import _engine, transform1d
-from adaptive_em.cli import ExpressionFunction, problem_from_config
+from adaptive_em.cli import ExpressionFunction
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.problems import get_example
 from adaptive_em.solver import StepSizeParams, step_size_from_distance
@@ -215,28 +215,10 @@ def test_point_set_distance_matches_min_reduce(points, xs):
         assert_equal(surface.distance(v), _distance_reference(surface, v))
 
 
-_, _make_config_transform = problem_from_config(
-    {
-        "dimension": 1,
-        "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
-        "drift": {
-            "breakpoints": [-0.5, 0.25, 1.0],
-            "branches": ["1.0", "2*x", "-x*x", "sin(x) - 2"],
-        },
-        "diffusion": "1 + 0.25*sin(x)",
-        "x0": [0.0],
-        "horizon": 1.0,
-        "eps0": 0.3,
-        "sigma_sup": 1.25,
-        "mu_sup": 3.0,
-    }
-)
-_CONFIG_TRANSFORM = _make_config_transform()
-
 TRANSFORMS = {
     "example1": get_example("example1").transform(),
     "example2": get_example("example2").transform(),
-    "config": _CONFIG_TRANSFORM,
+    "config": CONFIG_TRANSFORM,
 }
 
 

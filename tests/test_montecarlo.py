@@ -23,6 +23,8 @@ from adaptive_em.montecarlo import (
 from adaptive_em.problems import get_example
 from adaptive_em.solver import RunawaySimulationError, SdeProblem, StepSizeParams
 from oracles import (
+    CONFIG_PROBLEM,
+    CONFIG_TRANSFORM,
     coupled_difference_sample,
     interpolate,
     occupation_sample,
@@ -202,14 +204,18 @@ def test_batched_verify_matches_sequential():
     # with the longest grid is not the last one, and 0.143 has a 49-step
     # grid whose last node 49 * (1/49) falls short of the horizon
     deltas = (0.125, 2.0 ** -4, 0.143, 0.25)
-    for name, count in (("example1", 4), ("example2", 6)):
-        entry = get_example(name)
-        tr = entry.transform()
-        (vals,) = _verify_job((entry.problem, tr, deltas, 31), 0, count)
+    ex1, ex2 = get_example("example1"), get_example("example2")
+    cases = (
+        (ex1.problem, ex1.transform(), 4),
+        (ex2.problem, ex2.transform(), 6),
+        (CONFIG_PROBLEM, CONFIG_TRANSFORM, 6),
+    )
+    for problem, tr, count in cases:
+        (vals,) = _verify_job((problem, tr, deltas, 31), 0, count)
         assert vals.shape == (count, len(deltas))
         for r, delta in enumerate(deltas):
             for i in range(count):
-                assert vals[i, r] == verify_transform_sample(entry.problem, tr, delta, i, 31)
+                assert vals[i, r] == verify_transform_sample(problem, tr, delta, i, 31)
 
 
 def test_batched_budget_guard_names_the_sample(monkeypatch):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import adaptive_em
 from adaptive_em.regression import RegressionFit, SingularFitError, fit_rate
 
 
@@ -90,3 +96,27 @@ def test_evaluate_matches_formula():
         [2.0 * np.log(4.0) ** 1.5 / 0.25, expected],
         rtol=1e-12,
     )
+
+
+_LAZY_SCIPY_LINALG = """
+import sys
+import adaptive_em.cli
+from adaptive_em.montecarlo import verify_transform
+from adaptive_em.problems import get_example
+entry = get_example("example2")
+verify_transform(entry.problem, entry.transform(), [0.25], 2, 0)
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before any fit"
+from adaptive_em.regression import fit_rate
+fit = fit_rate([0.25, 0.125, 0.0625], [1.0, 0.5, 0.25])
+assert abs(fit.c3 - 1.0) < 1e-9, fit
+"""
+
+
+def test_scipy_linalg_is_loaded_only_by_a_fit():
+    # a fresh interpreter, since this one may have loaded scipy.linalg already
+    src = Path(adaptive_em.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_LINALG], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
