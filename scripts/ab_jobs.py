@@ -8,11 +8,12 @@ Each tree's package is imported under its own module name (the package uses
 only relative imports), so both run in one interpreter.  A pair runs the
 workload's batch job once from each tree, in alternating order: the pooled
 ``_coupled_job`` for ``ladder-ex1`` and ``_verify_job`` for ``transform-ex2``,
-at the benchmark's sizes and package seed 1000, in one process without
-workers.  Both trees' outputs must be byte-identical; the script exits 1 if
-they differ.  Prints each tree's median CPU seconds and the median and
-quartiles over pairs of B's time divided by A's: a ratio inside the
-quartiles of a tree run against itself is not resolved.
+at the sizes in ``perfbench/workloads.py`` (this script's tree) and package
+seed 1000, in one process without workers.  Both trees' outputs must be
+byte-identical; the script exits 1 if they differ.  Prints each tree's
+median CPU seconds and the median and quartiles over pairs of B's time
+divided by A's: a ratio inside the quartiles of a tree run against itself
+is not resolved.
 Separate processes on a busy machine drift apart by tens of percent;
 alternating in one process cancels most of that drift.
 """
@@ -27,11 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
+# the benchmark's workload table; importing it needs this tree's package
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import workloads  # noqa: E402
+
 SEED = 1000
-# name: (example, deltas, samples), as in perfbench/workloads.py
+# name: (example, deltas, samples)
 WORKLOADS = {
-    "ladder-ex1": ("example1", tuple(2.0**-k for k in range(2, 9)), 256),
-    "transform-ex2": ("example2", (2.0**-3, 2.0**-5, 2.0**-7), 512),
+    name: (w.example, w.delta_values(), w.samples) for name, w in workloads.WORKLOADS.items()
 }
 
 

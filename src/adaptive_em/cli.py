@@ -243,17 +243,22 @@ def _diffusion_from_config(cfg: dict, dimension: int):
 def problem_from_config(cfg: dict):
     """Build (SdeProblem, optional transform factory) from a config dict.
 
-    The schema mirrors SdeProblem: scalar fields ``dimension``, ``horizon``,
-    ``x0``, ``eps0``, ``sigma_sup``, ``mu_sup``; a ``surface`` object with a
+    The schema mirrors SdeProblem: scalar fields ``dimension`` (an integer),
+    ``horizon``, ``x0``, ``eps0``, ``sigma_sup``; a ``surface`` object with a
     geometry ``type``; and ``drift``/``diffusion`` as numpy expressions (in
     ``x`` for one dimension, ``x1..xd`` otherwise).  One-dimensional drifts
     may instead give ``{"breakpoints": [...], "branches": [...]}``, which
     also enables the transform benchmark: the factory then returns the
     problem's Transform1D, or raises DegenerateDiffusionError (a ValueError)
-    if the diffusion vanishes at a breakpoint.
+    if the diffusion vanishes at a breakpoint.  Other keys, such as a drift
+    bound left in an older config, are ignored.
     """
     try:
-        dimension = int(cfg["dimension"])
+        dimension = cfg["dimension"]
+        # int() alone would run 1.7 and true as one-dimensional problems
+        if isinstance(dimension, bool) or dimension != int(dimension):
+            raise ValueError(f"dimension must be an integer, not {dimension!r}")
+        dimension = int(dimension)
         surface = surface_from_config(cfg["surface"])
         drift, pw = _drift_from_config(cfg, dimension)
         diffusion, scalar_sigma = _diffusion_from_config(cfg, dimension)
@@ -266,7 +271,6 @@ def problem_from_config(cfg: dict):
             horizon=float(cfg["horizon"]),
             eps0=float(cfg["eps0"]),
             sigma_sup=float(cfg["sigma_sup"]),
-            mu_sup=float(cfg["mu_sup"]),
         )
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad problem config: {exc}") from exc

@@ -87,8 +87,8 @@ class Hyperplane(Hypersurface):
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
-        if n.ndim != 1 or n.size == 0:
-            raise ValueError("normal must be a nonempty vector")
+        if n.ndim != 1 or n.size == 0 or not np.all(np.isfinite(n)):
+            raise ValueError("normal must be a finite nonempty vector")
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("normal must have unit length")
         if not math.isfinite(self.offset):
@@ -124,8 +124,8 @@ class Circle2D(Hypersurface):
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
-        if c.shape != (2,):
-            raise ValueError("center must be a 2-vector")
+        if c.shape != (2,) or not np.all(np.isfinite(c)):
+            raise ValueError("center must be a finite 2-vector")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", (float(c[0]), float(c[1])))

@@ -141,7 +141,6 @@ def _build_registry():
         horizon=1.0,
         eps0=0.4,
         sigma_sup=1.0,
-        mu_sup=2.0,
     )
     ex2 = SdeProblem(
         dimension=1,
@@ -152,7 +151,6 @@ def _build_registry():
         horizon=1.0,
         eps0=1.0,
         sigma_sup=1.0,
-        mu_sup=6.0,
     )
     ex3 = SdeProblem(
         dimension=2,
@@ -163,7 +161,6 @@ def _build_registry():
         horizon=1.0,
         eps0=0.5,
         sigma_sup=0.75,
-        mu_sup=1.5,
     )
     return {
         "example1": ExampleEntry(

@@ -38,7 +38,6 @@ class StepSizeParams:
     delta: float
     eps0: float
     sigma_sup: float
-    log_inv_delta: float = field(init=False)
     eps1: float = field(init=False)
     eps2: float = field(init=False)
     delta_sq: float = field(init=False)
@@ -47,13 +46,13 @@ class StepSizeParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.delta * self.delta == 0.0:
+            raise ValueError(f"delta {self.delta!r} is so small that delta**2 underflows to 0")
         if not (math.isfinite(self.eps0) and self.eps0 > 0):
             raise ValueError("eps0 must be positive")
         if not (math.isfinite(self.sigma_sup) and self.sigma_sup > 0):
             raise ValueError("sigma_sup must be positive")
-        log_inv = math.log(1.0 / self.delta)
-        scale = self.sigma_sup * log_inv
-        object.__setattr__(self, "log_inv_delta", log_inv)
+        scale = self.sigma_sup * math.log(1.0 / self.delta)
         object.__setattr__(self, "eps1", scale * math.sqrt(self.delta))
         object.__setattr__(self, "eps2", scale * self.delta)
         object.__setattr__(self, "delta_sq", self.delta * self.delta)
@@ -89,8 +88,8 @@ class SdeProblem:
     ``drift`` maps states of shape (..., d) to values of the same shape and
     ``diffusion`` maps them to matrices of shape (..., d, d); both must accept
     batched input.  ``sigma_sup`` bounds the Frobenius norm of the diffusion
-    on the eps0-tube around the surface and ``mu_sup`` bounds the drift norm
-    there; both are supplied by the problem definition, not estimated.
+    on the eps0-tube around the surface; it is supplied by the problem
+    definition, not estimated.  No bound on the drift enters the scheme.
     """
 
     dimension: int
@@ -101,7 +100,6 @@ class SdeProblem:
     horizon: float
     eps0: float
     sigma_sup: float
-    mu_sup: float
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -120,8 +118,6 @@ class SdeProblem:
             raise ValueError("eps0 must be smaller than the reach of the surface")
         if not (math.isfinite(self.sigma_sup) and self.sigma_sup > 0):
             raise ValueError("sigma_sup must be positive")
-        if not (math.isfinite(self.mu_sup) and self.mu_sup > 0):
-            raise ValueError("mu_sup must be positive")
         mu0 = np.asarray(self.drift(x0), dtype=float)
         sig0 = np.asarray(self.diffusion(x0), dtype=float)
         if mu0.shape != (self.dimension,) or not np.all(np.isfinite(mu0)):

@@ -101,23 +101,6 @@ class PiecewiseDrift1D:
         return out
 
 
-def alpha(drift: PiecewiseDrift1D, sigma: Callable, xi) -> float:
-    """Jump strength at breakpoint ``xi`` for unit upward normal.
-
-    Half the drift jump (left limit minus right limit) divided by the squared
-    diffusion at the breakpoint.
-    """
-    xi = float(xi)
-    try:
-        i = drift.breakpoints.index(xi)
-    except ValueError:
-        raise ValueError(f"{xi} is not a breakpoint of the drift") from None
-    sig = float(sigma(xi))
-    if sig == 0.0:
-        raise DegenerateDiffusionError(f"diffusion vanishes at breakpoint {xi}")
-    return (drift.left_limits[i] - drift.right_limits[i]) / (2.0 * sig * sig)
-
-
 def _bump(u):
     # the quartic bump (1+u)^4 (1-u)^4 at u >= 0, zero past 1; powers spelled
     # out as products so scalar and batched evaluations agree.  On arrays the
@@ -152,17 +135,6 @@ def _psi_second(s, u):
     return np.where(v < _ONE, val, _ZERO)
 
 
-@dataclass(frozen=True)
-class TransformParams:
-    """Bump radius of the transform."""
-
-    c: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError("bump radius must be positive")
-
-
 class Transform1D:
     """Bijective change of variables removing the drift jumps.
 
@@ -170,9 +142,14 @@ class Transform1D:
         drift: piecewise drift whose jumps are to be removed.
         sigma: scalar diffusion coefficient, vectorized over states.
         eps0: tube radius of the underlying problem.  The bump radius
-            ``params.c`` starts at half of ``min(eps0, half minimum gap)`` and
-            is halved until the derivative stays above 0.1 on a 2001-point
-            grid per bump interval.
+            ``c`` starts at half of ``min(eps0, half minimum gap)`` and is
+            halved until the derivative stays above 0.1 on a 2001-point grid
+            per bump interval.
+
+    The jump strength at each breakpoint, for unit upward normal, is half
+    the drift jump (left limit minus right limit) divided by the squared
+    diffusion there; a diffusion that vanishes at a breakpoint raises
+    ``DegenerateDiffusionError``.
     """
 
     def __init__(self, drift: PiecewiseDrift1D, sigma: Callable, eps0: float):
@@ -180,23 +157,26 @@ class Transform1D:
             raise ValueError("eps0 must be positive")
         self.drift = drift
         self.sigma = sigma
-        self.eps0 = float(eps0)
         self._bp = np.asarray(drift.breakpoints, dtype=float)
-        self._alphas = np.asarray(
-            [alpha(drift, sigma, b) for b in drift.breakpoints], dtype=float
-        )
+        alphas = []
+        for b, left, right in zip(drift.breakpoints, drift.left_limits, drift.right_limits):
+            sig = float(sigma(b))
+            if sig == 0.0:
+                raise DegenerateDiffusionError(f"diffusion vanishes at breakpoint {b}")
+            alphas.append((left - right) / (2.0 * sig * sig))
+        self._alphas = np.asarray(alphas, dtype=float)
         gaps = np.diff(self._bp)
         half_gap = float(gaps.min()) / 2.0 if gaps.size else math.inf
         # the midpoints between breakpoints split the line by nearest breakpoint
         self._mid = 0.5 * (self._bp[:-1] + self._bp[1:])
-        c = min(self.eps0, half_gap) / 2.0
+        c = min(float(eps0), half_gap) / 2.0
         for _ in range(80):
             if self._derivative_floor_ok(c):
                 break
             c /= 2.0
         else:
             raise ValueError("could not find a bump radius with positive slope")
-        self.params = TransformParams(c=c)
+        self.c = c
 
     def _derivative_floor_ok(self, c: float) -> bool:
         if self._bp.size == 0:
@@ -218,11 +198,11 @@ class Transform1D:
         # strength a of that breakpoint
         pick, s = self._split(x)
         r = np.abs(s)
-        return s, r, r / self.params.c, self._alphas[pick]
+        return s, r, r / self.c, self._alphas[pick]
 
     def _bend(self, s, r, u, a):
         # first and second derivative at local coordinates (s, r, u, a)
-        inside = r < self.params.c
+        inside = r < self.c
         gp = _ONE + np.where(inside, a * _psi_prime(r, u), _ZERO)
         gs = np.where(inside, a * _psi_second(s, u), _ZERO)
         return gp, gs
@@ -233,7 +213,7 @@ class Transform1D:
         if self._bp.size == 0:
             return x + 0.0
         s, r, u, a = self._local(x)
-        return x + np.where(r < self.params.c, a * _psi(s, r, u), 0.0)
+        return x + np.where(r < self.c, a * _psi(s, r, u), 0.0)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -258,7 +238,7 @@ class Transform1D:
         # candidate is kept only strictly inside the bracket, and fl(lo + hi)/2
         # lies in [lo, hi].  So a lane that moves a bracket end moves it to x.
         # lo, hi and each candidate are fresh arrays, updated in place.
-        c = np.array(self.params.c)
+        c = np.array(self.c)
         xi = self._bp[pick]
         a = self._alphas[pick]
         lo = xi - c
@@ -295,7 +275,7 @@ class Transform1D:
         x = z.copy()
         if self._bp.size:
             near, s = self._split(z)
-            lanes = np.flatnonzero(np.abs(s) < self.params.c)
+            lanes = np.flatnonzero(np.abs(s) < self.c)
             if lanes.size:
                 xb, *local = self._newton(np.take(z, lanes), np.take(near, lanes))
                 np.put(x, lanes, xb)

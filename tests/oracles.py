@@ -60,7 +60,6 @@ CONFIG_PROBLEM, _make_config_transform = problem_from_config(
         "horizon": 1.0,
         "eps0": 0.3,
         "sigma_sup": 1.25,
-        "mu_sup": 3.0,
     }
 )
 CONFIG_TRANSFORM = _make_config_transform()
@@ -136,8 +135,8 @@ def simulate_adaptive(
         if len(states) > budget:
             raise RunawaySimulationError(
                 f"exceeded {budget} steps at t={t:.6g} (delta={params.delta:.4g}, "
-                f"|x|={float(np.linalg.norm(x)):.4g}); check the problem bounds "
-                f"mu_sup={problem.mu_sup:.4g}, sigma_sup={problem.sigma_sup:.4g}"
+                f"|x|={float(np.linalg.norm(x)):.4g}); check the problem bound "
+                f"sigma_sup={problem.sigma_sup:.4g}"
             )
         h = step_size(x, params, problem.surface)
         t_next = t + h
@@ -278,7 +277,7 @@ class FrozenInverse:
     def __init__(self, tr):
         self.drift = tr.drift
         self.sigma = tr.sigma
-        self.params = tr.params
+        self.c = tr.c
         self._bp = tr._bp
         self._alphas = tr._alphas
         self.bisections = 0
@@ -295,7 +294,7 @@ class FrozenInverse:
 
     def _bend(self, pick, s):
         # first and second derivative at offset s from breakpoint pick
-        c = self.params.c
+        c = self.c
         r = np.abs(s)
         u = r / c
         inside = r < c
@@ -307,7 +306,7 @@ class FrozenInverse:
     def _newton(self, z, pick):
         # safeguarded Newton for in-bump points z of the bumps pick; a lane
         # keeps its iterate once its residual meets _TOL
-        c = self.params.c
+        c = self.c
         xi = self._bp[pick]
         a = self._alphas[pick]
         lo = xi - c
@@ -340,7 +339,7 @@ class FrozenInverse:
         lanes = pick = np.zeros(0, dtype=np.intp)
         if self._bp.size:
             near, s = self._split(z)
-            lanes = np.flatnonzero(np.abs(s) < self.params.c)
+            lanes = np.flatnonzero(np.abs(s) < self.c)
             pick = np.take(near, lanes)
         xb = np.take(z, lanes)
         if lanes.size:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 from oracles import simulate_adaptive
 
+from adaptive_em import montecarlo
 from adaptive_em.brownian import BrownianPath
 from adaptive_em.cli import (
     ExpressionFunction,
@@ -21,7 +23,7 @@ from adaptive_em.cli import (
     problem_from_config,
 )
 from adaptive_em.problems import get_example
-from adaptive_em.solver import StepSizeParams
+from adaptive_em.solver import SdeProblem, StepSizeParams
 
 
 def _invoke(args):
@@ -45,7 +47,6 @@ _CONFIG_1D = {
     "horizon": 1.0,
     "eps0": 0.2,
     "sigma_sup": 1.0,
-    "mu_sup": 2.0,
 }
 
 # field-by-field mirror of the example3 registry entry, written as expressions
@@ -61,7 +62,6 @@ _CONFIG_2D = {
     "horizon": 1.0,
     "eps0": 0.5,
     "sigma_sup": 0.75,
-    "mu_sup": 1.5,
 }
 
 
@@ -127,6 +127,64 @@ def test_problem_from_config_rejects_missing_key():
     del broken["horizon"]
     with pytest.raises(click.UsageError):
         problem_from_config(broken)
+
+
+# the inputs of a problem: a new one is a deliberate change to this table
+_PROBLEM_FIELDS = ["dimension", "drift", "diffusion", "surface", "x0", "horizon", "eps0", "sigma_sup"]
+
+
+def test_problem_inputs_are_pinned():
+    assert [f.name for f in dataclasses.fields(SdeProblem)] == _PROBLEM_FIELDS
+    assert sorted(_CONFIG_1D) == sorted(_PROBLEM_FIELDS)
+
+
+@pytest.mark.parametrize("key", _PROBLEM_FIELDS)
+def test_config_missing_a_required_key_exits_2(tmp_path, key):
+    cfg = dict(_CONFIG_1D)
+    del cfg[key]
+    config = _write_config(tmp_path, cfg)
+    result = _invoke(["run", "--config", str(config), "--samples", "4", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"bad problem config: {key!r}" in _all_text(result)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_leftover_drift_bound_is_ignored(tmp_path):
+    tables = []
+    for name, cfg in (("plain", _CONFIG_1D), ("older", dict(_CONFIG_1D, mu_sup=2.0))):
+        config = _write_config(tmp_path, cfg, f"{name}.json")
+        out = tmp_path / name
+        result = _invoke(["run", "--config", str(config), "--deltas", "2^-2,2^-3",
+                          "--samples", "16", "--out", str(out)])
+        assert result.exit_code == 0, _all_text(result)
+        tables.append((out / "report.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("dimension", [1.7, True, "1"])
+def test_config_non_integral_dimension_exits_2(tmp_path, dimension):
+    config = _write_config(tmp_path, dict(_CONFIG_1D, dimension=dimension))
+    result = _invoke(["run", "--config", str(config), "--samples", "4", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "dimension must be an integer" in _all_text(result)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "surface, field",
+    [
+        ({"type": "circle", "center": [float("nan"), 0.0], "radius": 1.0}, "center"),
+        ({"type": "hyperplane", "normal": [float("nan"), 0.0], "offset": 0.0}, "normal"),
+    ],
+)
+def test_config_non_finite_surface_exits_2(tmp_path, surface, field):
+    config = _write_config(tmp_path, dict(_CONFIG_2D, surface=surface))
+    assert "NaN" in config.read_text()
+    out = tmp_path / "out"
+    result = _invoke(["run", "--config", str(config), "--samples", "4", "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{field} must be a finite" in _all_text(result)
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_problem_from_config_rejects_unknown_surface():
@@ -412,6 +470,20 @@ def test_run_rejects_reversed_range():
 def test_run_rejects_out_of_range_delta():
     result = _invoke(["run", "example1", "--deltas", "0.5", "--samples", "4"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command, option", [
+    ("run", "--deltas"), ("occupation", "--delta"), ("verify-transform", "--deltas"),
+])
+def test_delta_whose_square_underflows_exits_2(tmp_path, caplog, monkeypatch, command, option):
+    # rejected before the regime warning or any batch
+    monkeypatch.setattr(montecarlo, "_map_batches", None)
+    result = _invoke([command, "example2", option, "1e-200", "--samples", "4",
+                      "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "so small that delta**2 underflows to 0" in _all_text(result)
+    assert not caplog.records
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["run", "occupation", "verify-transform"])

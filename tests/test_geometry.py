@@ -43,6 +43,14 @@ def test_hyperplane_normal_must_be_unit():
         Hyperplane(normal=(2.0, 0.0), offset=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_surfaces_reject_non_finite_geometry(bad):
+    with pytest.raises(ValueError, match="normal must be a finite"):
+        Hyperplane(normal=(bad, 0.0), offset=0.0)
+    with pytest.raises(ValueError, match="center must be a finite"):
+        Circle2D(center=(0.0, bad), radius=1.0)
+
+
 def test_circle_examples():
     s = Circle2D(center=(0.0, 0.0), radius=1.0)
     assert s.distance(np.array([0.0, 0.0])) == 1.0

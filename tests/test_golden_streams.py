@@ -89,7 +89,7 @@ def test_verify_transform_golden():
 def _transform_grid(tr):
     # every bump interval, each edge xi +- c with one ulp either side, the
     # breakpoints themselves, far points and NaN
-    c = tr.params.c
+    c = tr.c
     parts = []
     for xi in tr.drift.breakpoints:
         parts.append(np.linspace(xi - c, xi + c, 257))
@@ -123,8 +123,8 @@ def test_transform_golden(name):
     tr = get_example(name).transform()
     z = _transform_grid(tr)
     mu, sg = tr.transformed_coeffs(z)
-    mu0, sg0 = tr.transformed_coeffs(tr.drift.breakpoints[-1] + 0.3 * tr.params.c)
-    x0 = tr.inverse(tr.drift.breakpoints[0] - 0.6 * tr.params.c)
+    mu0, sg0 = tr.transformed_coeffs(tr.drift.breakpoints[-1] + 0.3 * tr.c)
+    x0 = tr.inverse(tr.drift.breakpoints[0] - 0.6 * tr.c)
     assert (_digest(mu), _digest(sg), _digest(tr.inverse(z))) == TRANSFORM_COEFFS[name][:3]
     assert np.ndim(mu0) == np.ndim(sg0) == np.ndim(x0) == 0
     assert _digest([mu0, sg0, x0]) == TRANSFORM_COEFFS[name][3]

@@ -242,7 +242,7 @@ def _assert_same_bits(got, want):
 def _transform_points_st(tr):
     # anywhere, inside one bump, on or one ulp off a bump edge or a
     # breakpoint, signed zeros and NaN
-    c = tr.params.c
+    c = tr.c
     bp = tr.drift.breakpoints
     marks = [m for b in bp for m in (b - c, b, b + c)]
     return st.one_of(
@@ -257,7 +257,7 @@ def _transform_points_st(tr):
 
 def _region_st(tr):
     # one bump interval, or one stretch between two bumps
-    c = tr.params.c
+    c = tr.c
     bp = tr.drift.breakpoints
     bumps = [(b - c, b + c) for b in bp]
     gaps = list(zip((-4.0,) + tuple(b + c for b in bp), tuple(b - c for b in bp) + (4.0,)))
@@ -333,7 +333,7 @@ def test_newton_bisection_matches_frozen_copy():
     )
     tr = Transform1D(steep, _unit_sigma, eps0=1.0)
     frozen = FrozenInverse(tr)
-    c = tr.params.c
+    c = tr.c
     z = np.linspace(-c, c, 801)
     _assert_matches_frozen(tr, frozen, z)
     assert frozen.bisections > 0
@@ -350,7 +350,7 @@ def test_newton_stops_at_exactly_the_tolerance():
         breakpoints=(xi,), branches=(lambda x: 2.0 * a + 0.0 * x, lambda x: 0.0 * x)
     )
     tr = Transform1D(drift, _unit_sigma, eps0=1.0)
-    assert tr.params.c == 0.5
+    assert tr.c == 0.5
     assert abs(tr._alphas[0] * p) == transform1d._TOL
     z = np.array([0.0, -0.0, xi / 2.0])
     _assert_matches_frozen(tr, FrozenInverse(tr), z)

@@ -47,7 +47,6 @@ def _constant_problem(x0, eps0=0.05):
         horizon=1.0,
         eps0=eps0,
         sigma_sup=1.0,
-        mu_sup=1.0,
     )
 
 
@@ -61,7 +60,6 @@ def _pure_bm_problem():
         horizon=1.0,
         eps0=1.0,
         sigma_sup=1.0,
-        mu_sup=1.0,
     )
 
 
@@ -75,7 +73,6 @@ def _gbm_problem(mu=1.0, sigma=0.8):
         horizon=1.0,
         eps0=1.0,
         sigma_sup=1.0,
-        mu_sup=2.0,
     )
 
 
@@ -251,7 +248,6 @@ def test_batched_finite_guard_names_the_sample():
         horizon=1.0,
         eps0=1.0,
         sigma_sup=1.0,
-        mu_sup=1.0,
     )
     params = StepSizeParams.for_problem(prob, 0.125)
     message = r"^non-finite state during simulation in sample 300$"

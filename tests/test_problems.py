@@ -19,7 +19,7 @@ def test_example1_fields():
     assert isinstance(p.surface, PointSet1D)
     assert p.surface.points == (0.0, 1.0)
     np.testing.assert_array_equal(p.x0, [1.5])
-    assert (p.horizon, p.eps0, p.sigma_sup, p.mu_sup) == (1.0, 0.4, 1.0, 2.0)
+    assert (p.horizon, p.eps0, p.sigma_sup) == (1.0, 0.4, 1.0)
 
 
 def test_example1_coefficients():
@@ -37,7 +37,7 @@ def test_example2_fields_and_coefficients():
     assert isinstance(p.surface, PointSet1D)
     assert p.surface.points == (-1.0, 2.0)
     np.testing.assert_array_equal(p.x0, [0.0])
-    assert (p.eps0, p.sigma_sup, p.mu_sup) == (1.0, 1.0, 6.0)
+    assert (p.eps0, p.sigma_sup) == (1.0, 1.0)
     x = np.array([[-2.0], [-1.0], [0.0], [2.0], [3.0]])
     np.testing.assert_allclose(p.drift(x)[:, 0], [-1.0, 1.0, 1.0, -4.0, -6.0])
     np.testing.assert_allclose(p.diffusion(x)[:, 0, 0], np.ones(5))
@@ -48,7 +48,7 @@ def test_example3_fields_and_coefficients():
     assert p.dimension == 2
     assert isinstance(p.surface, Circle2D)
     np.testing.assert_array_equal(p.x0, [0.5, 0.5])
-    assert (p.eps0, p.sigma_sup, p.mu_sup) == (0.5, 0.75, 1.5)
+    assert (p.eps0, p.sigma_sup) == (0.5, 0.75)
     inside = np.array([0.3, -0.4])
     np.testing.assert_allclose(p.drift(inside), [-0.3, -0.4])
     on = np.array([1.0, 0.0])  # the circle itself takes the outside branch

@@ -53,13 +53,11 @@ def _constant_problem(x0, mu=0.0, eps0=0.05):
         horizon=1.0,
         eps0=eps0,
         sigma_sup=1.0,
-        mu_sup=abs(mu) + 1.0,
     )
 
 
 def test_band_widths():
     p = _params()
-    assert p.log_inv_delta == pytest.approx(math.log(16.0))
     assert p.eps1 == pytest.approx(math.log(16.0) * 0.25)
     assert p.eps2 == pytest.approx(math.log(16.0) * 0.0625)
     assert p.delta_sq == DELTA16 ** 2
@@ -195,7 +193,6 @@ def test_problem_validation():
             horizon=1.0,
             eps0=0.1,
             sigma_sup=1.0,
-            mu_sup=1.0,
         )
     with pytest.raises(ValueError):
         _constant_problem(0.7, eps0=-0.5)
@@ -210,7 +207,6 @@ def test_problem_validation():
             horizon=1.0,
             eps0=0.6,
             sigma_sup=1.0,
-            mu_sup=1.0,
         )
 
 
@@ -351,7 +347,8 @@ def test_increment_moments_scale_with_time_gap():
         estimates.append(acc / m_paths)
     ratio = estimates[0] / estimates[1]
     assert 0.5 < ratio < 2.0
-    bound = 3.0 * (t - s) * 2.0 * (prob.mu_sup ** 2 * prob.horizon + prob.sigma_sup ** 2)
+    mu_sup = 2.0  # |drift| of example1 never exceeds 2
+    bound = 3.0 * (t - s) * 2.0 * (mu_sup ** 2 * prob.horizon + prob.sigma_sup ** 2)
     assert estimates[1] < bound
 
 

@@ -8,9 +8,7 @@ from adaptive_em.transform1d import (
     PiecewiseDrift1D,
     RootFindError,
     Transform1D,
-    TransformParams,
     _bump,
-    alpha,
 )
 
 EX1 = get_example("example1")
@@ -60,22 +58,18 @@ def test_piecewise_drift_without_breakpoints():
 
 
 def test_alpha_examples():
-    assert alpha(EX1.piecewise_drift, EX1.scalar_sigma, 0.0) == pytest.approx(-1.0)
-    assert alpha(EX1.piecewise_drift, EX1.scalar_sigma, 1.0) == pytest.approx(16.0 / 9.0)
-    assert alpha(EX2.piecewise_drift, EX2.scalar_sigma, -1.0) == pytest.approx(-1.0)
-    assert alpha(EX2.piecewise_drift, EX2.scalar_sigma, 2.0) == pytest.approx(2.5)
+    np.testing.assert_allclose(EX1.transform()._alphas, [-1.0, 16.0 / 9.0])
+    np.testing.assert_allclose(EX2.transform()._alphas, [-1.0, 2.5])
 
 
 def test_alpha_zero_for_continuous_drift():
     mu = PiecewiseDrift1D(breakpoints=(0.0,), branches=(lambda x: x, lambda x: x))
-    assert alpha(mu, _unit_sigma, 0.0) == 0.0
+    assert Transform1D(mu, _unit_sigma, eps0=1.0)._alphas.tolist() == [0.0]
 
 
-def test_alpha_rejects_non_breakpoint_and_zero_diffusion():
-    with pytest.raises(ValueError):
-        alpha(EX1.piecewise_drift, EX1.scalar_sigma, 0.25)
-    with pytest.raises(DegenerateDiffusionError):
-        alpha(EX1.piecewise_drift, lambda x: 0.0, 0.0)
+def test_alpha_rejects_zero_diffusion():
+    with pytest.raises(DegenerateDiffusionError, match="breakpoint 0.0"):
+        Transform1D(EX1.piecewise_drift, lambda x: 0.0, eps0=0.4)
 
 
 def test_bump_values():
@@ -89,7 +83,7 @@ def test_bump_values():
 
 def test_transform_default_radius_and_fixed_points():
     tr = EX1.transform()
-    assert 0.0 < tr.params.c <= 0.2
+    assert 0.0 < tr.c <= 0.2
     for xi in (0.0, 1.0):
         assert tr.value(xi) == xi
         assert tr.derivative(xi) == 1.0
@@ -125,7 +119,7 @@ def test_transform_derivatives_match_finite_differences():
     tr = EX1.transform()
     h = 1e-6
     # stay away from breakpoints and bump edges, where branches switch
-    edges = [b + s * tr.params.c for b in (0.0, 1.0) for s in (-1.0, 0.0, 1.0)]
+    edges = [b + s * tr.c for b in (0.0, 1.0) for s in (-1.0, 0.0, 1.0)]
     x = np.linspace(-0.6, 1.6, 1501)
     keep = np.ones(x.shape, dtype=bool)
     for e in edges:
@@ -167,18 +161,13 @@ def test_transformed_drift_value_at_zero():
     assert float(sg) == pytest.approx(1.0)
 
 
-def test_transform_params_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        TransformParams(c=0.0)
-
-
 def test_auto_radius_shrinks_until_slope_floor_holds():
     steep = PiecewiseDrift1D(
         breakpoints=(0.0,),
         branches=(lambda x: 100.0 + 0.0 * x, lambda x: 0.0 * x),
     )
     tr = Transform1D(steep, _unit_sigma, eps0=1.0)
-    assert tr.params.c < 0.5
+    assert tr.c < 0.5
     z = np.linspace(-1.0, 1.0, 4001)
     assert tr.derivative(z).min() >= 0.1
     np.testing.assert_allclose(tr.inverse(tr.value(z)), z, atol=1e-10)
