@@ -4,17 +4,18 @@ One driver, :func:`_adaptive_lockstep`, advances a batch of independent
 paths through the adaptive scheme in lockstep, retiring lanes as they reach
 the horizon.  It holds the only copy of the step: the step budget, the step
 size from the distance to the surface, the Euler update, the finiteness
-check, the horizon crossing and the update of the live lanes.  A batch
-pools every rung of a ladder, laid out rung by rung by
-:func:`ladder_lanes`, each rung with its own step-size parameters, so a
+check, the horizon crossing and the step cut there, and the update of the
+live lanes.  A batch pools every rung of a ladder, laid out rung by rung
+by :func:`ladder_lanes`, each rung with its own step-size parameters, so a
 pass costs as many iterations as its slowest lane, not the sum over rungs.
 Each pass supplies three parts:
 
 - a Brownian source for the path value at the next grid time: a fresh
-  increment, recorded as a knot by :func:`forward_pass` (in a ragged store
-  sized by the lane-steps taken) and followed by a midpoint draw in
-  :func:`occupation_pass`, or a bridge against the knots of an earlier
-  forward pass in :func:`bridged_pass`;
+  increment (:func:`_fresh`), recorded as a knot by :func:`forward_pass`
+  (in a ragged store sized by the lane-steps taken) and followed by a
+  midpoint draw in :func:`occupation_pass`, or in :func:`bridged_pass` a
+  bridge (:func:`_bridge`) against the knots of an earlier forward pass,
+  or a fresh increment past the last knot;
 - the path value at the horizon for lanes whose last step overshoots it:
   a bridge draw inserted as a knot, the recorded value, or a bridge from
   the step's midpoint;
@@ -95,9 +96,10 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
 
     The callables see arrays aligned with the active lanes ``act``:
     ``draw(act, tc, wc, h, t_next)`` returns the path values at the next
-    grid time; ``horizon_value(act, sel, tc, wc, t_next, wn)`` returns the
-    path values at the horizon of the lanes ``act[sel]``, whose step
-    overshoots it; ``observe(act, tc, wc, x, mu, sig, dist, dist_end,
+    grid time ``t_next``, where ``h`` is the step cut at the horizon;
+    ``horizon_value(act, sel, tc, wc, t_next, wn)`` returns the path values
+    at the horizon of the lanes ``act[sel]``, whose step overshoots it;
+    ``observe(act, tc, wc, x, mu, sig, dist, dist_end,
     t_next, xn)`` sees each step with the distances to the surface at its
     start and at its end, the end being cut at the horizon under the frozen
     coefficients, and with the step's full end node ``(t_next, xn)``.  The
@@ -133,14 +135,15 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
         h = [step_size_from_distance(dist[a:b], params[r]) for r, a, b in spans]
         h = h[0] if len(h) == 1 else np.concatenate(h)
         t_next = t + h
-        wn = draw(act, t, w, h, t_next)
+        crossed = t_next >= horizon
+        retire = np.count_nonzero(crossed)
+        h_cut = np.where(crossed, horizon - t, h) if retire else h
+        wn = draw(act, t, w, h_cut, t_next)
         mu = _drift(problem, x)
         sig = _diffusion(problem, x)
         xn = _euler(x, mu, sig, h, wn - w)
         _check_finite(xn, act, labels)
         x_end = xn
-        crossed = t_next >= horizon
-        retire = np.count_nonzero(crossed)
         if retire:
             sel = np.flatnonzero(crossed)
             lanes = act[sel]
@@ -149,7 +152,7 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
             if not exact.all():
                 w_hor[~exact] = horizon_value(act, sel[~exact], t, w, t_next, wn)
             x_end = xn.copy()
-            x_end[sel] = _euler(x[sel], mu[sel], sig[sel], horizon - t[sel], w_hor - w[sel])
+            x_end[sel] = _euler(x[sel], mu[sel], sig[sel], h_cut[sel], w_hor - w[sel])
             # an exact hit keeps the grid value: horizon - tc can differ from h
             x_T[lanes] = np.where(exact[:, None], xn[sel], x_end[sel])
             steps[lanes] = k
@@ -189,9 +192,9 @@ class _Counters:
         self.keys, self.idx = self.keys[live], self.idx[live]
 
 
-def _fresh(tc, wc, t, counters, dim):
+def _fresh(tc, wc, t, z):
     """Path values at ``t`` past the last known values ``wc`` at ``tc``."""
-    return wc + np.sqrt(t - tc)[:, None] * counters.normals(t, dim)
+    return wc + np.sqrt(t - tc)[:, None] * z
 
 
 def _bridge(pt, pw, u_t, u_w, t, z):
@@ -210,19 +213,13 @@ def _bridged_values(pt, pw, u_t, u_w, has_right, t_next, counters, dim):
     n_drew = np.count_nonzero(drew)
     if not n_drew:
         return pw
-    free = None if np.count_nonzero(has_right) == has_right.size else ~has_right
-    span = u_t - pt
-    if free is not None:
-        span[free] = 1.0
-    frac = (t_next - pt) / span
-    mean = pw + frac[:, None] * (u_w - pw)
-    var = frac * (u_t - t_next)
-    if free is not None:
-        # without a right bracket frac is t_next - pt, the free variance
-        mean[free] = pw[free]
-        var[free] = frac[free]
     z = counters.normals(t_next, dim, drew)
-    w = mean + np.sqrt(var)[:, None] * z
+    if np.count_nonzero(has_right) == has_right.size:
+        w = _bridge(pt, pw, u_t, u_w, t_next, z)
+    else:
+        w = _fresh(pt, pw, t_next, z)
+        r = np.flatnonzero(has_right)
+        w[r] = _bridge(pt[r], pw[r], u_t[r], u_w[r], t_next[r], z[r])
     return w if n_drew == drew.size else np.where(drew[:, None], w, pw)
 
 
@@ -249,19 +246,18 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     count = np.zeros(n, dtype=np.int64)
 
     def draw(act, tc, wc, h, t_next):
-        wn = _fresh(tc, wc, t_next, counters, d)
+        wn = _fresh(tc, wc, t_next, counters.normals(t_next, d))
         log_lane.append(act)
         log_t.append(t_next)
         log_w.append(wn)
         return wn
 
     def bridge_to_horizon(act, sel, tc, wc, t_next, wn):
-        t_hor = np.full(sel.size, horizon)
-        z = counters.normals_of(sel, t_hor, d)
-        wt = _bridge(tc[sel], wc[sel], t_next[sel], wn[sel], t_hor, z)
+        z = counters.normals_of(sel, horizon, d)
+        wt = _bridge(tc[sel], wc[sel], t_next[sel], wn[sel], horizon, z)
         # logged before this iteration's knots, so it lands before the overshoot
         log_lane.insert(-1, act[sel])
-        log_t.insert(-1, t_hor)
+        log_t.insert(-1, horizon)
         log_w.insert(-1, wt)
         count[act[sel]] = 1
         return wt
@@ -392,9 +388,12 @@ def ladder_lanes(indices, n_rungs, master_seed):
 
 
 def coupled_ladders(problem, deltas):
-    """Step-size parameters of the coarse (2 delta) and the fine (delta) runs, per rung."""
-    coarse = tuple(StepSizeParams.for_problem(problem, 2.0 * d) for d in deltas)
-    return coarse, tuple(StepSizeParams.for_problem(problem, d) for d in deltas)
+    """Step-size parameters of the coarse (2 delta) and the fine (delta) runs, per rung.
+
+    The fine ones are built first, so a delta too small to run is named as given.
+    """
+    fine = tuple(StepSizeParams.for_problem(problem, d) for d in deltas)
+    return tuple(StepSizeParams.for_problem(problem, 2.0 * d) for d in deltas), fine
 
 
 def coupled_pair(problem, deltas, indices, master_seed):
@@ -432,19 +431,18 @@ def occupation_pass(problem, params, rung, epsilons, keys, labels):
     occ = np.zeros((n, eps.size))
     h_cut = t_mid = w_mid = None
 
-    # the midpoint is drawn with the step: a horizon value bridges from it
+    # the midpoint of the cut step is drawn with the step: a horizon value bridges from it
     def draw(act, tc, wc, h, t_next):
         nonlocal h_cut, t_mid, w_mid
-        wn = _fresh(tc, wc, t_next, counters, d)
-        h_cut = np.where(t_next >= horizon, horizon - tc, h)
-        t_mid = tc + 0.5 * h_cut
+        wn = _fresh(tc, wc, t_next, counters.normals(t_next, d))
+        h_cut = h
+        t_mid = tc + 0.5 * h
         w_mid = _bridge(tc, wc, t_next, wn, t_mid, counters.normals(t_mid, d))
         return wn
 
     def bridge_from_midpoint(act, sel, tc, wc, t_next, wn):
-        t_hor = np.full(sel.size, horizon)
-        z = counters.normals_of(sel, t_hor, d)
-        return _bridge(t_mid[sel], w_mid[sel], t_next[sel], wn[sel], t_hor, z)
+        z = counters.normals_of(sel, horizon, d)
+        return _bridge(t_mid[sel], w_mid[sel], t_next[sel], wn[sel], horizon, z)
 
     def trapezoid(act, tc, wc, x, mu, sig, dist, dist_end, *_):
         xm = _euler(x, mu, sig, t_mid - tc, w_mid - wc)

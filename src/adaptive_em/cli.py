@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import operator
 import re
 import sys
@@ -217,11 +218,27 @@ def parse_epsilons(spec: str):
         raise click.BadParameter(f"cannot parse epsilon list {spec!r}") from None
 
 
+def _check_numbers(cfg, *keys):
+    """Refuse anything but a JSON number, or a list of them, at ``keys`` in ``cfg``.
+
+    float() and numpy would read true as 1.0 and "0.5" as 0.5.  A missing
+    key is left to the code that reads it.
+    """
+    for key in (k for k in keys if k in cfg):
+        value = cfg[key]
+        many = isinstance(value, list)
+        entries = value if many else [value]
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in entries):
+            what = "entries must be numbers" if many else "must be a number"
+            raise ValueError(f"{key} {what}, not {value!r}")
+
+
 def _drift_from_config(cfg: dict, dimension: int):
     drift = cfg["drift"]
     if dimension == 1:
         if isinstance(drift, str):
             return _Lift1D(ExpressionFunction(drift, ("x",))), None
+        _check_numbers(drift, "breakpoints")
         pw = PiecewiseDrift1D(
             breakpoints=tuple(float(b) for b in drift["breakpoints"]),
             branches=tuple(
@@ -250,8 +267,9 @@ def problem_from_config(cfg: dict):
     may instead give ``{"breakpoints": [...], "branches": [...]}``, which
     also enables the transform benchmark: the factory then returns the
     problem's Transform1D, or raises DegenerateDiffusionError (a ValueError)
-    if the diffusion vanishes at a breakpoint.  Other keys, such as a drift
-    bound left in an older config, are ignored.
+    if the diffusion vanishes at a breakpoint.  A number, or an entry of a
+    list of them, must be a JSON number: a bool or a string is refused.
+    Other keys, such as a drift bound left in an older config, are ignored.
     """
     try:
         dimension = cfg["dimension"]
@@ -259,6 +277,8 @@ def problem_from_config(cfg: dict):
         if isinstance(dimension, bool) or dimension != int(dimension):
             raise ValueError(f"dimension must be an integer, not {dimension!r}")
         dimension = int(dimension)
+        _check_numbers(cfg, "x0", "horizon", "eps0", "sigma_sup")
+        _check_numbers(cfg["surface"], "points", "normal", "offset", "center", "radius")
         surface = surface_from_config(cfg["surface"])
         drift, pw = _drift_from_config(cfg, dimension)
         diffusion, scalar_sigma = _diffusion_from_config(cfg, dimension)

@@ -43,25 +43,23 @@ def _check_occupation_epsilon(problem, epsilon) -> None:
         raise ValueError(f"epsilon {epsilon} outside (0, eps0/2)")
 
 
-def _check_samples(samples) -> None:
-    if not isinstance(samples, numbers.Integral):
-        raise ValueError(f"samples must be an integer, not {samples!r}")
+def _check_integer(value, name) -> int:
+    # a Python int, so any width and sign keys the paths and the report serializes
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _check_samples(samples) -> int:
+    samples = _check_integer(samples, "samples")
     if samples < 2:
         raise ValueError("need at least 2 samples for standard errors")
+    return samples
 
 
 def _check_workers(workers) -> None:
-    if not isinstance(workers, numbers.Integral):
-        raise ValueError(f"workers must be an integer, not {workers!r}")
-    if workers < 1:
+    if _check_integer(workers, "workers") < 1:
         raise ValueError("need at least 1 worker")
-
-
-def _check_seed(seed) -> int:
-    # a Python int, so any width and sign keys the paths and the report serializes
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"master_seed must be an integer, not {seed!r}")
-    return int(seed)
 
 
 def _nonempty_floats(values, what) -> tuple:
@@ -102,9 +100,8 @@ class ExperimentConfig:
                 raise ValueError(f"delta {d} outside (0, 0.5)")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("deltas must be strictly decreasing")
-        _check_samples(self.samples)
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
+        object.__setattr__(self, "samples", _check_samples(self.samples))
+        object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed"))
         for e in self.occupation_epsilons:
             _check_occupation_epsilon(self.resolve_problem(), e)
 
@@ -190,7 +187,8 @@ def _map_batches(job, payload, samples, workers):
     spans = [(a, min(a + _BATCH, samples)) for a in range(0, samples, _BATCH)]
     if workers > 1 and len(spans) > 1:
         starts, stops = zip(*spans)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at once: no more than there are batches
+        with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             parts = list(pool.map(job, repeat(payload), starts, stops))
     else:
         parts = [job(payload, a, b) for a, b in spans]
@@ -262,7 +260,7 @@ def occupation_values(problem, params, epsilon, samples, master_seed, workers=1)
     """
     _check_samples(samples)
     _check_workers(workers)
-    master_seed = _check_seed(master_seed)
+    master_seed = _check_integer(master_seed, "master_seed")
     epsilons = _nonempty_floats(np.atleast_1d(epsilon), "epsilon")
     for e in epsilons:
         _check_occupation_epsilon(problem, e)
@@ -285,7 +283,7 @@ def verify_transform(problem, transform: Transform1D, deltas, samples, master_se
         raise ValueError("transform verification requires a one-dimensional problem")
     _check_samples(samples)
     _check_workers(workers)
-    master_seed = _check_seed(master_seed)
+    master_seed = _check_integer(master_seed, "master_seed")
     deltas = _nonempty_floats(deltas, "delta")
     _warn_outside_regime(StepSizeParams.for_problem(problem, d) for d in deltas)
     (vals,) = _map_batches(

@@ -60,7 +60,10 @@ class StepSizeParams:
 
     @classmethod
     def for_problem(cls, problem: "SdeProblem", delta: float) -> "StepSizeParams":
-        return cls(delta=delta, eps0=problem.eps0, sigma_sup=problem.sigma_sup)
+        """Parameters for ``problem``; a ValueError if its step budget overflows."""
+        params = cls(delta=delta, eps0=problem.eps0, sigma_sup=problem.sigma_sup)
+        _step_budget(problem, params)
+        return params
 
 
 def step_size_from_distance(dist, params: StepSizeParams):
@@ -127,4 +130,14 @@ class SdeProblem:
 
 
 def _step_budget(problem: SdeProblem, params: StepSizeParams) -> int:
-    return int(10.0 * problem.horizon / params.delta_sq) + 1
+    """Most steps a lane may take: ten times the horizon over ``delta**2``, plus one.
+
+    Raises ValueError naming ``delta`` when that number is not finite.
+    """
+    budget = 10.0 * problem.horizon / params.delta_sq
+    if not math.isfinite(budget):
+        raise ValueError(
+            f"delta {params.delta!r} is too small for horizon {problem.horizon!r}: "
+            "the step budget 10 * horizon / delta**2 overflows"
+        )
+    return int(budget) + 1

@@ -170,6 +170,48 @@ def test_config_non_integral_dimension_exits_2(tmp_path, dimension):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _with(cfg, path, value):
+    """``cfg`` with ``value`` at the key path ``path``, nested dicts copied."""
+    head, *rest = path
+    return dict(cfg, **{head: _with(cfg[head], rest, value) if rest else value})
+
+
+_HYPERPLANE_2D = dict(_CONFIG_2D, surface={"type": "hyperplane", "normal": [1.0, 0.0], "offset": 0.0})
+
+
+@pytest.mark.parametrize("cfg, path, value, message", [
+    pytest.param(_CONFIG_1D, ("horizon",), True, "horizon must be a number, not True",
+                 id="horizon"),
+    pytest.param(_CONFIG_1D, ("eps0",), "0.5", "eps0 must be a number, not '0.5'", id="eps0"),
+    pytest.param(_CONFIG_1D, ("sigma_sup",), False, "sigma_sup must be a number, not False",
+                 id="sigma_sup"),
+    pytest.param(_CONFIG_1D, ("x0",), [True], "x0 entries must be numbers, not [True]",
+                 id="x0-entry"),
+    pytest.param(_CONFIG_1D, ("x0",), "0.0", "x0 must be a number, not '0.0'", id="x0"),
+    pytest.param(_CONFIG_1D, ("drift", "breakpoints"), ["0.5"],
+                 "breakpoints entries must be numbers, not ['0.5']", id="breakpoints"),
+    pytest.param(_CONFIG_1D, ("surface", "points"), [True],
+                 "points entries must be numbers, not [True]", id="points"),
+    pytest.param(_CONFIG_2D, ("surface", "center"), ["0.0", 0.0],
+                 "center entries must be numbers, not ['0.0', 0.0]", id="center"),
+    pytest.param(_CONFIG_2D, ("surface", "radius"), "1.0",
+                 "radius must be a number, not '1.0'", id="radius"),
+    pytest.param(_HYPERPLANE_2D, ("surface", "normal"), [True, 0],
+                 "normal entries must be numbers, not [True, 0]", id="normal"),
+    pytest.param(_HYPERPLANE_2D, ("surface", "offset"), False,
+                 "offset must be a number, not False", id="offset"),
+])
+def test_config_bool_or_string_for_a_number_exits_2(tmp_path, cfg, path, value, message):
+    # float() and numpy would read true as 1.0 and "0.5" as 0.5
+    config = _write_config(tmp_path, _with(cfg, path, value))
+    out = tmp_path / "out"
+    result = _invoke(["run", "--config", str(config), "--deltas", "2^-2", "--samples", "4",
+                      "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"bad problem config: {message}" in _all_text(result)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "surface, field",
     [
@@ -472,18 +514,46 @@ def test_run_rejects_out_of_range_delta():
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("command, option", [
-    ("run", "--deltas"), ("occupation", "--delta"), ("verify-transform", "--deltas"),
+_DELTA_OPTIONS = [("run", "--deltas"), ("occupation", "--delta"), ("verify-transform", "--deltas")]
+
+# a delta whose square underflows to 0, or is so small that the step budget
+# 10 * horizon / delta**2 overflows; 1e-200 keeps the bare command ids
+_TINY_DELTAS = {
+    "1e-200": "delta 1e-200 is so small that delta**2 underflows to 0",
+    "1e-160": "delta 1e-160 is too small for horizon 1.0: the step budget",
+    "1e-154": "delta 1e-154 is too small for horizon 1.0: the step budget",
+}
+
+
+@pytest.mark.parametrize("command, option, delta", [
+    pytest.param(c, o, d, id=f"{c}-{o}" if d == "1e-200" else f"{c}-{o}-{d}")
+    for d in _TINY_DELTAS for c, o in _DELTA_OPTIONS
 ])
-def test_delta_whose_square_underflows_exits_2(tmp_path, caplog, monkeypatch, command, option):
+def test_delta_whose_square_underflows_exits_2(tmp_path, caplog, monkeypatch, command, option, delta):
     # rejected before the regime warning or any batch
     monkeypatch.setattr(montecarlo, "_map_batches", None)
-    result = _invoke([command, "example2", option, "1e-200", "--samples", "4",
+    result = _invoke([command, "example2", option, delta, "--samples", "4",
                       "--out", str(tmp_path)])
     assert result.exit_code == 2
-    assert "so small that delta**2 underflows to 0" in _all_text(result)
+    assert _TINY_DELTAS[delta] in _all_text(result)
     assert not caplog.records
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, option", _DELTA_OPTIONS)
+def test_config_horizon_that_overflows_the_step_budget_exits_2(
+    tmp_path, caplog, monkeypatch, command, option
+):
+    # 10 * 1e307 / 2^-4 is not finite: rejected before the regime warning at 2^-2
+    monkeypatch.setattr(montecarlo, "_map_batches", None)
+    config = _write_config(tmp_path, dict(_CONFIG_1D, horizon=1e307))
+    out = tmp_path / "out"
+    result = _invoke([command, "--config", str(config), option, "2^-2", "--samples", "4",
+                      "--out", str(out)])
+    assert result.exit_code == 2
+    assert "delta 0.25 is too small for horizon 1e+307" in _all_text(result)
+    assert not caplog.records
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "occupation", "verify-transform"])

@@ -351,6 +351,30 @@ def test_each_command_starts_one_pool_per_job(monkeypatch):
     assert len(starts) == 3
 
 
+def test_pool_starts_no_more_workers_than_batches(monkeypatch):
+    # a fork pool starts all of its max_workers processes at the first submit
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = ExperimentConfig(problem="example2", deltas=(0.25, 0.125), samples=600)
+    solo = run_experiment(cfg, workers=1).rows
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    assert run_experiment(cfg, workers=8).rows == solo
+    assert seen == [2]
+
+
 def test_rerun_is_bit_identical():
     cfg = ExperimentConfig(problem="example2", deltas=(0.25, 0.125), samples=64)
     a = run_experiment(cfg).rows
