@@ -57,6 +57,9 @@ from .solver import (
     step_size_from_distance,
 )
 
+_INF = np.array(np.inf)
+
+
 def _drift(problem, x):
     return np.asarray(problem.drift(x), dtype=float)
 
@@ -110,7 +113,8 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
     """
     n = labels.size
     d = problem.dimension
-    horizon = problem.horizon
+    # 0-d, so the per-iteration comparisons and differences convert nothing
+    horizon = np.array(problem.horizon)
     budgets = [_step_budget(problem, p) for p in params]
     steps = np.empty(n, dtype=np.int64)
     x_T = np.empty((n, d))
@@ -121,16 +125,19 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
     w = np.zeros((n, d))
     dist = np.asarray(problem.surface.distance(x), dtype=float)
     spans = _live_spans(rung, len(params))
+    # the smallest budget of the live rungs; only past it is a rung named
+    budget = min((budgets[r] for r, _, _ in spans), default=0)
     # live lanes start together and step once per iteration, so they all
     # have taken k steps
     k = 0
     while act.size:
-        for r, a, _ in spans:
-            if k >= budgets[r]:
-                raise RunawaySimulationError(
-                    f"sample {labels[act[a]]} exceeded {budgets[r]} steps "
-                    f"at delta={params[r].delta:.4g}"
-                )
+        if k >= budget:
+            for r, a, _ in spans:
+                if k >= budgets[r]:
+                    raise RunawaySimulationError(
+                        f"sample {labels[act[a]]} exceeded {budgets[r]} steps "
+                        f"at delta={params[r].delta:.4g}"
+                    )
         k += 1
         h = [step_size_from_distance(dist[a:b], params[r]) for r, a, b in spans]
         h = h[0] if len(h) == 1 else np.concatenate(h)
@@ -166,6 +173,7 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
             for c in carried:
                 c.keep(live)
             spans = _live_spans(rung[act], len(params))
+            budget = min((budgets[r] for r, _, _ in spans), default=0)
     return steps, x_T
 
 
@@ -318,7 +326,7 @@ class _KnotWalker:
         self.u_t = self.kt[g]
         self.u_w = self.kw[g]
         self.has_right = self.ptr <= self.last
-        self.due = np.where(self.has_right, self.u_t, np.inf)
+        self.due = np.where(self.has_right, self.u_t, _INF)
 
     def keep(self, live):
         for name in ("last", "ptr", "u_t", "u_w", "has_right", "due"):

@@ -40,9 +40,9 @@ _SALT_LANE = _u64(0xD1342543DE82EF95)
 _S30 = _u64(30)
 _S27 = _u64(27)
 _S31 = _u64(31)
-_S11 = _u64(11)
-_HALF = np.array(0.5)
-_ULP = np.array(2.0**-53)
+_S10 = _u64(10)
+_ONE = _u64(1)
+_HALF_ULP = np.array(2.0**-54)
 
 
 def _mix64(z):
@@ -93,10 +93,12 @@ def keyed_normals(key, knot_index, t_bits, dim: int):
         z = _mix64(h[..., None])
     else:
         z = _mix64(h[..., None] ^ (np.arange(dim, dtype=np.uint64) * _SALT_LANE))
-    z >>= _S11
+    # the top 53 bits k map to (k + 1/2) 2^-53 in (0, 1), formed as
+    # (2k + 1) 2^-54: scaling by 2 commutes with rounding, so the bits agree
+    z >>= _S10
+    z |= _ONE
     u = z.astype(np.float64)
-    u += _HALF
-    u *= _ULP
+    u *= _HALF_ULP
     return ndtri(u)
 
 

@@ -61,6 +61,10 @@ class PointSet1D(Hypersurface):
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("points must be strictly increasing")
         object.__setattr__(self, "points", pts)
+        # 0-d copies for distance: numpy takes a 0-d operand as it is, where it
+        # converts a Python float on every call.  Not a field, so eq, hash and
+        # repr ignore it
+        object.__setattr__(self, "_points_0d", tuple(np.array(p) for p in pts))
 
     @property
     def reach(self) -> float:
@@ -71,7 +75,7 @@ class PointSet1D(Hypersurface):
 
     def distance(self, x):
         s = _scalar_input(x)
-        pts = self.points
+        pts = self._points_0d
         d = np.abs(s - pts[0])
         for p in pts[1:]:
             d = np.minimum(d, np.abs(s - p))

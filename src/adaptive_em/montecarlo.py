@@ -201,6 +201,11 @@ def _mean_stderr(values):
     return m, se
 
 
+def _bands(params) -> dict:
+    """The band radii of one run and whether it is inside the analysed regime."""
+    return {"eps1": params.eps1, "eps2": params.eps2, "framework_valid": params.framework_valid}
+
+
 def _warn_outside_regime(params):
     """Warn once per distinct step-size parameter set outside the analyzed regime.
 
@@ -237,6 +242,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
         # the pinned CSV columns, in order
         stats = (delta, *_mean_stderr(sq[r]), *_mean_stderr(n_fine[r].astype(float)))
         row = dict(zip(MonteCarloReport._CSV_COLUMNS, stats))
+        # JSON only: the CSV keeps its pinned columns
+        row["fine"] = _bands(fine[r])
+        row["coarse"] = _bands(coarse[r])
         if config.occupation_epsilons:
             row["occupation"] = [
                 {"epsilon": eps, "mean": mean, "stderr": se}

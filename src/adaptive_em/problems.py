@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import Circle2D, PointSet1D
 from .solver import SdeProblem
-from .transform1d import PiecewiseDrift1D, Transform1D
+from .transform1d import _HALF, _ONE, _TWO, PiecewiseDrift1D, Transform1D
 
 
 def _lift(f, x):
@@ -48,6 +48,11 @@ class _LiftDiffusion1D:
         return _lift(self.f, x)[..., None, None]
 
 
+# 0-d operands of the coefficient functions, as in transform1d's kernels
+_THREE = np.array(3.0)
+_MINUS_TWO = np.array(-2.0)
+
+
 def _ex1_branch_low(x):
     return -2.0
 
@@ -57,11 +62,11 @@ def _ex1_branch_mid(x):
 
 
 def _ex1_branch_high(x):
-    return 2.0 / x - 3.0 / (x * x)
+    return _TWO / x - _THREE / (x * x)
 
 
 def _ex1_sigma(x):
-    return 0.5 * (1.0 + 1.0 / (1.0 + x * x))
+    return _HALF * (_ONE + _ONE / (_ONE + x * x))
 
 
 def _ex2_branch_low(x):
@@ -73,7 +78,7 @@ def _ex2_branch_mid(x):
 
 
 def _ex2_branch_high(x):
-    return -2.0 * x
+    return _MINUS_TWO * x
 
 
 def _ex2_sigma(x):
@@ -83,18 +88,18 @@ def _ex2_sigma(x):
 def _ex3_drift(x):
     # switches from a rotationless pull (-x1, x2) inside the unit circle
     # to the constant (1, 1) on and outside it
-    inside = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] < 1.0
+    inside = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] < _ONE
     out = np.empty_like(np.asarray(x, dtype=float))
-    out[..., 0] = np.where(inside, -x[..., 0], 1.0)
-    out[..., 1] = np.where(inside, x[..., 1], 1.0)
+    out[..., 0] = np.where(inside, -x[..., 0], _ONE)
+    out[..., 1] = np.where(inside, x[..., 1], _ONE)
     return out
 
 
 def _ex3_diffusion(x):
     x = np.asarray(x, dtype=float)
     sig = np.zeros(x.shape + (2,))
-    sig[..., 0, 0] = 0.5 * x[..., 0]
-    sig[..., 1, 0] = 0.5 * x[..., 1]
+    sig[..., 0, 0] = _HALF * x[..., 0]
+    sig[..., 1, 0] = _HALF * x[..., 1]
     return sig
 
 

@@ -57,6 +57,11 @@ class StepSizeParams:
         object.__setattr__(self, "eps2", scale * self.delta)
         object.__setattr__(self, "delta_sq", self.delta * self.delta)
         object.__setattr__(self, "framework_valid", self.eps1 < self.eps0 / 4.0)
+        # 0-d copies for step_size_from_distance: numpy converts a Python float
+        # operand on every call, a 0-d array it takes as it is.  Plain
+        # attributes, not fields, so eq, hash and repr ignore them
+        for name in ("delta", "eps1", "eps2", "delta_sq"):
+            object.__setattr__(self, f"_{name}_0d", np.array(getattr(self, name)))
 
     @classmethod
     def for_problem(cls, problem: "SdeProblem", delta: float) -> "StepSizeParams":
@@ -77,11 +82,11 @@ def step_size_from_distance(dist, params: StepSizeParams):
     dist = np.asarray(dist, dtype=float)
     # squared via multiplication: scalar ** 2 can round differently from the
     # array ufunc, and the batched kernels must reproduce scalar runs bit for bit
-    ratio = dist / params.eps1
-    ramp = params.delta * ratio * ratio
+    ratio = dist / params._eps1_0d
+    ramp = params._delta_0d * ratio * ratio
     # from eps1 on the ratio rounds to at least 1, so the ramp is capped at delta
-    h = np.minimum(params.delta, np.maximum(params.delta_sq, ramp))
-    return np.where(dist <= params.eps2, params.delta_sq, h)
+    h = np.minimum(params._delta_0d, np.maximum(params._delta_sq_0d, ramp))
+    return np.where(dist <= params._eps2_0d, params._delta_sq_0d, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +137,25 @@ class SdeProblem:
 def _step_budget(problem: SdeProblem, params: StepSizeParams) -> int:
     """Most steps a lane may take: ten times the horizon over ``delta**2``, plus one.
 
-    Raises ValueError naming ``delta`` when that number is not finite.
+    Raises ValueError naming ``delta`` when that number is not finite, or
+    when ``delta**2`` is at most half an ulp of the horizon.  Above that
+    bound ``t + delta**2 > t`` at every time ``t`` below the horizon.  Well
+    below it, ``t + delta**2`` rounds back to ``t`` near the horizon, and a
+    lane that keeps the inner band's step stalls there until its budget
+    runs out; at a power-of-two horizon the bound is a factor of two stricter
+    than needed.
     """
-    budget = 10.0 * problem.horizon / params.delta_sq
+    horizon = problem.horizon
+    budget = 10.0 * horizon / params.delta_sq
     if not math.isfinite(budget):
         raise ValueError(
-            f"delta {params.delta!r} is too small for horizon {problem.horizon!r}: "
+            f"delta {params.delta!r} is too small for horizon {horizon!r}: "
             "the step budget 10 * horizon / delta**2 overflows"
+        )
+    if params.delta_sq <= math.ulp(horizon) / 2.0:
+        raise ValueError(
+            f"delta {params.delta!r} is too small for horizon {horizon!r}: "
+            "a step of delta**2 is at most half an ulp of the horizon, "
+            "so a lane's time may stop advancing"
         )
     return int(budget) + 1

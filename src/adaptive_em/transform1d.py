@@ -91,7 +91,7 @@ class PiecewiseDrift1D:
         # the last branch starts at the last breakpoint, or covers the line
         last = bp[-1] if bp else -math.inf
         out = np.zeros(x.shape)
-        idx = np.searchsorted(self._bp, x, side="right")
+        idx = self._bp.searchsorted(x, side="right")
         for i, branch in enumerate(self.branches):
             # NaN sorts past the last breakpoint but belongs to no branch
             own = idx == i if i < len(bp) else x >= last

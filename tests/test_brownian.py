@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from adaptive_em.brownian import BrownianPath, keyed_normals, path_key, time_bits
+from adaptive_em.brownian import (
+    _GOLD,
+    _SALT_LANE,
+    BrownianPath,
+    _mix64,
+    keyed_normals,
+    path_key,
+    time_bits,
+)
 
 
 def test_starts_at_zero():
@@ -164,6 +173,43 @@ def test_keyed_normals_scalar_and_batch_agree():
     for i in range(4):
         np.testing.assert_array_equal(
             batch[i], keyed_normals(keys[i], kc[i], tb[i], 3)
+        )
+
+
+def _uniform_reference(k):
+    # the top 53 bits k of a word, mapped to (k + 1/2) 2^-53
+    u = k.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_uniform_mapping_identity(seed):
+    # keyed_normals forms (2k + 1) 2^-54 from the word shifted by 10 with its
+    # last bit set: scaling by 2 commutes with rounding, so the bits agree
+    edges = np.array([0, 2**52 - 1, 2**52, 2**53 - 1], dtype=np.uint64)
+    rand = np.random.default_rng(seed).integers(0, 2**53, size=4096, dtype=np.uint64)
+    k = np.concatenate([edges, rand])
+    u = ((k << np.uint64(1)) | np.uint64(1)).astype(np.float64) * 2.0**-54
+    np.testing.assert_array_equal(u.view(np.uint64), _uniform_reference(k).view(np.uint64))
+    # k + 1/2 is exact below 2^52; from there both forms round half to even,
+    # so the top word maps to 1 in both
+    assert list(u[:4]) == [2.0**-54, 0.5 - 2.0**-54, 0.5, 1.0]
+
+
+def test_keyed_normals_match_the_uniform_reference():
+    # the same draw through the words' top 53 bits and (k + 1/2) 2^-53
+    keys = path_key(11, np.arange(64, dtype=np.uint64))
+    kc = np.arange(1, 65, dtype=np.uint64)
+    tb = time_bits(np.linspace(0.01, 1.0, 64))
+    for dim in (1, 2):
+        z = _mix64(_mix64(keys ^ (kc * _GOLD)) ^ tb)[:, None]
+        if dim > 1:
+            z = z ^ (np.arange(dim, dtype=np.uint64) * _SALT_LANE)
+        k = _mix64(z.copy()) >> np.uint64(11)
+        np.testing.assert_array_equal(
+            keyed_normals(keys, kc, tb, dim), ndtri(_uniform_reference(k)), strict=True
         )
 
 

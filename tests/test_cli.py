@@ -522,6 +522,10 @@ _TINY_DELTAS = {
     "1e-200": "delta 1e-200 is so small that delta**2 underflows to 0",
     "1e-160": "delta 1e-160 is too small for horizon 1.0: the step budget",
     "1e-154": "delta 1e-154 is too small for horizon 1.0: the step budget",
+    # finite budgets, but delta**2 is at most half an ulp of the horizon, so
+    # a lane's time may stop advancing
+    "1e-153": "delta 1e-153 is too small for horizon 1.0: a step of delta**2",
+    "1e-9": "delta 1e-09 is too small for horizon 1.0: a step of delta**2",
 }
 
 
@@ -554,6 +558,34 @@ def test_config_horizon_that_overflows_the_step_budget_exits_2(
     assert "delta 0.25 is too small for horizon 1e+307" in _all_text(result)
     assert not caplog.records
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", _DELTA_OPTIONS)
+def test_config_horizon_that_stalls_the_step_exits_2(tmp_path, caplog, monkeypatch, command, option):
+    # half an ulp of 1e17 is 8, so t + 2^-4 == t near the horizon: the
+    # budget is finite, but a lane in the inner band would never advance
+    monkeypatch.setattr(montecarlo, "_map_batches", None)
+    config = _write_config(tmp_path, dict(_CONFIG_1D, horizon=1e17))
+    out = tmp_path / "out"
+    result = _invoke([command, "--config", str(config), option, "2^-2", "--samples", "4",
+                      "--out", str(out)])
+    assert result.exit_code == 2
+    assert "delta 0.25 is too small for horizon 1e+17: a step of delta**2" in _all_text(result)
+    assert not caplog.records
+    assert not out.exists()
+
+
+def test_report_json_rows_give_both_runs_band_radii(report_dir):
+    rows = json.loads((report_dir / "report.json").read_text())["rows"]
+    for row in rows:
+        for run, delta in (("fine", row["delta"]), ("coarse", 2.0 * row["delta"])):
+            p = StepSizeParams.for_problem(get_example("example2").problem, delta)
+            assert row[run] == {
+                "eps1": p.eps1, "eps2": p.eps2, "framework_valid": p.framework_valid
+            }
+    # JSON only: the CSV keeps its pinned columns
+    header = (report_dir / "report.csv").read_text().splitlines()[0]
+    assert header == "delta,msq,msq_stderr,cost_mean,cost_stderr"
 
 
 @pytest.mark.parametrize("command", ["run", "occupation", "verify-transform"])

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,21 @@ def test_pointset_distance_examples():
     assert s.distance(0.3) == pytest.approx(0.3)
     assert s.distance(-2.0) == 2.0
     assert s.distance(0.0) == 0.0
+
+
+def test_pointset_cache_stays_out_of_eq_hash_repr_and_fields():
+    s, t = PointSet1D(points=(0.0, 1.0)), PointSet1D(points=(0, 1))
+    assert [f.name for f in dataclasses.fields(s)] == ["points"]
+    assert repr(s) == "PointSet1D(points=(0.0, 1.0))"
+    assert s == t and hash(s) == hash(t)
+    for cache, p in zip(s._points_0d, s.points, strict=True):
+        assert isinstance(cache, np.ndarray) and cache.shape == () and cache.dtype == np.float64
+        assert cache == p
+    # worker processes receive the surface by pickle
+    clone = pickle.loads(pickle.dumps(s))
+    assert clone == s and hash(clone) == hash(s) and repr(clone) == repr(s)
+    x = np.linspace(-1.0, 2.0, 61)[:, None]
+    np.testing.assert_array_equal(clone.distance(x), s.distance(x), strict=True)
 
 
 def test_pointset_projection_and_normal():

@@ -639,6 +639,27 @@ def test_report_csv_and_json():
     assert blob["wall_time"] >= 0.0
 
 
+def test_report_rows_give_band_radii_of_the_fine_and_the_coarse_run():
+    # eps1 is 0.520 at 2^-6 and 0.613 at 2^-5, so eps0 / 4 = 0.55 puts the
+    # fine run inside the regime and the coarse run outside it
+    problem = _constant_problem(10.0, eps0=2.2)
+    cfg = ExperimentConfig(problem=problem, deltas=(2.0**-5, 2.0**-6), samples=4)
+    report = run_experiment(cfg)
+    for row in report.rows:
+        for run, delta in (("fine", row["delta"]), ("coarse", 2.0 * row["delta"])):
+            p = StepSizeParams.for_problem(problem, delta)
+            assert row[run] == {
+                "eps1": p.eps1, "eps2": p.eps2, "framework_valid": p.framework_valid
+            }
+    assert report.rows[1]["fine"]["framework_valid"] is True
+    assert report.rows[1]["coarse"]["framework_valid"] is False
+    # JSON only: the CSV rows hold the five pinned columns
+    buf = io.StringIO()
+    report.to_csv(buf)
+    assert [len(line.split(",")) for line in buf.getvalue().splitlines()] == [5, 5, 5]
+    assert json.loads(json.dumps(report.to_json_dict()))["rows"] == report.rows
+
+
 def test_mean_and_stderr_against_direct_formula():
     cfg = ExperimentConfig(problem="example2", deltas=(0.25,), samples=48, master_seed=9)
     row = run_experiment(cfg).rows[0]

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from adaptive_em.solver import (
     RunawaySimulationError,
     SdeProblem,
     StepSizeParams,
+    _step_budget,
     step_size_from_distance,
 )
 from oracles import em_step, interpolate, simulate_adaptive, step_size
@@ -277,6 +280,43 @@ def test_step_budget_guard(monkeypatch):
     for run in RUNNERS:
         with pytest.raises(RunawaySimulationError, match="exceeded"):
             run(prob, params, 5, 0)
+
+
+def test_step_budget_rejects_a_step_below_half_an_ulp_of_the_horizon():
+    prob = get_example("example1").problem
+    # at horizon 1 half an ulp is 2^-53: 2^-26 squares to 2^-52 and runs
+    assert _step_budget(prob, StepSizeParams.for_problem(prob, 2.0**-26)) == 10 * 2**52 + 1
+    for delta in (1e-9, 1e-153):
+        with pytest.raises(ValueError, match=f"delta {delta!r} is too small for horizon 1.0: a step"):
+            StepSizeParams.for_problem(prob, delta)
+    # the bound itself: half an ulp of 2^49 is 2^-4, the square of 2^-2; below
+    # 2^49 half an ulp is 2^-5, and the largest time below it still advances
+    params = StepSizeParams.for_problem(prob, 0.25)
+    with pytest.raises(ValueError, match="is too small for horizon 562949953421312.0"):
+        _step_budget(dataclasses.replace(prob, horizon=2.0**49), params)
+    below = math.nextafter(2.0**49, 0.0)
+    assert _step_budget(dataclasses.replace(prob, horizon=below), params) > 0
+    assert math.nextafter(below, 0.0) + params.delta_sq > math.nextafter(below, 0.0)
+
+
+def test_step_params_caches_stay_out_of_eq_hash_repr_and_fields():
+    p, q = _params(), _params()
+    assert [f.name for f in dataclasses.fields(p)] == [
+        "delta", "eps0", "sigma_sup", "eps1", "eps2", "delta_sq", "framework_valid"
+    ]
+    assert "_0d" not in repr(p)
+    assert p == q and hash(p) == hash(q)
+    for name in ("delta", "eps1", "eps2", "delta_sq"):
+        cache = getattr(p, f"_{name}_0d")
+        assert isinstance(cache, np.ndarray) and cache.shape == () and cache.dtype == np.float64
+        assert cache == getattr(p, name)
+    # worker processes receive the parameters by pickle
+    clone = pickle.loads(pickle.dumps(p))
+    assert clone == p and hash(clone) == hash(p) and repr(clone) == repr(p)
+    dist = np.linspace(0.0, 3.0 * p.eps1, 97)
+    np.testing.assert_array_equal(
+        step_size_from_distance(dist, clone), step_size_from_distance(dist, p), strict=True
+    )
 
 
 def test_path_dimension_must_match():
