@@ -43,6 +43,7 @@ _S31 = _u64(31)
 _S10 = _u64(10)
 _ONE = _u64(1)
 _HALF_ULP = np.array(2.0**-54)
+_U_MAX = np.array(1.0 - 2.0**-53)  # the largest float64 below 1
 
 
 def _mix64(z):
@@ -93,12 +94,14 @@ def keyed_normals(key, knot_index, t_bits, dim: int):
         z = _mix64(h[..., None])
     else:
         z = _mix64(h[..., None] ^ (np.arange(dim, dtype=np.uint64) * _SALT_LANE))
-    # the top 53 bits k map to (k + 1/2) 2^-53 in (0, 1), formed as
-    # (2k + 1) 2^-54: scaling by 2 commutes with rounding, so the bits agree
+    # the top 53 bits k map to (k + 1/2) 2^-53, formed as (2k + 1) 2^-54:
+    # scaling by 2 commutes with rounding, so the bits agree.  The top word
+    # rounds to 1, where ndtri is infinite; it alone is moved below 1
     z >>= _S10
     z |= _ONE
     u = z.astype(np.float64)
     u *= _HALF_ULP
+    np.minimum(u, _U_MAX, out=u)
     return ndtri(u)
 
 

@@ -237,37 +237,51 @@ def _drift_from_config(cfg: dict, dimension: int):
     drift = cfg["drift"]
     if dimension == 1:
         if isinstance(drift, str):
-            return _Lift1D(ExpressionFunction(drift, ("x",))), None
+            return _Lift1D(ExpressionFunction(drift, ("x",)))
         _check_numbers(drift, "breakpoints")
-        pw = PiecewiseDrift1D(
+        return _Lift1D(PiecewiseDrift1D(
             breakpoints=tuple(float(b) for b in drift["breakpoints"]),
             branches=tuple(
                 ExpressionFunction(e, ("x",)) for e in drift["branches"]
             ),
-        )
-        return _Lift1D(pw), pw
-    return VectorField(list(drift), dimension), None
+        ))
+    return VectorField(list(drift), dimension)
+
+
+def _check_jumps_on_surface(problem):
+    """Refuse a piecewise drift that jumps at a point off the surface.
+
+    The scheme refines its step only near the surface, so it would step
+    over such a jump at full size.  A breakpoint without a jump may lie
+    anywhere.
+    """
+    pw = getattr(problem.drift, "f", None)
+    if not isinstance(pw, PiecewiseDrift1D):
+        return
+    for b, left, right in zip(pw.breakpoints, pw.left_limits, pw.right_limits):
+        if left != right and float(problem.surface.distance(np.array([b]))) != 0.0:
+            raise ValueError(f"the drift jumps at breakpoint {b}, which is not on the surface")
 
 
 def _diffusion_from_config(cfg: dict, dimension: int):
     diffusion = cfg["diffusion"]
     if dimension == 1:
-        scalar = ExpressionFunction(diffusion, ("x",))
-        return _LiftDiffusion1D(scalar), scalar
-    return MatrixField(list(diffusion), dimension), None
+        return _LiftDiffusion1D(ExpressionFunction(diffusion, ("x",)))
+    return MatrixField(list(diffusion), dimension)
 
 
 def problem_from_config(cfg: dict):
-    """Build (SdeProblem, optional transform factory) from a config dict.
+    """Build (SdeProblem, transform factory) from a config dict.
 
     The schema mirrors SdeProblem: scalar fields ``dimension`` (an integer),
     ``horizon``, ``x0``, ``eps0``, ``sigma_sup``; a ``surface`` object with a
     geometry ``type``; and ``drift``/``diffusion`` as numpy expressions (in
     ``x`` for one dimension, ``x1..xd`` otherwise).  One-dimensional drifts
-    may instead give ``{"breakpoints": [...], "branches": [...]}``, which
-    also enables the transform benchmark: the factory then returns the
-    problem's Transform1D, or raises DegenerateDiffusionError (a ValueError)
-    if the diffusion vanishes at a breakpoint.  A number, or an entry of a
+    may instead give ``{"breakpoints": [...], "branches": [...]}``, each jump
+    on the surface, which enables the transform benchmark.  The factory is
+    ``ExampleEntry.transform``: it raises a ValueError for a problem without
+    a transform, and DegenerateDiffusionError (a ValueError) if the
+    diffusion vanishes at a breakpoint.  A number, or an entry of a
     list of them, must be a JSON number: a bool or a string is refused.
     Other keys, such as a drift bound left in an older config, are ignored.
     """
@@ -280,21 +294,20 @@ def problem_from_config(cfg: dict):
         _check_numbers(cfg, "x0", "horizon", "eps0", "sigma_sup")
         _check_numbers(cfg["surface"], "points", "normal", "offset", "center", "radius")
         surface = surface_from_config(cfg["surface"])
-        drift, pw = _drift_from_config(cfg, dimension)
-        diffusion, scalar_sigma = _diffusion_from_config(cfg, dimension)
         problem = SdeProblem(
             dimension=dimension,
-            drift=drift,
-            diffusion=diffusion,
+            drift=_drift_from_config(cfg, dimension),
+            diffusion=_diffusion_from_config(cfg, dimension),
             surface=surface,
             x0=np.asarray(cfg["x0"], dtype=float),
             horizon=float(cfg["horizon"]),
             eps0=float(cfg["eps0"]),
             sigma_sup=float(cfg["sigma_sup"]),
         )
+        _check_jumps_on_surface(problem)
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad problem config: {exc}") from exc
-    return problem, ExampleEntry("config", problem, pw, scalar_sigma).make_transform
+    return problem, ExampleEntry("config", problem).transform
 
 
 def _load_config(path: str):
@@ -306,7 +319,7 @@ def _load_config(path: str):
 
 
 def _resolve_problem(example, config_path):
-    """Problem plus optional transform factory from an example name or config file.
+    """Problem and its transform factory from an example name or config file.
 
     Only ``verify-transform`` builds the transform, so the other commands
     also run problems whose diffusion vanishes at a breakpoint.
@@ -318,7 +331,7 @@ def _resolve_problem(example, config_path):
             entry = get_example(example)
         except KeyError as exc:
             raise click.UsageError(exc.args[0]) from None
-        return entry.problem, entry.make_transform
+        return entry.problem, entry.transform
     return problem_from_config(_load_config(config_path))
 
 
@@ -491,14 +504,10 @@ def cmd_verify_transform(example, config_path, deltas, samples, seed, workers, o
     transform; writes verify.csv with per-delta mean squared gaps.
     """
     with _estimator_errors("verify-transform"):
-        problem, make_transform = _resolve_problem(example, config_path)
-        if make_transform is None:
-            raise click.UsageError(
-                "transform verification needs a one-dimensional problem with piecewise drift"
-            )
+        problem, build_transform = _resolve_problem(example, config_path)
         delta_values = parse_deltas(deltas)
         try:
-            transform = make_transform()
+            transform = build_transform()
         except (ArithmeticError, ValueError) as exc:  # DegenerateDiffusionError among them
             raise click.UsageError(f"no transform for this problem: {exc}") from exc
         rows = verify_transform(problem, transform, delta_values, samples, seed, workers)

@@ -206,6 +206,16 @@ def _bands(params) -> dict:
     return {"eps1": params.eps1, "eps2": params.eps2, "framework_valid": params.framework_valid}
 
 
+def _top_shares(sq) -> dict:
+    """Shares of the summed squared gaps carried by the 1 and the 10 largest samples."""
+    total = float(np.sum(sq))
+    if total == 0.0:
+        return {"msq_top1_share": None, "msq_top10_share": None}
+    top = np.sort(sq)[::-1]
+    return {"msq_top1_share": float(top[0]) / total,
+            "msq_top10_share": float(np.sum(top[:10])) / total}
+
+
 def _warn_outside_regime(params):
     """Warn once per distinct step-size parameter set outside the analyzed regime.
 
@@ -245,6 +255,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
         # JSON only: the CSV keeps its pinned columns
         row["fine"] = _bands(fine[r])
         row["coarse"] = _bands(coarse[r])
+        row["log_factor"] = row["cost_mean"] * delta / math.log(1.0 / delta)
+        row.update(_top_shares(sq[r]))
         if config.occupation_epsilons:
             row["occupation"] = [
                 {"epsilon": eps, "mean": mean, "stderr": se}

@@ -116,24 +116,19 @@ _EX2_DRIFT = PiecewiseDrift1D(
 
 @dataclass(frozen=True)
 class ExampleEntry:
-    """Registry record: the problem plus what the transform needs, if scalar."""
+    """Registry record: a named problem."""
 
     name: str
     problem: SdeProblem
-    piecewise_drift: PiecewiseDrift1D = None
-    scalar_sigma: object = None
 
     def transform(self) -> Transform1D:
-        if self.piecewise_drift is None:
-            raise ValueError(f"{self.name} is not scalar; no transform available")
-        return Transform1D(
-            self.piecewise_drift, self.scalar_sigma, eps0=self.problem.eps0
-        )
-
-    @property
-    def make_transform(self):
-        """``transform`` if a transform exists (the drift is piecewise), else None."""
-        return None if self.piecewise_drift is None else self.transform
+        """The transform built from the problem's own lifted drift and diffusion."""
+        drift, sigma = self.problem.drift, self.problem.diffusion
+        if not (isinstance(drift, _Lift1D) and isinstance(drift.f, PiecewiseDrift1D)
+                and isinstance(sigma, _LiftDiffusion1D)):
+            raise ValueError(f"{self.name} is not scalar with a piecewise drift; transform "
+                             "verification needs a one-dimensional problem with piecewise drift")
+        return Transform1D(drift.f, sigma.f, eps0=self.problem.eps0)
 
 
 def _build_registry():
@@ -141,7 +136,7 @@ def _build_registry():
         dimension=1,
         drift=_Lift1D(_EX1_DRIFT),
         diffusion=_LiftDiffusion1D(_ex1_sigma),
-        surface=PointSet1D((0.0, 1.0)),
+        surface=PointSet1D(_EX1_DRIFT.breakpoints),
         x0=np.array([1.5]),
         horizon=1.0,
         eps0=0.4,
@@ -151,7 +146,7 @@ def _build_registry():
         dimension=1,
         drift=_Lift1D(_EX2_DRIFT),
         diffusion=_LiftDiffusion1D(_ex2_sigma),
-        surface=PointSet1D((-1.0, 2.0)),
+        surface=PointSet1D(_EX2_DRIFT.breakpoints),
         x0=np.array([0.0]),
         horizon=1.0,
         eps0=1.0,
@@ -168,13 +163,8 @@ def _build_registry():
         sigma_sup=0.75,
     )
     return {
-        "example1": ExampleEntry(
-            "example1", ex1, piecewise_drift=_EX1_DRIFT, scalar_sigma=_ex1_sigma
-        ),
-        "example2": ExampleEntry(
-            "example2", ex2, piecewise_drift=_EX2_DRIFT, scalar_sigma=_ex2_sigma
-        ),
-        "example3": ExampleEntry("example3", ex3),
+        name: ExampleEntry(name, problem)
+        for name, problem in (("example1", ex1), ("example2", ex2), ("example3", ex3))
     }
 
 

@@ -8,6 +8,8 @@ from scipy.special import ndtri
 
 from adaptive_em.brownian import (
     _GOLD,
+    _M1,
+    _M2,
     _SALT_LANE,
     BrownianPath,
     _mix64,
@@ -211,6 +213,37 @@ def test_keyed_normals_match_the_uniform_reference():
         np.testing.assert_array_equal(
             keyed_normals(keys, kc, tb, dim), ndtri(_uniform_reference(k)), strict=True
         )
+
+
+def _unmix64(z):
+    # the inverse of the splitmix64 finalizer, on a Python int
+    def unshift(y, s):
+        x = y
+        for _ in range(3):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(int(_M2), -1, 2**64) % 2**64
+    z = unshift(z, 27)
+    z = z * pow(int(_M1), -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def test_top_word_draws_a_finite_normal():
+    # at knot index 0 and time bits 0 a dim-1 draw mixes the key three times;
+    # the key whose mixed word is all ones hits the top k = 2^53 - 1, whose
+    # uniform rounds to 1 and would give ndtri(1) = inf
+    top = 2**64 - 1
+    key = _unmix64(_unmix64(_unmix64(top)))
+    word = np.array([key], dtype=np.uint64)
+    for _ in range(3):
+        word = _mix64(word)
+    assert int(word[0]) == top
+    z = keyed_normals(np.uint64(key), np.uint64(0), np.uint64(0), 1)
+    assert np.isfinite(z).all()
+    assert z[0] == ndtri(1.0 - 2.0**-53)
+    assert z[0] == pytest.approx(8.21, abs=0.01)
 
 
 def test_distinct_paths_are_uncorrelated():

@@ -119,7 +119,8 @@ def test_problem_from_config_round_trip():
     assert transform is not None
     problem2, transform2 = problem_from_config(_CONFIG_2D)
     assert problem2.dimension == 2
-    assert transform2 is None
+    with pytest.raises(ValueError, match="piecewise"):
+        transform2()
 
 
 def test_problem_from_config_rejects_missing_key():
@@ -573,6 +574,32 @@ def test_config_horizon_that_stalls_the_step_exits_2(tmp_path, caplog, monkeypat
     assert "delta 0.25 is too small for horizon 1e+17: a step of delta**2" in _all_text(result)
     assert not caplog.records
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", _DELTA_OPTIONS)
+def test_config_drift_jump_off_the_surface_exits_2(tmp_path, caplog, monkeypatch, command, option):
+    # the scheme would refine around -0.7 and step over the jump at 0.5
+    monkeypatch.setattr(montecarlo, "_map_batches", None)
+    config = _write_config(tmp_path, dict(_CONFIG_1D, surface={"type": "points1d", "points": [-0.7]}))
+    out = tmp_path / "out"
+    result = _invoke([command, "--config", str(config), option, "2^-2", "--samples", "32",
+                      "--out", str(out)])
+    assert result.exit_code == 2
+    assert "the drift jumps at breakpoint 0.5, which is not on the surface" in _all_text(result)
+    assert not caplog.records
+    assert not list(tmp_path.rglob("*.csv"))
+    assert not out.exists()
+
+
+def test_config_breakpoint_without_a_jump_may_lie_off_the_surface(tmp_path):
+    cfg = dict(_CONFIG_1D, drift={"breakpoints": [-0.7, 0.5], "branches": ["1.0", "1.0", "-1.0"]})
+    problem, transform = problem_from_config(cfg)
+    assert problem.surface.points == (0.5,)
+    assert transform()._alphas.tolist() == [0.0, 1.0]
+    config = _write_config(tmp_path, cfg)
+    result = _invoke(["run", "--config", str(config), "--deltas", "2^-2", "--samples", "8",
+                      "--out", str(tmp_path)])
+    assert result.exit_code == 0, _all_text(result)
 
 
 def test_report_json_rows_give_both_runs_band_radii(report_dir):

@@ -660,6 +660,29 @@ def test_report_rows_give_band_radii_of_the_fine_and_the_coarse_run():
     assert json.loads(json.dumps(report.to_json_dict()))["rows"] == report.rows
 
 
+def test_report_rows_give_log_factor_and_top_sample_shares():
+    deltas, samples = (0.25, 0.125), 32
+    report = run_experiment(
+        ExperimentConfig(problem="example1", deltas=deltas, samples=samples, master_seed=9)
+    )
+    for row, delta in zip(report.rows, deltas):
+        draws = [coupled_difference_sample(EX1, delta, i, 9) for i in range(samples)]
+        sq = np.array([d[0] for d in draws])
+        cost = np.mean([float(d[1]) for d in draws])
+        top = np.sort(sq)[::-1]
+        assert row["log_factor"] == pytest.approx(cost * delta / np.log(1.0 / delta), rel=1e-12)
+        assert row["msq_top1_share"] == pytest.approx(top[0] / sq.sum(), rel=1e-12)
+        assert row["msq_top10_share"] == pytest.approx(top[:10].sum() / sq.sum(), rel=1e-12)
+        assert 0.0 < row["msq_top1_share"] < row["msq_top10_share"] < 1.0
+    # every gap is 0: no sample carries a share of the sum
+    (row,) = run_experiment(
+        ExperimentConfig(problem=_constant_problem(10.0), deltas=(0.125,), samples=4)
+    ).rows
+    assert row["log_factor"] == 8.0 * 0.125 / math.log(8.0)
+    assert row["msq_top1_share"] is None and row["msq_top10_share"] is None
+    assert json.loads(json.dumps(row))["msq_top10_share"] is None
+
+
 def test_mean_and_stderr_against_direct_formula():
     cfg = ExperimentConfig(problem="example2", deltas=(0.25,), samples=48, master_seed=9)
     row = run_experiment(cfg).rows[0]

@@ -1,10 +1,22 @@
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
+from adaptive_em.cli import problem_from_config
 from adaptive_em.geometry import Circle2D, PointSet1D
-from adaptive_em.problems import EXAMPLES, example_names, get_example
+from adaptive_em.problems import (
+    _EX1_DRIFT,
+    _EX2_DRIFT,
+    EXAMPLES,
+    ExampleEntry,
+    _ex1_sigma,
+    _ex2_sigma,
+    example_names,
+    get_example,
+)
+from adaptive_em.transform1d import Transform1D
 
 
 def test_registry_names():
@@ -77,6 +89,52 @@ def test_transform_only_for_scalar_examples():
     assert get_example("example2").transform() is not None
     with pytest.raises(ValueError, match="not scalar"):
         get_example("example3").transform()
+
+
+def test_example_entry_is_a_name_and_a_problem():
+    # the problem is the one copy of its coefficients: a new field is a
+    # deliberate change to this list
+    assert [f.name for f in dataclasses.fields(ExampleEntry)] == ["name", "problem"]
+
+
+@pytest.mark.parametrize("name, drift, sigma, eps0", [
+    ("example1", _EX1_DRIFT, _ex1_sigma, 0.4),
+    ("example2", _EX2_DRIFT, _ex2_sigma, 1.0),
+])
+def test_transform_is_read_off_the_problem(name, drift, sigma, eps0):
+    tr = get_example(name).transform()
+    direct = Transform1D(drift, sigma, eps0=eps0)
+    assert tr.drift is drift and tr.sigma is sigma
+    assert tr.c == direct.c
+    np.testing.assert_array_equal(tr._alphas, direct._alphas)
+
+
+_EXPRESSION_DRIFT_1D = {
+    "dimension": 1,
+    "surface": {"type": "points1d", "points": [0.5]},
+    "drift": "where(x < 0.5, 1.0, -1.0)",
+    "diffusion": "1.0",
+    "x0": [0.0],
+    "horizon": 1.0,
+    "eps0": 0.2,
+    "sigma_sup": 1.0,
+}
+
+
+@pytest.mark.parametrize("entry", [
+    get_example("example3"),
+    ExampleEntry("config", problem_from_config(_EXPRESSION_DRIFT_1D)[0]),
+], ids=["example3", "expression-drift"])
+def test_transform_needs_a_scalar_piecewise_drift(entry):
+    for words in ("not scalar", "one-dimensional", "piecewise"):
+        with pytest.raises(ValueError, match=words):
+            entry.transform()
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_scalar_surfaces_are_the_drift_breakpoints(name):
+    problem = get_example(name).problem
+    assert problem.surface == PointSet1D(problem.drift.f.breakpoints)
 
 
 def test_problems_are_picklable():

@@ -20,20 +20,20 @@ def _unit_sigma(x):
 
 
 def test_piecewise_drift_right_continuous_values():
-    mu = EX1.piecewise_drift
+    mu = EX1.problem.drift.f
     assert mu(-0.5) == -2.0
     assert mu(0.0) == 0.0  # square branch owns the breakpoint
     assert mu(0.5) == 0.25
     assert mu(1.0) == -1.0  # 2/x - 3/x^2 branch owns the breakpoint
     assert mu(2.0) == pytest.approx(0.25)
-    mu2 = EX2.piecewise_drift
+    mu2 = EX2.problem.drift.f
     assert mu2(-1.5) == -1.0
     assert mu2(-1.0) == 1.0
     assert mu2(2.0) == -4.0
 
 
 def test_piecewise_drift_vectorized_matches_scalar():
-    mu = EX1.piecewise_drift
+    mu = EX1.problem.drift.f
     xs = np.array([-1.0, -0.5, 0.0, 0.3, 0.999, 1.0, 1.7])
     np.testing.assert_array_equal(mu(xs), [float(mu(x)) for x in xs])
 
@@ -69,7 +69,7 @@ def test_alpha_zero_for_continuous_drift():
 
 def test_alpha_rejects_zero_diffusion():
     with pytest.raises(DegenerateDiffusionError, match="breakpoint 0.0"):
-        Transform1D(EX1.piecewise_drift, lambda x: 0.0, eps0=0.4)
+        Transform1D(EX1.problem.drift.f, lambda x: 0.0, eps0=0.4)
 
 
 def test_bump_values():
@@ -135,7 +135,7 @@ def test_transformed_drift_is_continuous_at_breakpoints():
     h = 1e-6
     for entry in (EX1, EX2):
         tr = entry.transform()
-        for xi in entry.piecewise_drift.breakpoints:
+        for xi in entry.problem.drift.f.breakpoints:
             mu_l, sg_l = tr.transformed_coeffs(xi - h)
             mu_r, sg_r = tr.transformed_coeffs(xi + h)
             assert float(mu_l) == pytest.approx(float(mu_r), abs=1e-4)
