@@ -6,7 +6,8 @@ Usage, with a checkout of the other tree in ``$OTHER``:
 
 Runs the commands in ``COMMANDS`` against this script's tree and against
 ``$OTHER``, in one fresh interpreter per tree with that tree's ``src`` first
-on ``PYTHONPATH``, each command group writing to its own directory.  Then it
+on ``PYTHONPATH``, each command group writing to its own directory; the
+``config`` group runs the 1-D problem ``CONFIG``, written next to them.  Then it
 compares every file the two trees wrote, byte for byte, except
 ``report.json``, which is compared after dropping its ``wall_time``.  Prints
 one verdict per file and exits 1 on any difference, on a file only one tree
@@ -23,6 +24,23 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the config-file problem of tests/oracles.py: three breakpoints, expression
+# branches and a state-dependent diffusion.  Each tree's run writes it to
+# config.json in its output root, which {config} names
+CONFIG = {
+    "dimension": 1,
+    "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
+    "drift": {
+        "breakpoints": [-0.5, 0.25, 1.0],
+        "branches": ["1.0", "2*x", "-x*x", "sin(x) - 2"],
+    },
+    "diffusion": "1 + 0.25*sin(x)",
+    "x0": [0.0],
+    "horizon": 1.0,
+    "eps0": 0.3,
+    "sigma_sup": 1.25,
+}
 
 # output directory: the commands run in it, in order; {out} is that directory
 COMMANDS = {
@@ -50,6 +68,11 @@ COMMANDS = {
     "occupation-example2": [
         ["occupation", "example2", "--samples", "600", "--out", "{out}"],
     ],
+    "config": [
+        ["run", "--config", "{config}", "--deltas", "2^-2..2^-6", "--samples", "256",
+         "--out", "{out}"],
+        ["verify-transform", "--config", "{config}", "--samples", "300", "--out", "{out}"],
+    ],
 }
 
 # run in the fresh interpreter: argv[1] is the tree's src, argv[2] the jobs
@@ -68,10 +91,14 @@ for args in json.loads(sys.argv[2]):
 def run_tree(tree: Path, out: Path) -> bool:
     """Run every command from ``tree`` into ``out``; False if any fails."""
     src = tree / "src"
+    out.mkdir(parents=True)
+    config = out / "config.json"
+    config.write_text(json.dumps(CONFIG, indent=2) + "\n")
     jobs = []
     for name, commands in COMMANDS.items():
-        (out / name).mkdir(parents=True)
-        jobs += [[a.replace("{out}", str(out / name)) for a in cmd] for cmd in commands]
+        (out / name).mkdir()
+        jobs += [[a.replace("{out}", str(out / name)).replace("{config}", str(config))
+                  for a in cmd] for cmd in commands]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _DRIVER, str(src), json.dumps(jobs)],

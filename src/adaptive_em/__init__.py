@@ -2,13 +2,12 @@
 
 The step size shrinks from delta to delta^2 as the state approaches the
 discontinuity surface, which restores close-to-classical strong convergence.
-The package bundles the step-size rule, lazily refined Brownian paths, the
-batched lockstep solver behind the coupled Monte Carlo estimators for
+The package bundles the step-size rule, keyed Gaussian draws, the batched
+lockstep solver behind the coupled Monte Carlo estimators for
 convergence rate and cost, a jump-removing transform for scalar problems,
 rate regression, and a CLI around three registered example problems.
 """
 
-from .brownian import BrownianPath
 from .geometry import (
     Circle2D,
     Hyperplane,
@@ -33,7 +32,6 @@ from .transform1d import (
 )
 
 __all__ = [
-    "BrownianPath",
     "Circle2D",
     "DegenerateDiffusionError",
     "ExperimentConfig",

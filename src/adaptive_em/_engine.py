@@ -37,12 +37,12 @@ It stays separate because the two loops differ in the grid, the
 coefficients, the distance, the budget and the horizon crossing, so one
 driver for both would need a hook for each.
 
-All Gaussian draws go through the same keyed counters as
-``brownian.BrownianPath``, and every floating-point expression mirrors a
-one-sample run on such a path, so a batched run reproduces the per-sample
-results bit for bit.  In particular Brownian increments are always formed
-as a difference of materialized knot values, never as the raw scaled
-normal.
+All Gaussian draws go through the same keyed counters as the sequential
+``BrownianPath`` of ``tests/oracles.py``, and every floating-point
+expression mirrors a one-sample run on such a path, so a batched run
+reproduces the per-sample results bit for bit.  In particular Brownian
+increments are always formed as a difference of materialized knot values,
+never as the raw scaled normal.
 """
 
 from __future__ import annotations

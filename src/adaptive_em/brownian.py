@@ -1,24 +1,17 @@
-"""Lazily refined Brownian paths with reproducible bridge sampling.
-
-A path stores the knots sampled so far and answers point queries exactly:
-already-known times return the stored value, times beyond the last knot
-extend the path with an independent Gaussian increment, and times between
-knots are filled in by conditional Brownian-bridge sampling against the two
-nearest knots.
+"""Keyed Gaussian draws for reproducible Brownian paths.
 
 Every Gaussian draw is produced by a counter-based generator keyed on
 ``(path key, number of existing knots, bit pattern of the queried time)``.
 The path key itself is a hash of ``(master seed, sample index)``.  This makes
-the sampled values a pure function of the query sequence, so independent
-per-sample streams need no shared state and batched lockstep simulation of
-many paths reproduces the sequential values bit for bit.  Uniform words are
-produced by chained splitmix64 finalizer rounds and mapped to normals through
-the inverse CDF (scipy's ndtri), one fixed method on every platform.
+a path's values a pure function of the sequence of times it is queried at,
+so independent per-sample streams need no shared state and batched lockstep
+simulation of many paths reproduces the sequential values bit for bit.
+Uniform words are produced by chained splitmix64 finalizer rounds and mapped
+to normals through the inverse CDF (scipy's ndtri), one fixed method on every
+platform.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 from scipy.special import ndtri
@@ -103,48 +96,3 @@ def keyed_normals(key, knot_index, t_bits, dim: int):
     u *= _HALF_ULP
     np.minimum(u, _U_MAX, out=u)
     return ndtri(u)
-
-
-class BrownianPath:
-    """One d-dimensional Brownian path, refined on demand.
-
-    Args:
-        dimension: number of independent components.
-        master_seed: experiment-level seed.
-        sample_index: index of this path within the experiment.
-    """
-
-    def __init__(self, dimension: int, master_seed: int, sample_index: int = 0):
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        self.dimension = int(dimension)
-        self.key = path_key(master_seed, sample_index)
-        self._times = [0.0]
-        self._values = [np.zeros(self.dimension)]
-
-    @property
-    def knot_times(self):
-        return tuple(self._times)
-
-    def query(self, t) -> np.ndarray:
-        """Value of the path at time ``t >= 0``, sampling a new knot if needed."""
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("time must be nonnegative")
-        if t == 0.0:
-            t = 0.0  # normalize negative zero
-        i = bisect_left(self._times, t)
-        if i < len(self._times) and self._times[i] == t:
-            return self._values[i].copy()
-        z = keyed_normals(self.key, len(self._times), time_bits(t), self.dimension)
-        if i == len(self._times):
-            s = self._times[-1]
-            val = self._values[-1] + np.sqrt(t - s) * z
-        else:
-            s, ws = self._times[i - 1], self._values[i - 1]
-            u, wu = self._times[i], self._values[i]
-            frac = (t - s) / (u - s)
-            val = ws + frac * (wu - ws) + np.sqrt(frac * (u - t)) * z
-        self._times.insert(i, t)
-        self._values.insert(i, val)
-        return val.copy()

@@ -201,9 +201,14 @@ def _mean_stderr(values):
     return m, se
 
 
-def _bands(params) -> dict:
-    """The band radii of one run and whether it is inside the analysed regime."""
-    return {"eps1": params.eps1, "eps2": params.eps2, "framework_valid": params.framework_valid}
+def _run_summary(params, steps) -> dict:
+    """One run's band radii, whether it is inside the analysed regime, and its step counts.
+
+    ``steps`` holds the run's step count per sample; the mean is
+    ``steps_total / samples``.
+    """
+    return {"eps1": params.eps1, "eps2": params.eps2, "framework_valid": params.framework_valid,
+            "steps_total": int(np.sum(steps)), "steps_max": int(np.max(steps))}
 
 
 def _top_shares(sq) -> dict:
@@ -241,7 +246,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
     coarse, fine = _engine.coupled_ladders(problem, config.deltas)
     _warn_outside_regime(p for pair in zip(coarse, fine) for p in pair)
     t0 = time.perf_counter()
-    sq, n_fine, _ = _map_batches(
+    sq, n_fine, n_coarse = _map_batches(
         _coupled_job, (problem, config.deltas, config.master_seed), config.samples, workers
     )
     if config.occupation_epsilons:
@@ -253,8 +258,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
         stats = (delta, *_mean_stderr(sq[r]), *_mean_stderr(n_fine[r].astype(float)))
         row = dict(zip(MonteCarloReport._CSV_COLUMNS, stats))
         # JSON only: the CSV keeps its pinned columns
-        row["fine"] = _bands(fine[r])
-        row["coarse"] = _bands(coarse[r])
+        row["fine"] = _run_summary(fine[r], n_fine[r])
+        row["coarse"] = _run_summary(coarse[r], n_coarse[r])
         row["log_factor"] = row["cost_mean"] * delta / math.log(1.0 / delta)
         row.update(_top_shares(sq[r]))
         if config.occupation_epsilons:

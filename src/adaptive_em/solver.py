@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Hypersurface
+from .transform1d import PiecewiseDrift1D
 
 
 class RunawaySimulationError(RuntimeError):
@@ -97,7 +98,8 @@ class SdeProblem:
     ``diffusion`` maps them to matrices of shape (..., d, d); both must accept
     batched input.  ``sigma_sup`` bounds the Frobenius norm of the diffusion
     on the eps0-tube around the surface; it is supplied by the problem
-    definition, not estimated.  No bound on the drift enters the scheme.
+    definition, not estimated.  No bound on the drift enters the scheme.  A
+    scalar ``PiecewiseDrift1D`` drift may jump only at points of the surface.
     """
 
     dimension: int
@@ -132,6 +134,16 @@ class SdeProblem:
             raise ValueError("drift(x0) must return a finite (d,) vector")
         if sig0.shape != (self.dimension,) * 2 or not np.all(np.isfinite(sig0)):
             raise ValueError("diffusion(x0) must return a finite (d, d) matrix")
+        # the step shrinks only near the surface, so the scheme would step
+        # over a jump off it at full size; a breakpoint without a jump may
+        # lie anywhere
+        pw = getattr(self.drift, "f", None)
+        if isinstance(pw, PiecewiseDrift1D):
+            for b, left, right in zip(pw.breakpoints, pw.left_limits, pw.right_limits):
+                if left != right and float(self.surface.distance(np.array([b]))) != 0.0:
+                    raise ValueError(
+                        f"the drift jumps at breakpoint {b}, which is not on the surface"
+                    )
 
 
 def _step_budget(problem: SdeProblem, params: StepSizeParams) -> int:

@@ -42,6 +42,14 @@ _FORTY_FIVE = np.array(45.0)
 _TOL_0D = np.array(_TOL)
 
 
+def _continuous_at(branch, b, limit, h) -> bool:
+    # the step from b to b + h may be at most 1e-6 plus twice the next step
+    # out, from b + h to b + 2h: a steep branch passes, and a branch that
+    # itself jumps at b does not
+    near, far = float(branch(b + h)), float(branch(b + 2.0 * h))
+    return abs(near - limit) <= 1e-6 + 2.0 * abs(far - near)
+
+
 @dataclass(frozen=True)
 class PiecewiseDrift1D:
     """Drift given by Lipschitz branches between increasing breakpoints.
@@ -72,9 +80,9 @@ class PiecewiseDrift1D:
         left = tuple(float(self.branches[i](b)) for i, b in enumerate(bp))
         right = tuple(float(self.branches[i + 1](b)) for i, b in enumerate(bp))
         for i, b in enumerate(bp):
-            if abs(float(self.branches[i](b - 1e-8)) - left[i]) > 1e-6:
+            if not _continuous_at(self.branches[i], b, left[i], -1e-8):
                 raise ValueError(f"left limit at breakpoint {b} is inconsistent")
-            if abs(float(self.branches[i + 1](b + 1e-8)) - right[i]) > 1e-6:
+            if not _continuous_at(self.branches[i + 1], b, right[i], 1e-8):
                 raise ValueError(f"right limit at breakpoint {b} is inconsistent")
         object.__setattr__(self, "left_limits", left)
         object.__setattr__(self, "right_limits", right)
@@ -258,7 +266,7 @@ class Transform1D:
             np.copyto(lo, x, where=resid < _ZERO)
             slope = _ONE + a * _psi_prime(r, u)
             cand = x - resid / slope
-            # a NaN or infinite step fails both tests and bisects
+            # a NaN or infinite step fails both tests and takes the bracket's midpoint
             ok = (cand > lo) & (cand < hi)
             if np.count_nonzero(ok) < ok.size:
                 cand = np.where(ok, cand, _HALF * (lo + hi))

@@ -1,6 +1,11 @@
 """Sequential single-sample references for the batched lockstep kernels.
 
-``simulate_adaptive`` runs the adaptive scheme on one ``brownian.BrownianPath``,
+``BrownianPath`` is one lazily refined Brownian path: a time past its last
+knot takes a fresh increment, a time between knots a Brownian-bridge draw
+against the two nearest knots, each through ``brownian.keyed_normals``.
+``_engine._fresh`` and ``_engine._bridge`` must reproduce it bit for bit.
+
+``simulate_adaptive`` runs the adaptive scheme on one ``BrownianPath``,
 one step at a time, with ``step_size`` and ``em_step``; ``interpolate``
 reads the time-continuous extension off its ``Trajectory``, the horizon
 value among them.  ``_engine``'s one lockstep driver must reproduce them
@@ -23,12 +28,12 @@ shared by the tests of the transform's kernels and of its batched pass.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from adaptive_em.brownian import BrownianPath
+from adaptive_em.brownian import keyed_normals, path_key, time_bits
 from adaptive_em.cli import problem_from_config
 from adaptive_em.montecarlo import equidistant_steps
 from adaptive_em.solver import (
@@ -113,6 +118,51 @@ class Trajectory:
             cells = [str(k), repr(float(self.times[k]))]
             cells += [repr(float(v)) for v in self.states[k]]
             stream.write(",".join(cells) + "\n")
+
+
+class BrownianPath:
+    """One d-dimensional Brownian path, refined on demand.
+
+    Args:
+        dimension: number of independent components.
+        master_seed: experiment-level seed.
+        sample_index: index of this path within the experiment.
+    """
+
+    def __init__(self, dimension: int, master_seed: int, sample_index: int = 0):
+        if dimension < 1:
+            raise ValueError("dimension must be at least 1")
+        self.dimension = int(dimension)
+        self.key = path_key(master_seed, sample_index)
+        self._times = [0.0]
+        self._values = [np.zeros(self.dimension)]
+
+    @property
+    def knot_times(self):
+        return tuple(self._times)
+
+    def query(self, t) -> np.ndarray:
+        """Value of the path at time ``t >= 0``, sampling a new knot if needed."""
+        t = float(t)
+        if t < 0.0:
+            raise ValueError("time must be nonnegative")
+        if t == 0.0:
+            t = 0.0  # normalize negative zero
+        i = bisect_left(self._times, t)
+        if i < len(self._times) and self._times[i] == t:
+            return self._values[i].copy()
+        z = keyed_normals(self.key, len(self._times), time_bits(t), self.dimension)
+        if i == len(self._times):
+            s = self._times[-1]
+            val = self._values[-1] + np.sqrt(t - s) * z
+        else:
+            s, ws = self._times[i - 1], self._values[i - 1]
+            u, wu = self._times[i], self._values[i]
+            frac = (t - s) / (u - s)
+            val = ws + frac * (wu - ws) + np.sqrt(frac * (u - t)) * z
+        self._times.insert(i, t)
+        self._values.insert(i, val)
+        return val.copy()
 
 
 def simulate_adaptive(

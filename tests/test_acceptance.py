@@ -25,8 +25,8 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import BrownianPath
 
-from adaptive_em.brownian import BrownianPath
 from adaptive_em.cli import main
 from adaptive_em.montecarlo import (
     ExperimentConfig,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import BrownianPath
 from scipy.special import ndtri
 
 from adaptive_em.brownian import (
@@ -11,7 +12,6 @@ from adaptive_em.brownian import (
     _M1,
     _M2,
     _SALT_LANE,
-    BrownianPath,
     _mix64,
     keyed_normals,
     path_key,

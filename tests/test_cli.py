@@ -11,10 +11,9 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import simulate_adaptive
+from oracles import BrownianPath, simulate_adaptive
 
-from adaptive_em import montecarlo
-from adaptive_em.brownian import BrownianPath
+from adaptive_em import _engine, montecarlo
 from adaptive_em.cli import (
     ExpressionFunction,
     main,
@@ -95,6 +94,18 @@ def test_parse_deltas_dyadic_range():
 
 def test_parse_deltas_comma_list():
     assert parse_deltas("0.25,2^-3") == (0.25, 0.125)
+
+
+def test_parse_deltas_spaced_lists():
+    assert parse_deltas("2^-2, 2^-3") == parse_deltas("0.25, 0.125") == parse_deltas("2^-2,2^-3")
+    assert parse_deltas(" 2^-2 ,2^-3 ") == (0.25, 0.125)
+
+
+def test_occupation_delta_may_carry_spaces(tmp_path):
+    result = _invoke(["occupation", "example2", "--delta", " 2^-6", "--samples", "4",
+                      "--out", str(tmp_path)])
+    assert result.exit_code == 0, _all_text(result)
+    assert (tmp_path / "occupation.csv").exists()
 
 
 def test_parse_deltas_rejects_bad_token():
@@ -604,11 +615,16 @@ def test_config_breakpoint_without_a_jump_may_lie_off_the_surface(tmp_path):
 
 def test_report_json_rows_give_both_runs_band_radii(report_dir):
     rows = json.loads((report_dir / "report.json").read_text())["rows"]
-    for row in rows:
-        for run, delta in (("fine", row["delta"]), ("coarse", 2.0 * row["delta"])):
-            p = StepSizeParams.for_problem(get_example("example2").problem, delta)
+    problem = get_example("example2").problem
+    deltas = tuple(row["delta"] for row in rows)
+    _, n_fine, n_coarse = _engine.coupled_pair(problem, deltas, np.arange(48), 3)
+    for r, row in enumerate(rows):
+        for run, delta, steps in (("fine", row["delta"], n_fine[:, r]),
+                                  ("coarse", 2.0 * row["delta"], n_coarse[:, r])):
+            p = StepSizeParams.for_problem(problem, delta)
             assert row[run] == {
-                "eps1": p.eps1, "eps2": p.eps2, "framework_valid": p.framework_valid
+                "eps1": p.eps1, "eps2": p.eps2, "framework_valid": p.framework_valid,
+                "steps_total": int(steps.sum()), "steps_max": int(steps.max()),
             }
     # JSON only: the CSV keeps its pinned columns
     header = (report_dir / "report.csv").read_text().splitlines()[0]
@@ -837,3 +853,16 @@ def test_verify_transform_needs_piecewise_drift(tmp_path):
     result = _invoke(["verify-transform", "--config", str(config), "--samples", "4"])
     assert result.exit_code == 2
     assert "piecewise" in _all_text(result)
+
+
+def test_config_with_steep_branches_loads(tmp_path):
+    # slope 200 on both sides of the jump at 0, whose strength is 1
+    cfg = dict(_CONFIG_1D, surface={"type": "points1d", "points": [0.0]},
+               drift={"breakpoints": [0.0], "branches": ["1 - 200*x", "-1 - 200*x"]})
+    problem, transform = problem_from_config(cfg)
+    assert problem.drift.f.left_limits == (1.0,) and problem.drift.f.right_limits == (-1.0,)
+    assert transform()._alphas.tolist() == [1.0]
+    config = _write_config(tmp_path, cfg)
+    result = _invoke(["run", "--config", str(config), "--deltas", "2^-2", "--samples", "8",
+                      "--out", str(tmp_path)])
+    assert result.exit_code == 0, _all_text(result)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from adaptive_em import _engine, montecarlo
-from adaptive_em.brownian import BrownianPath
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
     ExperimentConfig,
@@ -23,6 +22,7 @@ from adaptive_em.montecarlo import (
 from adaptive_em.problems import get_example
 from adaptive_em.solver import RunawaySimulationError, SdeProblem, StepSizeParams
 from oracles import (
+    BrownianPath,
     CONFIG_PROBLEM,
     CONFIG_TRANSFORM,
     coupled_difference_sample,
@@ -648,8 +648,10 @@ def test_report_rows_give_band_radii_of_the_fine_and_the_coarse_run():
     for row in report.rows:
         for run, delta in (("fine", row["delta"]), ("coarse", 2.0 * row["delta"])):
             p = StepSizeParams.for_problem(problem, delta)
+            # far from the surface every step is delta, so each sample takes 1 / delta
             assert row[run] == {
-                "eps1": p.eps1, "eps2": p.eps2, "framework_valid": p.framework_valid
+                "eps1": p.eps1, "eps2": p.eps2, "framework_valid": p.framework_valid,
+                "steps_total": 4 * round(1.0 / delta), "steps_max": round(1.0 / delta),
             }
     assert report.rows[1]["fine"]["framework_valid"] is True
     assert report.rows[1]["coarse"]["framework_valid"] is False
@@ -681,6 +683,25 @@ def test_report_rows_give_log_factor_and_top_sample_shares():
     assert row["log_factor"] == 8.0 * 0.125 / math.log(8.0)
     assert row["msq_top1_share"] is None and row["msq_top10_share"] is None
     assert json.loads(json.dumps(row))["msq_top10_share"] is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_rows_give_step_totals_and_maxima(workers, monkeypatch):
+    # batches of 8, so two workers share three batches
+    monkeypatch.setattr(montecarlo, "_BATCH", 8)
+    deltas, samples = (0.25, 0.125, 0.0625), 20
+    report = run_experiment(
+        ExperimentConfig(problem="example1", deltas=deltas, samples=samples, master_seed=5),
+        workers=workers,
+    )
+    _, n_fine, n_coarse = _engine.coupled_pair(EX1, deltas, np.arange(samples), 5)
+    for r, row in enumerate(report.rows):
+        for run, steps in (("fine", n_fine[:, r]), ("coarse", n_coarse[:, r])):
+            assert row[run]["steps_total"] == int(steps.sum())
+            assert row[run]["steps_max"] == int(steps.max())
+            assert type(row[run]["steps_total"]) is int and type(row[run]["steps_max"]) is int
+        assert row["fine"]["steps_total"] / samples == row["cost_mean"]
+    assert json.loads(json.dumps(report.to_json_dict()))["rows"] == report.rows
 
 
 def test_mean_and_stderr_against_direct_formula():

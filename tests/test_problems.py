@@ -11,12 +11,15 @@ from adaptive_em.problems import (
     _EX2_DRIFT,
     EXAMPLES,
     ExampleEntry,
+    _Lift1D,
+    _LiftDiffusion1D,
     _ex1_sigma,
     _ex2_sigma,
     example_names,
     get_example,
 )
-from adaptive_em.transform1d import Transform1D
+from adaptive_em.solver import SdeProblem
+from adaptive_em.transform1d import PiecewiseDrift1D, Transform1D
 
 
 def test_registry_names():
@@ -148,3 +151,36 @@ def test_problems_are_picklable():
         assert clone.surface.distance(entry.problem.x0) == entry.problem.surface.distance(
             entry.problem.x0
         )
+
+
+def _problem_jumping_at_half(left, right, surface):
+    drift = PiecewiseDrift1D((0.5,), (lambda x: np.full(np.shape(x), left),
+                                      lambda x: np.full(np.shape(x), right)))
+    return SdeProblem(
+        dimension=1,
+        drift=_Lift1D(drift),
+        diffusion=_LiftDiffusion1D(lambda x: np.ones(np.shape(x))),
+        surface=surface,
+        x0=np.array([0.0]),
+        horizon=1.0,
+        eps0=0.2,
+        sigma_sup=1.0,
+    )
+
+
+def test_problem_built_in_python_may_not_jump_off_its_surface():
+    # the scheme would refine around -0.7 and step over the jump at 0.5
+    with pytest.raises(ValueError, match="jumps at breakpoint 0.5"):
+        _problem_jumping_at_half(1.0, -1.0, PointSet1D((-0.7,)))
+    # a jump on the surface, and a breakpoint without one anywhere, are fine
+    assert _problem_jumping_at_half(1.0, -1.0, PointSet1D((0.5,))).surface.points == (0.5,)
+    assert _problem_jumping_at_half(1.0, 1.0, PointSet1D((-0.7,))).surface.points == (-0.7,)
+
+
+def test_every_registered_and_config_problem_passes_the_jump_rule():
+    # replace() runs __post_init__, and so the rule, again
+    from oracles import CONFIG_PROBLEM
+
+    problems = [get_example(name).problem for name in example_names()] + [CONFIG_PROBLEM]
+    for problem in problems:
+        assert dataclasses.replace(problem).surface == problem.surface

@@ -9,7 +9,6 @@ import pytest
 
 import oracles
 from adaptive_em import _engine
-from adaptive_em.brownian import BrownianPath
 from adaptive_em.cli import _trajectory
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
@@ -26,7 +25,7 @@ from adaptive_em.solver import (
     _step_budget,
     step_size_from_distance,
 )
-from oracles import em_step, interpolate, simulate_adaptive, step_size
+from oracles import BrownianPath, em_step, interpolate, simulate_adaptive, step_size
 
 DELTA16 = 2.0 ** -4
 

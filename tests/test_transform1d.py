@@ -52,6 +52,21 @@ def test_piecewise_drift_validation():
         )
 
 
+@pytest.mark.parametrize("slope", [150.0, 1e4])
+def test_steep_continuous_branches_are_accepted(slope):
+    # the cross-check just off a breakpoint allows for the branch's own slope
+    for sign in (1.0, -1.0):
+        mu = PiecewiseDrift1D(
+            breakpoints=(0.0,),
+            branches=(lambda x: 1.0 + sign * slope * x, lambda x: -1.0 - sign * slope * x),
+        )
+        assert (mu.left_limits, mu.right_limits) == ((1.0,), (-1.0,))
+    smooth = PiecewiseDrift1D(
+        breakpoints=(0.5,), branches=(lambda x: slope * x, lambda x: slope * x)
+    )
+    assert smooth.left_limits == smooth.right_limits == (slope * 0.5,)
+
+
 def test_piecewise_drift_without_breakpoints():
     mu = PiecewiseDrift1D(breakpoints=(), branches=(np.sin,))
     assert mu(0.3) == np.sin(0.3)
