@@ -264,7 +264,10 @@ def problem_from_config(cfg: dict):
     geometry ``type``; and ``drift``/``diffusion`` as numpy expressions (in
     ``x`` for one dimension, ``x1..xd`` otherwise).  One-dimensional drifts
     may instead give ``{"breakpoints": [...], "branches": [...]}``, each jump
-    on the surface, which enables the transform benchmark.  The factory is
+    on the surface, which enables the transform benchmark.  A drift that
+    jumps must take that form, which ``SdeProblem.__post_init__`` checks: a
+    drift given as one expression (``where``, ``sign``, ...) is not checked
+    and must be continuous off the surface.  The factory is
     ``ExampleEntry.transform``: it raises a ValueError for a problem without
     a transform, and DegenerateDiffusionError (a ValueError) if the
     diffusion vanishes at a breakpoint.  A number, or an entry of a

@@ -98,8 +98,12 @@ class SdeProblem:
     ``diffusion`` maps them to matrices of shape (..., d, d); both must accept
     batched input.  ``sigma_sup`` bounds the Frobenius norm of the diffusion
     on the eps0-tube around the surface; it is supplied by the problem
-    definition, not estimated.  No bound on the drift enters the scheme.  A
-    scalar ``PiecewiseDrift1D`` drift may jump only at points of the surface.
+    definition, not estimated.  No bound on the drift enters the scheme.  The
+    scheme refines its step only near the surface, so the drift may jump
+    only on it; this is checked for a scalar ``PiecewiseDrift1D`` drift.  The
+    jumps of any other drift, such as one numpy expression with ``where`` or
+    ``sign``, cannot be read off it: such a drift must be continuous off the
+    surface, and a scalar drift that jumps is given as a ``PiecewiseDrift1D``.
     """
 
     dimension: int

@@ -34,7 +34,6 @@ _MAX_ITER = 200
 _ZERO = np.array(0.0)
 _HALF = np.array(0.5)
 _ONE = np.array(1.0)
-_MINUS_ONE = np.array(-1.0)
 _TWO = np.array(2.0)
 _FIVE = np.array(5.0)
 _TWENTY_TWO = np.array(22.0)
@@ -109,15 +108,25 @@ class PiecewiseDrift1D:
         return out
 
 
+def _zero_where(val, mask):
+    # val with +0.0 where mask holds: in place on an array, by np.where on a
+    # numpy scalar, which cannot be written to
+    if isinstance(val, np.ndarray):
+        np.copyto(val, _ZERO, where=mask)
+        return val
+    return np.where(mask, _ZERO, val)
+
+
 def _bump(u):
-    # the quartic bump (1+u)^4 (1-u)^4 at u >= 0, zero past 1; powers spelled
-    # out as products so scalar and batched evaluations agree.  On arrays the
-    # products are taken in place; a scalar u just rebinds q
+    # the quartic bump (1+u)^4 (1-u)^4 at u >= 0, zero past 1 (a NaN u stays
+    # NaN); powers spelled out as products so scalar and batched evaluations
+    # agree.  On arrays the products are taken in place; a scalar u just
+    # rebinds q
     q = _ONE + u
     q *= _ONE - u
     q *= q
     q *= q
-    return np.where(u <= _ONE, q, _ZERO)
+    return _zero_where(q, u > _ONE)
 
 
 def _psi(s, r, u):
@@ -127,20 +136,27 @@ def _psi(s, r, u):
     return s * r * _bump(u)
 
 
-def _psi_prime(r, u):
+def _powers(u):
+    # v = u^2, w = 1 - v and w^2, which both derivatives of the profile take.
+    # For r < c, u = fl(r/c) <= 1 - 2^-53 and v < 1; for r >= c, u and v are
+    # at least 1: so v < 1 is the bump's support r < c, and false at NaN
     v = u * u
     w = _ONE - v
-    val = _TWO * r * (w * w * w) * (_ONE - _FIVE * v)
-    return np.where(v < _ONE, val, _ZERO)
+    return v, w, w * w
 
 
-def _psi_second(s, u):
-    # odd in s; the convention at s = 0 is the right-hand branch
-    v = u * u
-    w = _ONE - v
-    sign = np.where(np.asarray(s, dtype=float) >= _ZERO, _ONE, _MINUS_ONE)
-    val = sign * _TWO * (w * w) * (_ONE - _TWENTY_TWO * v + _FORTY_FIVE * v * v)
-    return np.where(v < _ONE, val, _ZERO)
+def _psi_prime(r, v, w, ww):
+    # the profile's first derivative on the support v < 1; callers zero it
+    # past the support
+    return _TWO * r * (ww * w) * (_ONE - _FIVE * v)
+
+
+def _psi_second(s, v, ww):
+    # the second derivative on the support, odd in s; the convention at s = 0
+    # is the right-hand branch: s + 0 is +0 at both zeros, so copysign gives
+    # +2 there.  Callers zero it past the support
+    sign2 = np.copysign(_TWO, s + _ZERO)
+    return sign2 * ww * (_ONE - _TWENTY_TWO * v + _FORTY_FIVE * v * v)
 
 
 class Transform1D:
@@ -190,7 +206,9 @@ class Transform1D:
         if self._bp.size == 0:
             return True
         r = np.abs(np.linspace(-c, c, 2001))
-        slopes = 1.0 + self._alphas[:, None] * _psi_prime(r, r / c)[None, :]
+        v, w, ww = _powers(r / c)
+        pp = _zero_where(_psi_prime(r, v, w, ww), v >= _ONE)
+        slopes = 1.0 + self._alphas[:, None] * pp[None, :]
         return bool(slopes.min() >= 0.1)
 
     def _split(self, x):
@@ -198,7 +216,7 @@ class Transform1D:
         # quarter of the smallest gap, so every point within c of a
         # breakpoint picks that breakpoint; the callers read pick only there
         x = np.asarray(x, dtype=float)
-        pick = np.searchsorted(self._mid, x)
+        pick = self._mid.searchsorted(x)
         return pick, x - self._bp[pick]
 
     def _local(self, x):
@@ -209,10 +227,12 @@ class Transform1D:
         return s, r, r / self.c, self._alphas[pick]
 
     def _bend(self, s, r, u, a):
-        # first and second derivative at local coordinates (s, r, u, a)
-        inside = r < self.c
-        gp = _ONE + np.where(inside, a * _psi_prime(r, u), _ZERO)
-        gs = np.where(inside, a * _psi_second(s, u), _ZERO)
+        # first and second derivative at local coordinates (s, r, u, a): 1 and
+        # +0 past the bump, where v < 1 fails (NaN among them)
+        v, w, ww = _powers(u)
+        outside = ~(v < _ONE)
+        gp = _ONE + _zero_where(a * _psi_prime(r, v, w, ww), outside)
+        gs = _zero_where(a * _psi_second(s, v, ww), outside)
         return gp, gs
 
     def value(self, x):
@@ -236,27 +256,29 @@ class Transform1D:
             return np.zeros_like(x)
         return self._bend(*self._local(x))[1]
 
-    def _newton(self, z, pick):
-        # safeguarded Newton for in-bump points z of the bumps pick; a lane
-        # keeps its iterate once its residual meets _TOL.  Returns the roots
-        # and their local coordinates (s, r, u, a), as _local gives them.
+    def _newton(self, z, pick, s, r):
+        # safeguarded Newton for in-bump points z of the bumps pick, at offset
+        # s from their breakpoints and r = |s|; a lane keeps its iterate once
+        # its residual meets _TOL.  Returns the roots and their local
+        # coordinates (s, r, u, a), as _local gives them.
         # Every iterate x lies in [lo, hi]: z does, since fl(z - xi) < c puts
         # z at or below fl(xi + c) (a z above it is at least xi + c, so
         # fl(z - xi) >= c), and at or above fl(xi - c) likewise; a Newton
         # candidate is kept only strictly inside the bracket, and fl(lo + hi)/2
-        # lies in [lo, hi].  So a lane that moves a bracket end moves it to x.
-        # lo, hi and each candidate are fresh arrays, updated in place.
+        # lies in [lo, hi].  So a lane that moves a bracket end moves it to x,
+        # and no iterate is NaN.
+        # lo, hi and each pass's temporaries are fresh arrays, updated in place.
         c = np.array(self.c)
         xi = self._bp[pick]
         a = self._alphas[pick]
         lo = xi - c
         hi = xi + c
         x = z
+        u = r / c
         for _ in range(_MAX_ITER):
-            s = x - xi
-            r = np.abs(s)
-            u = r / c
-            resid = x + a * _psi(s, r, u) - z
+            resid = a * _psi(s, r, u)
+            resid += x
+            resid -= z
             done = np.abs(resid) <= _TOL_0D
             n_done = np.count_nonzero(done)
             if n_done == done.size:
@@ -264,8 +286,11 @@ class Transform1D:
             # monotone map: the residual sign tells the bracket side
             np.copyto(hi, x, where=resid > _ZERO)
             np.copyto(lo, x, where=resid < _ZERO)
-            slope = _ONE + a * _psi_prime(r, u)
-            cand = x - resid / slope
+            v, w, ww = _powers(u)
+            slope = _zero_where(a * _psi_prime(r, v, w, ww), v >= _ONE)
+            slope += _ONE
+            resid /= slope
+            cand = x - resid
             # a NaN or infinite step fails both tests and takes the bracket's midpoint
             ok = (cand > lo) & (cand < hi)
             if np.count_nonzero(ok) < ok.size:
@@ -273,6 +298,9 @@ class Transform1D:
             if n_done:
                 np.copyto(cand, x, where=done)
             x = cand
+            s = x - xi
+            r = np.abs(s)
+            u = r / c
         raise RootFindError("transform inversion did not converge")
 
     def _invert(self, z):
@@ -282,11 +310,14 @@ class Transform1D:
         z = np.asarray(z, dtype=float)
         x = z.copy()
         if self._bp.size:
-            near, s = self._split(z)
-            lanes = np.flatnonzero(np.abs(s) < self.c)
+            # a view of the fresh copy, in the flat order of z
+            flat = x.reshape(-1)
+            near, s = self._split(flat)
+            r = np.abs(s)
+            lanes = (r < self.c).nonzero()[0]
             if lanes.size:
-                xb, *local = self._newton(np.take(z, lanes), np.take(near, lanes))
-                np.put(x, lanes, xb)
+                xb, *local = self._newton(flat[lanes], near[lanes], s[lanes], r[lanes])
+                flat[lanes] = xb
                 return x, lanes, local
         return x, None, None
 
@@ -306,16 +337,15 @@ class Transform1D:
         derivative, which is what cancels the jumps.  Only the points inside
         a bump interval are inverted and bent; the others are fixed points
         with unit slope.  Each bump interval maps onto itself and ``c`` is
-        at most half the smallest gap, so the inverse of a point keeps the
-        breakpoint of the point itself.
+        at most a quarter of the smallest gap, so the inverse of a point
+        keeps the breakpoint of the point itself.
         """
         x, lanes, local = self._invert(z)
-        gp = np.ones(x.shape)
+        gp = np.empty(x.shape)
+        gp.fill(1.0)
         gs = np.zeros(x.shape)
         if lanes is not None:
-            gp_b, gs_b = self._bend(*local)
-            np.put(gp, lanes, gp_b)
-            np.put(gs, lanes, gs_b)
+            gp.reshape(-1)[lanes], gs.reshape(-1)[lanes] = self._bend(*local)
         sg = np.asarray(self.sigma(x), dtype=float)
         mu = np.asarray(self.drift(x), dtype=float)
         return gp * mu + _HALF * sg * sg * gs, gp * sg

@@ -47,6 +47,7 @@ from adaptive_em.transform1d import (
     _MAX_ITER,
     _TOL,
     RootFindError,
+    _powers,
     _psi,
     _psi_prime,
     _psi_second,
@@ -316,12 +317,16 @@ def verify_transform_sample(problem, transform, delta, sample_index, master_seed
 class FrozenInverse:
     """The inverse and the transformed coefficients of a Transform1D, frozen.
 
-    The methods are copied verbatim from ``Transform1D`` as it stood before
-    its Newton inversion was trimmed: the nearest breakpoint by two gathers
-    and a comparison, the bracket clamped by ``np.minimum``/``np.maximum``,
-    the safeguard's midpoint formed on every pass, and the bend gathered
-    again from the breakpoint index.  One line is added: ``bisections``
-    counts the unconverged lanes whose Newton candidate left the bracket.
+    The methods are copied from ``Transform1D`` as it stood before its
+    Newton inversion was trimmed: the nearest breakpoint by two gathers and
+    a comparison, the bracket clamped by ``np.minimum``/``np.maximum``, the
+    safeguard's midpoint formed on every pass, and the bend gathered again
+    from the breakpoint index.  They share the profile's formulas
+    (``_psi``, ``_psi_prime``, ``_psi_second`` and their common powers
+    ``_powers``) with it, and zero the derivatives past the bump by
+    ``np.where`` as the helpers then did themselves.  One line is added:
+    ``bisections`` counts the unconverged lanes whose Newton candidate left
+    the bracket.
     """
 
     def __init__(self, tr):
@@ -349,8 +354,9 @@ class FrozenInverse:
         u = r / c
         inside = r < c
         a = self._alphas[pick]
-        gp = 1.0 + np.where(inside, a * _psi_prime(r, u), 0.0)
-        gs = np.where(inside, a * _psi_second(s, u), 0.0)
+        v, w, ww = _powers(u)
+        gp = 1.0 + np.where(inside, a * _psi_prime(r, v, w, ww), 0.0)
+        gs = np.where(inside, a * _psi_second(s, v, ww), 0.0)
         return gp, gs
 
     def _newton(self, z, pick):
@@ -373,7 +379,8 @@ class FrozenInverse:
             # monotone map: the residual sign tells the bracket side
             hi = np.where(resid > 0.0, np.minimum(hi, x), hi)
             lo = np.where(resid < 0.0, np.maximum(lo, x), lo)
-            slope = 1.0 + a * _psi_prime(r, u)
+            v, w, ww = _powers(u)
+            slope = 1.0 + a * np.where(v < 1.0, _psi_prime(r, v, w, ww), 0.0)
             cand = x - resid / slope
             # a NaN or infinite step fails both tests and bisects
             self.bisections += int(np.count_nonzero(~((cand > lo) & (cand < hi)) & ~done))

@@ -1,5 +1,9 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from oracles import CONFIG_TRANSFORM
 
 from adaptive_em import transform1d
 from adaptive_em.problems import get_example
@@ -212,3 +216,70 @@ def test_identity_transform_without_breakpoints():
     mu_g, sg_g = tr.transformed_coeffs(z)
     np.testing.assert_allclose(mu_g, np.cos(z))
     np.testing.assert_allclose(sg_g, np.ones_like(z))
+
+
+# sha256 prefixes of each public method's outputs at the edge inputs below:
+# the type, dtype, shape and bytes of every output, in input order
+_EDGE_DIGESTS = {
+    "example1": {
+        "value": "6ba947304bc5f206",
+        "derivative": "6f5573c3fcebe42a",
+        "second_derivative": "072995530867aef4",
+        "inverse": "4dba445d627cec0f",
+        "transformed_coeffs": "ebfa54bc4281fc7b",
+    },
+    "example2": {
+        "value": "182f20b8e7139a48",
+        "derivative": "6654873b5f7cc1ad",
+        "second_derivative": "d0ba2692368d7a41",
+        "inverse": "14c2dff6dc85c959",
+        "transformed_coeffs": "49ef5c5e9c5b0df1",
+    },
+    "config": {
+        "value": "5c42526fc4b4fb63",
+        "derivative": "dd0416239cac7b3e",
+        "second_derivative": "26c55c2521c87d86",
+        "inverse": "bd54163041ec9142",
+        "transformed_coeffs": "cbfb1734993180f1",
+    },
+}
+
+
+def _edge_inputs(tr):
+    # both zeros (offsets +0.0 and -0.0 at a breakpoint at 0), NaN and both
+    # infinities; per breakpoint b a point inside its bump, and b, fl(b - c)
+    # and fl(b + c) with one ulp either side.  Each point alone as a float,
+    # then the first as a 0-d array, all of them as a 1-D array, as a 2-D
+    # array and as that array's transpose, which is not C-contiguous
+    c = tr.c
+    pts = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    for b in tr.drift.breakpoints:
+        pts.append(b + 0.5 * c)
+        for m in (b, b - c, b + c):
+            pts += [m, float(np.nextafter(m, -math.inf)), float(np.nextafter(m, math.inf))]
+    grid = np.array(pts).reshape(-1, 5)
+    return [*pts, np.array(pts[0]), np.array(pts), grid, grid.T]
+
+
+def _digest(outs):
+    h = hashlib.sha256()
+    for out in outs:
+        for v in out if isinstance(out, tuple) else (out,):
+            a = np.asarray(v)
+            h.update(f"{type(v).__name__} {a.dtype.str} {a.shape} ".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_DIGESTS))
+def test_public_outputs_at_edge_inputs_are_pinned(name):
+    tr = {
+        "example1": EX1.transform(),
+        "example2": EX2.transform(),
+        "config": CONFIG_TRANSFORM,
+    }[name]
+    zs = _edge_inputs(tr)
+    # the branches overflow or meet inf - inf at the infinities
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = {m: _digest([getattr(tr, m)(z) for z in zs]) for m in _EDGE_DIGESTS[name]}
+    assert got == _EDGE_DIGESTS[name]
