@@ -19,7 +19,6 @@ alternating in one process cancels most of that drift.
 """
 
 import argparse
-import importlib
 import importlib.util
 import statistics
 import sys
@@ -52,18 +51,18 @@ def load_tree(root: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.montecarlo")
+    return module
 
 
-def make_job(montecarlo, workload: str):
+def make_job(package, workload: str):
     """A zero-argument call of the workload's batch job over every sample."""
     example, deltas, samples = WORKLOADS[workload]
-    entry = montecarlo.get_example(example)
+    entry = package.get_example(example)
     if workload == "ladder-ex1":
         payload = (entry.problem, deltas, SEED)
-        return lambda: montecarlo._coupled_job(payload, 0, samples)
+        return lambda: package.montecarlo._coupled_job(payload, 0, samples)
     payload = (entry.problem, entry.transform(), deltas, SEED)
-    return lambda: montecarlo._verify_job(payload, 0, samples)
+    return lambda: package.montecarlo._verify_job(payload, 0, samples)
 
 
 def timed(job):

@@ -31,9 +31,9 @@ import ab_jobs  # noqa: E402
 WORKLOAD = "transform-ex2"
 
 
-def capture(montecarlo) -> list:
+def capture(package) -> list:
     """The inputs of every ``transformed_coeffs`` call of the workload's job."""
-    cls = montecarlo.Transform1D
+    cls = package.Transform1D
     kernel = cls.transformed_coeffs
     inputs = []
 
@@ -43,7 +43,7 @@ def capture(montecarlo) -> list:
 
     cls.transformed_coeffs = recording
     try:
-        ab_jobs.make_job(montecarlo, WORKLOAD)()
+        ab_jobs.make_job(package, WORKLOAD)()
     finally:
         cls.transformed_coeffs = kernel
     return inputs
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     if args.calls is not None and args.calls < len(inputs):
         inputs = [inputs[i] for i in np.linspace(0, len(inputs) - 1, args.calls).astype(int)]
     example = ab_jobs.WORKLOADS[WORKLOAD][0]
-    kernels = [mc.get_example(example).transform().transformed_coeffs for mc in trees]
+    kernels = [pkg.get_example(example).transform().transformed_coeffs for pkg in trees]
     cpu = ([], [])
     for p in range(args.pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)

@@ -15,7 +15,6 @@ from .geometry import (
     PointSet1D,
 )
 from .montecarlo import (
-    ExperimentConfig,
     MonteCarloReport,
     occupation_values,
     run_experiment,
@@ -34,7 +33,6 @@ from .transform1d import (
 __all__ = [
     "Circle2D",
     "DegenerateDiffusionError",
-    "ExperimentConfig",
     "Hyperplane",
     "Hypersurface",
     "MonteCarloReport",

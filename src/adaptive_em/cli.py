@@ -7,8 +7,10 @@ schemas are pinned: run CSVs have exactly the columns
 ``delta,msq,msq_stderr,cost_mean,cost_stderr`` and fit JSONs exactly the
 keys ``c1,c2,c3,residual_logspace,residual_rawspace``.  Exit codes: 0 on
 success, 2 on usage errors, 1 on runtime failure.  The estimator commands
-leave their numeric input rules to ``montecarlo``, so a ValueError it raises
-exits 2 and any other failure, such as a lane that runs away, exits 1.
+pass their parsed options to ``run_experiment``, ``occupation_values`` and
+``verify_transform`` as plain arguments and leave the numeric input rules to
+them, so a ValueError they raise exits 2 and any other failure, such as a
+lane that runs away, exits 1.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from . import _engine
 from .geometry import surface_from_config
 from .montecarlo import (
-    ExperimentConfig,
     _mean_stderr,
     _write_csv,
     occupation_values,
@@ -162,15 +163,19 @@ class ExpressionFunction:
 
 
 class VectorField:
-    """Vector field with one expression per component in variables x1..xd."""
+    """Vector field with one expression per component, in variables x1..xd.
 
-    def __init__(self, exprs, dimension):
-        self.dimension = dimension
-        names = tuple(f"x{i + 1}" for i in range(dimension))
+    ``d`` is the number of expressions, not the config's ``dimension``, which
+    ``SdeProblem`` checks before it evaluates the field.  A state of fewer
+    components leaves a name unbound: a NameError on the first evaluation.
+    """
+
+    def __init__(self, exprs):
+        names = tuple(f"x{i + 1}" for i in range(len(exprs)))
         self.fns = tuple(ExpressionFunction(e, names) for e in exprs)
 
     def __call__(self, x):
-        comps = tuple(x[..., i] for i in range(self.dimension))
+        comps = tuple(x[..., i] for i in range(x.shape[-1]))
         shape = x[..., 0].shape
         cols = [
             np.broadcast_to(np.asarray(f(*comps), dtype=float), shape)
@@ -182,8 +187,8 @@ class VectorField:
 class MatrixField:
     """Matrix field with one VectorField per row, in variables x1..xd."""
 
-    def __init__(self, rows, dimension):
-        self.rows = tuple(VectorField(row, dimension) for row in rows)
+    def __init__(self, rows):
+        self.rows = tuple(VectorField(row) for row in rows)
 
     def __call__(self, x):
         return np.stack([row(x) for row in self.rows], axis=-2)
@@ -208,6 +213,8 @@ def parse_deltas(spec: str):
         a, b = int(m.group(1)), int(m.group(2))
         if b < a:
             raise click.BadParameter(f"range {spec!r} must go from coarse to fine")
+        if 2.0**-b == 0.0:  # before b - a + 1 floats are built
+            raise click.BadParameter(f"range {spec!r} ends at 2^-{b}, which is 0 as a float")
         return tuple(2.0**-k for k in range(a, b + 1))
     return tuple(_parse_delta_token(tok) for tok in spec.split(","))
 
@@ -246,14 +253,14 @@ def _drift_from_config(cfg: dict, dimension: int):
                 ExpressionFunction(e, ("x",)) for e in drift["branches"]
             ),
         ))
-    return VectorField(list(drift), dimension)
+    return VectorField(list(drift))
 
 
 def _diffusion_from_config(cfg: dict, dimension: int):
     diffusion = cfg["diffusion"]
     if dimension == 1:
         return _LiftDiffusion1D(ExpressionFunction(diffusion, ("x",)))
-    return MatrixField(list(diffusion), dimension)
+    return MatrixField(list(diffusion))
 
 
 def problem_from_config(cfg: dict):
@@ -293,7 +300,7 @@ def problem_from_config(cfg: dict):
             eps0=float(cfg["eps0"]),
             sigma_sup=float(cfg["sigma_sup"]),
         )
-    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, NameError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad problem config: {exc}") from exc
     return problem, ExampleEntry("config", problem).transform
 
@@ -398,18 +405,13 @@ def cmd_run(example, config_path, deltas, samples, seed, workers, occupation_eps
     """
     with _estimator_errors("run"):
         problem, _ = _resolve_problem(example, config_path)
-        config = ExperimentConfig(
-            problem=problem,
-            deltas=parse_deltas(deltas),
-            samples=samples,
-            master_seed=seed,
-            occupation_epsilons=parse_epsilons(occupation_epsilons) if occupation_epsilons else (),
-        )
-        report = run_experiment(config, workers=workers)
+        delta_values = parse_deltas(deltas)
+        eps_values = parse_epsilons(occupation_epsilons) if occupation_epsilons else ()
+        report = run_experiment(problem, delta_values, samples, seed, workers, eps_values)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if dump_trajectories:
-            for delta in config.deltas:
+            for delta in delta_values:
                 _dump_trajectory(problem, delta, seed, out)
         with open(out / "report.csv", "w") as fh:
             report.to_csv(fh)
@@ -432,8 +434,11 @@ def _numeric_column(report_csv, rows, name):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default="fit.json", show_default=True, help="Where to write the fit JSON.")
 def cmd_fit(report_csv, column, out_path):
     """Fit c1 * log(1/delta)^c2 * delta^c3 to a column of a run report."""
-    with open(report_csv) as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(report_csv) as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise click.UsageError(f"cannot read report {report_csv}: {exc}") from exc
     if not rows or "delta" not in rows[0]:
         raise click.UsageError(f"{report_csv} lacks a delta column")
     if column not in rows[0]:

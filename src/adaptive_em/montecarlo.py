@@ -3,7 +3,9 @@
 The quantities of interest are per-step-size rows of coupled mean-square
 differences (the scheme at delta against the scheme at 2*delta on the same
 Brownian path, compared at the horizon), expected step counts, and optional
-occupation times near the discontinuity surface.
+occupation times near the discontinuity surface.  The three estimators take
+``(problem, ..., samples, master_seed, workers=1)`` and check every input
+before any batch runs or any warning is logged.
 
 Samples are simulated in fixed-size batches by the vectorized kernels in
 ``_engine``; because every Gaussian draw is keyed by (sample index, knot
@@ -23,13 +25,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Union
 
 import numpy as np
 
 from . import _engine
-from .problems import get_example
-from .solver import SdeProblem, StepSizeParams
+from .solver import StepSizeParams
 from .transform1d import Transform1D
 
 _BATCH = 512
@@ -37,29 +37,26 @@ _BATCH = 512
 logger = logging.getLogger(__name__)
 
 
-def _check_occupation_epsilon(problem, epsilon) -> None:
+def _check_occupation_epsilons(problem, epsilons) -> None:
     # keeps the tube well inside the region the problem's bounds hold on
-    if not 0.0 < epsilon < 0.5 * problem.eps0:
-        raise ValueError(f"epsilon {epsilon} outside (0, eps0/2)")
+    for epsilon in epsilons:
+        if not 0.0 < epsilon < 0.5 * problem.eps0:
+            raise ValueError(f"epsilon {epsilon} outside (0, eps0/2)")
 
 
-def _check_integer(value, name) -> int:
-    # a Python int, so any width and sign keys the paths and the report serializes
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
+def _check_counts(samples, master_seed, workers) -> tuple:
+    """Check the three integers; return ``samples`` and ``master_seed`` as Python ints.
 
-
-def _check_samples(samples) -> int:
-    samples = _check_integer(samples, "samples")
+    A Python int keys the paths at any width and sign, and the report serializes it.
+    """
+    for value, name in ((samples, "samples"), (workers, "workers"), (master_seed, "master_seed")):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples for standard errors")
-    return samples
-
-
-def _check_workers(workers) -> None:
-    if _check_integer(workers, "workers") < 1:
+    if workers < 1:
         raise ValueError("need at least 1 worker")
+    return int(samples), int(master_seed)
 
 
 def _nonempty_floats(values, what) -> tuple:
@@ -67,48 +64,6 @@ def _nonempty_floats(values, what) -> tuple:
     if not values:
         raise ValueError(f"need at least one {what}")
     return values
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Inputs of one coupled-difference experiment.
-
-    Args:
-        problem: an SdeProblem, or the name of a registered example.
-        deltas: step-size parameters, each in (0, 0.5) so the coarse run
-            at twice the value stays admissible.
-        samples: number of Monte Carlo samples per delta (at least 2).
-        master_seed: integer seed from which every per-sample stream is
-            derived, stored as a Python int.
-        occupation_epsilons: tube half-widths for optional occupation rows,
-            each in (0, eps0/2) for the problem's eps0.
-    """
-
-    problem: Union[SdeProblem, str]
-    deltas: tuple = ()
-    samples: int = 2
-    master_seed: int = 0
-    occupation_epsilons: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", _nonempty_floats(self.deltas, "delta"))
-        object.__setattr__(
-            self, "occupation_epsilons", tuple(float(e) for e in self.occupation_epsilons)
-        )
-        for d in self.deltas:
-            if not 0.0 < d < 0.5:
-                raise ValueError(f"delta {d} outside (0, 0.5)")
-        if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
-            raise ValueError("deltas must be strictly decreasing")
-        object.__setattr__(self, "samples", _check_samples(self.samples))
-        object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed"))
-        for e in self.occupation_epsilons:
-            _check_occupation_epsilon(self.resolve_problem(), e)
-
-    def resolve_problem(self) -> SdeProblem:
-        if isinstance(self.problem, str):
-            return get_example(self.problem).problem
-        return self.problem
 
 
 def _write_csv(stream, header, rows) -> None:
@@ -236,24 +191,36 @@ def _warn_outside_regime(params):
             )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
-    """Coupled-difference and cost estimates for every configured delta.
+def run_experiment(
+    problem, deltas, samples, master_seed, workers=1, occupation_epsilons=()
+) -> MonteCarloReport:
+    """Coupled-difference and cost estimates for every delta.
 
-    Identical configs give bit-identical rows regardless of ``workers``.
+    ``deltas`` are strictly decreasing, each in (0, 0.5) so the coarse run at
+    twice the value stays admissible; ``occupation_epsilons``, the tube
+    half-widths of optional occupation rows, each lie in (0, eps0/2).  The
+    same inputs give bit-identical rows regardless of ``workers``.
     """
-    _check_workers(workers)
-    problem = config.resolve_problem()
-    coarse, fine = _engine.coupled_ladders(problem, config.deltas)
+    deltas = _nonempty_floats(deltas, "delta")
+    for d in deltas:
+        if not 0.0 < d < 0.5:
+            raise ValueError(f"delta {d} outside (0, 0.5)")
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be strictly decreasing")
+    samples, master_seed = _check_counts(samples, master_seed, workers)
+    occupation_epsilons = tuple(float(e) for e in occupation_epsilons)
+    _check_occupation_epsilons(problem, occupation_epsilons)
+    coarse, fine = _engine.coupled_ladders(problem, deltas)
     _warn_outside_regime(p for pair in zip(coarse, fine) for p in pair)
     t0 = time.perf_counter()
     sq, n_fine, n_coarse = _map_batches(
-        _coupled_job, (problem, config.deltas, config.master_seed), config.samples, workers
+        _coupled_job, (problem, deltas, master_seed), samples, workers
     )
-    if config.occupation_epsilons:
-        payload = (problem, fine, config.occupation_epsilons, config.master_seed)
-        (occ,) = _map_batches(_occupation_job, payload, config.samples, workers)
+    if occupation_epsilons:
+        payload = (problem, fine, occupation_epsilons, master_seed)
+        (occ,) = _map_batches(_occupation_job, payload, samples, workers)
     rows = []
-    for r, delta in enumerate(config.deltas):
+    for r, delta in enumerate(deltas):
         # the pinned CSV columns, in order
         stats = (delta, *_mean_stderr(sq[r]), *_mean_stderr(n_fine[r].astype(float)))
         row = dict(zip(MonteCarloReport._CSV_COLUMNS, stats))
@@ -262,16 +229,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MonteCarloRepo
         row["coarse"] = _run_summary(coarse[r], n_coarse[r])
         row["log_factor"] = row["cost_mean"] * delta / math.log(1.0 / delta)
         row.update(_top_shares(sq[r]))
-        if config.occupation_epsilons:
+        if occupation_epsilons:
             row["occupation"] = [
                 {"epsilon": eps, "mean": mean, "stderr": se}
-                for eps, (mean, se) in zip(config.occupation_epsilons, map(_mean_stderr, occ[r]))
+                for eps, (mean, se) in zip(occupation_epsilons, map(_mean_stderr, occ[r]))
             ]
         rows.append(row)
     return MonteCarloReport(
         rows=rows,
-        samples=config.samples,
-        master_seed=config.master_seed,
+        samples=samples,
+        master_seed=master_seed,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -283,12 +250,9 @@ def occupation_values(problem, params, epsilon, samples, master_seed, workers=1)
     sequence of them, giving one row per epsilon from one pooled job; each
     must lie in (0, eps0/2).
     """
-    _check_samples(samples)
-    _check_workers(workers)
-    master_seed = _check_integer(master_seed, "master_seed")
+    samples, master_seed = _check_counts(samples, master_seed, workers)
     epsilons = _nonempty_floats(np.atleast_1d(epsilon), "epsilon")
-    for e in epsilons:
-        _check_occupation_epsilon(problem, e)
+    _check_occupation_epsilons(problem, epsilons)
     _warn_outside_regime([params])
     (vals,) = _map_batches(
         _occupation_job, (problem, (params,), epsilons, master_seed), samples, workers
@@ -306,9 +270,7 @@ def verify_transform(problem, transform: Transform1D, deltas, samples, master_se
     """
     if problem.dimension != 1:
         raise ValueError("transform verification requires a one-dimensional problem")
-    _check_samples(samples)
-    _check_workers(workers)
-    master_seed = _check_integer(master_seed, "master_seed")
+    samples, master_seed = _check_counts(samples, master_seed, workers)
     deltas = _nonempty_floats(deltas, "delta")
     _warn_outside_regime(StepSizeParams.for_problem(problem, d) for d in deltas)
     (vals,) = _map_batches(

@@ -29,7 +29,6 @@ from oracles import BrownianPath
 
 from adaptive_em.cli import main
 from adaptive_em.montecarlo import (
-    ExperimentConfig,
     occupation_values,
     run_experiment,
     verify_transform,
@@ -54,11 +53,7 @@ def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _ladder_report(example_name):
-    problem = get_example(example_name).problem
-    config = ExperimentConfig(
-        problem=problem, deltas=_LADDER, samples=_SAMPLES, master_seed=_SEED
-    )
-    return run_experiment(config)
+    return run_experiment(get_example(example_name).problem, _LADDER, _SAMPLES, _SEED)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 from oracles import BrownianPath, simulate_adaptive
 
-from adaptive_em import _engine, montecarlo
+from adaptive_em import _engine, cli, montecarlo
 from adaptive_em.cli import (
     ExpressionFunction,
     main,
@@ -118,6 +118,17 @@ def test_parse_deltas_rejects_reversed_range():
         parse_deltas("2^-6..2^-2")
 
 
+def test_parse_deltas_refuses_a_range_past_the_smallest_float():
+    # 2.0**-1075 is 0.0; the range is refused before its floats are built
+    for spec in ("2^-2..2^-1075", "2^-2..2^-1000000"):
+        with pytest.raises(click.BadParameter, match=spec.replace("^", r"\^")):
+            parse_deltas(spec)
+    assert parse_deltas("2^-1073..2^-1074") == (2.0**-1073, 5e-324)
+    result = _invoke(["run", "example1", "--deltas", "2^-2..2^-1000000"])
+    assert result.exit_code == 2
+    assert "which is 0 as a float" in _all_text(result)
+
+
 def test_parse_epsilons():
     assert parse_epsilons("0.1,0.05") == (0.1, 0.05)
     with pytest.raises(click.BadParameter):
@@ -189,6 +200,23 @@ def _with(cfg, path, value):
 
 
 _HYPERPLANE_2D = dict(_CONFIG_2D, surface={"type": "hyperplane", "normal": [1.0, 0.0], "offset": 0.0})
+
+
+def test_config_dimension_sizes_no_field(tmp_path, monkeypatch):
+    # the variables of a 2-D config's fields are x1, x2 whatever its dimension
+    widths = []
+
+    class Recording(cli.ExpressionFunction):
+        def __init__(self, expr, variables):
+            widths.append(len(variables))
+            super().__init__(expr, variables)
+
+    monkeypatch.setattr(cli, "ExpressionFunction", Recording)
+    config = _write_config(tmp_path, dict(_CONFIG_2D, dimension=10**6))
+    result = _invoke(["run", "--config", str(config), "--samples", "4", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "surface dimension does not match the problem" in _all_text(result)
+    assert widths == [2] * 6
 
 
 @pytest.mark.parametrize("cfg, path, value, message", [
@@ -331,6 +359,9 @@ def test_verify_transform_rejects_degenerate_diffusion(tmp_path):
     [
         ("drift", ["-x1", "x2", "1.0"]),
         ("diffusion", [["0.5*x1", "0.0", "0.0"], ["0.5*x2", "0.0", "0.0"]]),
+        # a name past the state's components
+        ("drift", ["-x1", "x2", "x3"]),
+        ("diffusion", [["0.5*x1", "0.0", "x3"], ["0.5*x2", "0.0", "0.0"]]),
     ],
 )
 def test_config_field_of_wrong_size_is_rejected(tmp_path, field, value):
@@ -757,6 +788,23 @@ def test_fit_rejects_missing_delta_column(tmp_path):
     result = _invoke(["fit", str(csv_path)])
     assert result.exit_code == 2
     assert "delta column" in _all_text(result)
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param(None, id="directory"),
+    pytest.param(b"delta,msq\n0.25,\xff\n", id="not-utf8"),
+    pytest.param(b"delta,msq\n0.25," + b"1" * 200_000 + b"\n", id="csv-error"),
+])
+def test_fit_unreadable_report_exits_2(tmp_path, body):
+    path = tmp_path / "report.csv"
+    if body is None:
+        path.mkdir()
+    else:
+        path.write_bytes(body)
+    result = _invoke(["fit", str(path), "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 2, _all_text(result)
+    assert f"cannot read report {path}" in _all_text(result)
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_fit_fails_on_short_report(tmp_path):

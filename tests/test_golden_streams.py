@@ -18,7 +18,6 @@ import pytest
 
 from adaptive_em.brownian import keyed_normals, path_key, time_bits
 from adaptive_em.montecarlo import (
-    ExperimentConfig,
     occupation_values,
     run_experiment,
     verify_transform,
@@ -59,11 +58,9 @@ def test_keyed_normals_dim1_is_first_component():
 
 
 def test_run_experiment_report_golden():
-    cfg = ExperimentConfig(
-        "example1", deltas=(2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5), samples=64, master_seed=0
-    )
+    problem = get_example("example1").problem
     buf = io.StringIO()
-    run_experiment(cfg).to_csv(buf)
+    run_experiment(problem, (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5), 64, 0).to_csv(buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
         "4006633a72141c3e27611f273c1fd6ed50f0d6b07106e2c1ec19b9fe5092a5ac"
     )

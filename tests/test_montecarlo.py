@@ -10,7 +10,6 @@ import pytest
 from adaptive_em import _engine, montecarlo
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
-    ExperimentConfig,
     _coupled_job,
     _occupation_job,
     _verify_job,
@@ -76,24 +75,23 @@ def _gbm_problem(mu=1.0, sigma=0.8):
     )
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem="example1", deltas=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem="example1", deltas=(0.5,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem="example1", deltas=(0.125, 0.25))
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem="example1", deltas=(0.25,), samples=1)
+def test_config_validation(no_batch_jobs, caplog):
+    for deltas, rule in (
+        ((), "need at least one delta"),
+        ((0.5,), r"delta 0.5 outside \(0, 0.5\)"),
+        ((0.125, 0.25), "strictly decreasing"),
+    ):
+        _rejected_before_running(caplog, lambda: run_experiment(EX1, deltas, 2, 0), rule)
+    _rejected_before_running(
+        caplog, lambda: run_experiment(EX1, (0.25,), 1, 0), "need at least 2 samples"
+    )
     # occupation_values' (0, eps0/2) rule; example1 has eps0 = 0.4
     for eps in (-0.1, 0.2, 5.0):
-        with pytest.raises(ValueError, match=r"outside \(0, eps0/2\)"):
-            ExperimentConfig(
-                problem="example1", deltas=(0.25,), occupation_epsilons=(eps,)
-            )
-    cfg = ExperimentConfig(problem="example1", deltas=(0.25, 0.125), samples=16)
-    assert cfg.resolve_problem() is EX1
-    assert ExperimentConfig(problem=EX2, deltas=(0.25,)).resolve_problem() is EX2
+        _rejected_before_running(
+            caplog,
+            lambda: run_experiment(EX1, (0.25,), 2, 0, occupation_epsilons=(eps,)),
+            r"outside \(0, eps0/2\)",
+        )
 
 
 def test_batched_coupled_matches_sequential():
@@ -258,9 +256,7 @@ def test_batched_finite_guard_names_the_sample():
 
 
 def test_frozen_problem_gives_zero_difference_and_fixed_cost():
-    report = run_experiment(
-        ExperimentConfig(problem=_constant_problem(10.0), deltas=(0.125,), samples=4)
-    )
+    report = run_experiment(_constant_problem(10.0), (0.125,), 4, 0)
     row = report.rows[0]
     assert row["msq"] == 0.0
     assert row["msq_stderr"] == 0.0
@@ -271,21 +267,13 @@ def test_frozen_problem_gives_zero_difference_and_fixed_cost():
 def test_additive_noise_far_from_surface_couples_exactly():
     # constant unit diffusion: fine and coarse runs both telescope to
     # x0 + W(T), so the gap is pure floating-point noise
-    rows = run_experiment(
-        ExperimentConfig(problem=_pure_bm_problem(), deltas=(0.25, 0.125), samples=32)
-    ).rows
+    rows = run_experiment(_pure_bm_problem(), (0.25, 0.125), 32, 0).rows
     for r in rows:
         assert r["msq"] < 1e-25
 
 
 def test_smooth_problem_coupled_rate_is_order_one():
-    cfg = ExperimentConfig(
-        problem=_gbm_problem(),
-        deltas=(0.25, 0.125, 0.0625, 0.03125),
-        samples=512,
-        master_seed=5,
-    )
-    rows = run_experiment(cfg).rows
+    rows = run_experiment(_gbm_problem(), (0.25, 0.125, 0.0625, 0.03125), 512, 5).rows
     # pairwise slopes instead of the 3-parameter fit: over this short range
     # the log-correction exponent and the power trade off too freely
     slopes = np.diff(np.log2([r["msq"] for r in rows])) / np.diff(
@@ -295,10 +283,7 @@ def test_smooth_problem_coupled_rate_is_order_one():
 
 
 def test_cost_grows_as_delta_shrinks():
-    cfg = ExperimentConfig(
-        problem="example1", deltas=(0.125, 0.0625, 0.03125), samples=2000
-    )
-    rows = run_experiment(cfg).rows
+    rows = run_experiment(EX1, (0.125, 0.0625, 0.03125), 2000, 0).rows
     for a, b in zip(rows, rows[1:]):
         assert b["cost_mean"] - a["cost_mean"] > 2.0 * (a["cost_stderr"] + b["cost_stderr"])
     for r in rows:
@@ -308,21 +293,16 @@ def test_cost_grows_as_delta_shrinks():
 def test_stderr_shrinks_like_root_samples():
     stderrs = []
     for m in (800, 3200, 12800):
-        cfg = ExperimentConfig(
-            problem=_gbm_problem(), deltas=(0.125,), samples=m, master_seed=3
-        )
-        stderrs.append(run_experiment(cfg).rows[0]["msq_stderr"])
+        stderrs.append(run_experiment(_gbm_problem(), (0.125,), m, 3).rows[0]["msq_stderr"])
     assert 1.4 < stderrs[0] / stderrs[1] < 2.8
     assert 1.4 < stderrs[1] / stderrs[2] < 2.8
 
 
 def test_workers_do_not_change_results():
     # three batches of the pooled three-rung job
-    cfg = ExperimentConfig(
-        problem="example1", deltas=(0.25, 0.125, 0.0625), samples=1100, master_seed=99
-    )
-    solo = run_experiment(cfg, workers=1).rows
-    pooled = run_experiment(cfg, workers=2).rows
+    args = (EX1, (0.25, 0.125, 0.0625), 1100, 99)
+    solo = run_experiment(*args, workers=1).rows
+    pooled = run_experiment(*args, workers=2).rows
     assert len(solo) == len(pooled) == 3
     for a, b in zip(solo, pooled):
         for key in ("delta", "msq", "msq_stderr", "cost_mean", "cost_stderr"):
@@ -340,10 +320,9 @@ def test_each_command_starts_one_pool_per_job(monkeypatch):
             starts.append(1)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
-    cfg = ExperimentConfig(
-        problem="example1", deltas=(0.25, 0.125), samples=600, occupation_epsilons=(0.1, 0.05)
-    )
-    rows = run_experiment(cfg, workers=2).rows
+    rows = run_experiment(
+        EX1, (0.25, 0.125), 600, 0, workers=2, occupation_epsilons=(0.1, 0.05)
+    ).rows
     assert [len(r["occupation"]) for r in rows] == [2, 2]
     assert len(starts) == 2
     entry = get_example("example2")
@@ -368,17 +347,16 @@ def test_pool_starts_no_more_workers_than_batches(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    cfg = ExperimentConfig(problem="example2", deltas=(0.25, 0.125), samples=600)
-    solo = run_experiment(cfg, workers=1).rows
+    args = (EX2, (0.25, 0.125), 600, 0)
+    solo = run_experiment(*args, workers=1).rows
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
-    assert run_experiment(cfg, workers=8).rows == solo
+    assert run_experiment(*args, workers=8).rows == solo
     assert seen == [2]
 
 
 def test_rerun_is_bit_identical():
-    cfg = ExperimentConfig(problem="example2", deltas=(0.25, 0.125), samples=64)
-    a = run_experiment(cfg).rows
-    b = run_experiment(cfg).rows
+    a = run_experiment(EX2, (0.25, 0.125), 64, 0).rows
+    b = run_experiment(EX2, (0.25, 0.125), 64, 0).rows
     assert a == b
 
 
@@ -427,10 +405,7 @@ def test_occupation_grows_with_tube_width():
 
 
 def test_run_experiment_occupation_rows():
-    cfg = ExperimentConfig(
-        problem="example1", deltas=(0.125,), samples=64, occupation_epsilons=(0.05, 0.1)
-    )
-    row = run_experiment(cfg).rows[0]
+    row = run_experiment(EX1, (0.125,), 64, 0, occupation_epsilons=(0.05, 0.1)).rows[0]
     occ = row["occupation"]
     assert [e["epsilon"] for e in occ] == [0.05, 0.1]
     for entry in occ:
@@ -483,16 +458,13 @@ def test_estimators_reject_too_few_samples_before_running(no_batch_jobs, caplog,
     _rejected_before_running(
         caplog, lambda: verify_transform(EX2, transform, (0.25,), samples, 1), rule
     )
-    _rejected_before_running(
-        caplog, lambda: ExperimentConfig(problem=EX1, deltas=(0.25,), samples=samples), rule
-    )
+    _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), samples, 0), rule)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_estimators_reject_fewer_than_one_worker_before_running(no_batch_jobs, caplog, workers):
     params = StepSizeParams.for_problem(EX1, 0.25)
     transform = get_example("example2").transform()
-    config = ExperimentConfig(problem=EX1, deltas=(0.25,), samples=8)
     rule = "need at least 1 worker"
     _rejected_before_running(
         caplog, lambda: occupation_values(EX1, params, 0.1, 8, 1, workers), rule
@@ -500,7 +472,7 @@ def test_estimators_reject_fewer_than_one_worker_before_running(no_batch_jobs, c
     _rejected_before_running(
         caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, 1, workers), rule
     )
-    _rejected_before_running(caplog, lambda: run_experiment(config, workers), rule)
+    _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), 8, 0, workers), rule)
 
 
 def test_estimators_reject_empty_sequences_before_running(no_batch_jobs, caplog):
@@ -525,16 +497,13 @@ def test_estimators_reject_non_integer_samples_before_running(no_batch_jobs, cap
     _rejected_before_running(
         caplog, lambda: verify_transform(EX2, transform, (0.25,), samples, 1), rule
     )
-    _rejected_before_running(
-        caplog, lambda: ExperimentConfig(problem=EX1, deltas=(0.25,), samples=samples), rule
-    )
+    _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), samples, 0), rule)
 
 
 @pytest.mark.parametrize("workers", [1.5, 2.0])
 def test_estimators_reject_non_integer_workers_before_running(no_batch_jobs, caplog, workers):
     params = StepSizeParams.for_problem(EX1, 0.25)
     transform = get_example("example2").transform()
-    config = ExperimentConfig(problem=EX1, deltas=(0.25,), samples=8)
     rule = "workers must be an integer"
     _rejected_before_running(
         caplog, lambda: occupation_values(EX1, params, 0.1, 8, 1, workers), rule
@@ -542,13 +511,12 @@ def test_estimators_reject_non_integer_workers_before_running(no_batch_jobs, cap
     _rejected_before_running(
         caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, 1, workers), rule
     )
-    _rejected_before_running(caplog, lambda: run_experiment(config, workers), rule)
+    _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), 8, 0, workers), rule)
 
 
 def test_estimators_accept_numpy_integer_counts():
-    config = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=np.int64(8))
-    plain = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=8)
-    assert run_experiment(config, np.int32(1)).rows == run_experiment(plain, 1).rows
+    assert (run_experiment(EX2, (0.25,), np.int64(8), 0, np.int32(1)).rows
+            == run_experiment(EX2, (0.25,), 8, 0, 1).rows)
     params = StepSizeParams.for_problem(EX2, 0.25)
     np.testing.assert_array_equal(
         occupation_values(EX2, params, 0.1, np.int64(8), 1, np.int64(1)),
@@ -557,11 +525,9 @@ def test_estimators_accept_numpy_integer_counts():
 
 
 def test_estimators_accept_numpy_integer_seeds():
-    config = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=4, master_seed=np.int64(3))
-    assert type(config.master_seed) is int
-    report = run_experiment(config)
-    plain = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=4, master_seed=3)
-    assert report.rows == run_experiment(plain).rows
+    report = run_experiment(EX2, (0.25,), 4, np.int64(3))
+    assert type(report.master_seed) is int
+    assert report.rows == run_experiment(EX2, (0.25,), 4, 3).rows
     assert json.loads(json.dumps(report.to_json_dict()))["master_seed"] == 3
     params = StepSizeParams.for_problem(EX2, 0.25)
     np.testing.assert_array_equal(
@@ -576,9 +542,7 @@ def test_estimators_accept_numpy_integer_seeds():
 
 def test_seeds_key_paths_modulo_two_to_the_64():
     def rows(seed):
-        return run_experiment(
-            ExperimentConfig(problem=EX2, deltas=(0.25,), samples=4, master_seed=seed)
-        ).rows
+        return run_experiment(EX2, (0.25,), 4, seed).rows
 
     assert rows(-1) == rows(2 ** 64 - 1)
     assert rows(2 ** 64 + 3) == rows(3) != rows(-1)
@@ -593,17 +557,11 @@ def test_estimators_reject_non_integer_seeds_before_running(no_batch_jobs, caplo
     _rejected_before_running(
         caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, seed), rule
     )
-    _rejected_before_running(
-        caplog,
-        lambda: ExperimentConfig(problem=EX1, deltas=(0.25,), samples=8, master_seed=seed),
-        rule,
-    )
+    _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), 8, seed), rule)
 
 
 def test_numpy_integer_samples_give_a_json_report():
-    config = ExperimentConfig(problem=EX2, deltas=(0.25,), samples=np.int64(8))
-    assert type(config.samples) is int
-    report = run_experiment(config)
+    report = run_experiment(EX2, (0.25,), np.int64(8), 0)
     assert type(report.samples) is int
     assert json.loads(json.dumps(report.to_json_dict()))["samples"] == 8
 
@@ -611,17 +569,14 @@ def test_numpy_integer_samples_give_a_json_report():
 def test_engine_cost_levels_match_fitted_bands():
     # at delta = 2^-6 the fitted mean costs are about 217 for the scalar
     # double-well and 350 for the planar problem; stay within factor 2
-    cfg2 = ExperimentConfig(problem="example2", deltas=(2.0 ** -6,), samples=400)
-    cost2 = run_experiment(cfg2).rows[0]["cost_mean"]
+    cost2 = run_experiment(EX2, (2.0 ** -6,), 400, 0).rows[0]["cost_mean"]
     assert 108.0 < cost2 < 435.0
-    cfg3 = ExperimentConfig(problem="example3", deltas=(2.0 ** -6,), samples=400)
-    cost3 = run_experiment(cfg3).rows[0]["cost_mean"]
+    cost3 = run_experiment(EX3, (2.0 ** -6,), 400, 0).rows[0]["cost_mean"]
     assert 175.0 < cost3 < 700.0
 
 
 def test_report_csv_and_json():
-    cfg = ExperimentConfig(problem="example2", deltas=(0.25, 0.125), samples=64)
-    report = run_experiment(cfg)
+    report = run_experiment(EX2, (0.25, 0.125), 64, 0)
     buf = io.StringIO()
     report.to_csv(buf)
     lines = buf.getvalue().strip().split("\n")
@@ -643,8 +598,7 @@ def test_report_rows_give_band_radii_of_the_fine_and_the_coarse_run():
     # eps1 is 0.520 at 2^-6 and 0.613 at 2^-5, so eps0 / 4 = 0.55 puts the
     # fine run inside the regime and the coarse run outside it
     problem = _constant_problem(10.0, eps0=2.2)
-    cfg = ExperimentConfig(problem=problem, deltas=(2.0**-5, 2.0**-6), samples=4)
-    report = run_experiment(cfg)
+    report = run_experiment(problem, (2.0**-5, 2.0**-6), 4, 0)
     for row in report.rows:
         for run, delta in (("fine", row["delta"]), ("coarse", 2.0 * row["delta"])):
             p = StepSizeParams.for_problem(problem, delta)
@@ -664,9 +618,7 @@ def test_report_rows_give_band_radii_of_the_fine_and_the_coarse_run():
 
 def test_report_rows_give_log_factor_and_top_sample_shares():
     deltas, samples = (0.25, 0.125), 32
-    report = run_experiment(
-        ExperimentConfig(problem="example1", deltas=deltas, samples=samples, master_seed=9)
-    )
+    report = run_experiment(EX1, deltas, samples, 9)
     for row, delta in zip(report.rows, deltas):
         draws = [coupled_difference_sample(EX1, delta, i, 9) for i in range(samples)]
         sq = np.array([d[0] for d in draws])
@@ -677,9 +629,7 @@ def test_report_rows_give_log_factor_and_top_sample_shares():
         assert row["msq_top10_share"] == pytest.approx(top[:10].sum() / sq.sum(), rel=1e-12)
         assert 0.0 < row["msq_top1_share"] < row["msq_top10_share"] < 1.0
     # every gap is 0: no sample carries a share of the sum
-    (row,) = run_experiment(
-        ExperimentConfig(problem=_constant_problem(10.0), deltas=(0.125,), samples=4)
-    ).rows
+    (row,) = run_experiment(_constant_problem(10.0), (0.125,), 4, 0).rows
     assert row["log_factor"] == 8.0 * 0.125 / math.log(8.0)
     assert row["msq_top1_share"] is None and row["msq_top10_share"] is None
     assert json.loads(json.dumps(row))["msq_top10_share"] is None
@@ -690,10 +640,7 @@ def test_report_rows_give_step_totals_and_maxima(workers, monkeypatch):
     # batches of 8, so two workers share three batches
     monkeypatch.setattr(montecarlo, "_BATCH", 8)
     deltas, samples = (0.25, 0.125, 0.0625), 20
-    report = run_experiment(
-        ExperimentConfig(problem="example1", deltas=deltas, samples=samples, master_seed=5),
-        workers=workers,
-    )
+    report = run_experiment(EX1, deltas, samples, 5, workers=workers)
     _, n_fine, n_coarse = _engine.coupled_pair(EX1, deltas, np.arange(samples), 5)
     for r, row in enumerate(report.rows):
         for run, steps in (("fine", n_fine[:, r]), ("coarse", n_coarse[:, r])):
@@ -705,8 +652,7 @@ def test_report_rows_give_step_totals_and_maxima(workers, monkeypatch):
 
 
 def test_mean_and_stderr_against_direct_formula():
-    cfg = ExperimentConfig(problem="example2", deltas=(0.25,), samples=48, master_seed=9)
-    row = run_experiment(cfg).rows[0]
+    row = run_experiment(EX2, (0.25,), 48, 9).rows[0]
     sq = np.array([coupled_difference_sample(EX2, 0.25, i, 9)[0] for i in range(48)])
     assert row["msq"] == pytest.approx(float(np.mean(sq)), rel=1e-12)
     assert row["msq_stderr"] == pytest.approx(

@@ -12,7 +12,6 @@ from adaptive_em import _engine
 from adaptive_em.cli import _trajectory
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
-    ExperimentConfig,
     occupation_values,
     run_experiment,
     verify_transform,
@@ -138,12 +137,11 @@ def test_band_warning_emitted_once(caplog):
         assert _params().framework_valid
     assert not caplog.records
     # two batches, so workers=2 runs a fresh pool for every delta
-    cfg = ExperimentConfig(problem="example1", deltas=(0.25, 0.125), samples=600)
+    prob = get_example("example1").problem
     for workers in (1, 2):
         for _ in range(2):
-            hits = regime_warnings(lambda: run_experiment(cfg, workers=workers))
+            hits = regime_warnings(lambda: run_experiment(prob, (0.25, 0.125), 600, 0, workers))
             assert hits == ["0.125", "0.25", "0.5"]
-    prob = get_example("example1").problem
     params = StepSizeParams.for_problem(prob, 0.125)
     for _ in range(2):
         hits = regime_warnings(lambda: occupation_values(prob, params, 0.05, 600, 0, workers=2))
