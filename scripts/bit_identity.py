@@ -72,6 +72,8 @@ COMMANDS = {
         ["run", "--config", "{config}", "--deltas", "2^-2..2^-6", "--samples", "256",
          "--out", "{out}"],
         ["verify-transform", "--config", "{config}", "--samples", "300", "--out", "{out}"],
+        ["occupation", "--config", "{config}", "--delta", "2^-4", "--epsilons", "0.05,0.1",
+         "--workers", "2", "--out", "{out}"],
     ],
 }
 

@@ -8,27 +8,12 @@ convergence rate and cost, a jump-removing transform for scalar problems,
 rate regression, and a CLI around three registered example problems.
 """
 
-from .geometry import (
-    Circle2D,
-    Hyperplane,
-    Hypersurface,
-    PointSet1D,
-)
-from .montecarlo import (
-    MonteCarloReport,
-    occupation_values,
-    run_experiment,
-    verify_transform,
-)
+from .geometry import Circle2D, Hyperplane, Hypersurface, PointSet1D
+from .montecarlo import MonteCarloReport, occupation_values, run_experiment, verify_transform
 from .problems import example_names, get_example
 from .regression import RegressionFit, SingularFitError, fit_rate
-from .solver import RunawaySimulationError, SdeProblem, StepSizeParams
-from .transform1d import (
-    DegenerateDiffusionError,
-    PiecewiseDrift1D,
-    RootFindError,
-    Transform1D,
-)
+from .solver import RunawaySimulationError, SdeProblem
+from .transform1d import DegenerateDiffusionError, PiecewiseDrift1D, RootFindError, Transform1D
 
 __all__ = [
     "Circle2D",
@@ -43,7 +28,6 @@ __all__ = [
     "RunawaySimulationError",
     "SdeProblem",
     "SingularFitError",
-    "StepSizeParams",
     "Transform1D",
     "example_names",
     "fit_rate",

@@ -32,13 +32,7 @@ import numpy as np
 
 from . import _engine
 from .geometry import surface_from_config
-from .montecarlo import (
-    _mean_stderr,
-    _write_csv,
-    occupation_values,
-    run_experiment,
-    verify_transform,
-)
+from .montecarlo import _mean_stderr, _write_csv, occupation_values, run_experiment, verify_transform
 from .problems import ExampleEntry, _Lift1D, _LiftDiffusion1D, get_example
 from .regression import SingularFitError, fit_rate
 from .solver import SdeProblem, StepSizeParams
@@ -194,9 +188,14 @@ class MatrixField:
         return np.stack([row(x) for row in self.rows], axis=-2)
 
 
+# 2^-N, with N no longer than the 4300 digits int() reads; a longer N is not
+# a delta, and the token is refused by name
+_EXPONENT = r"2\^-(\d{1,4300})"
+
+
 def _parse_delta_token(token: str) -> float:
     token = token.strip()
-    m = re.fullmatch(r"2\^-(\d+)", token)
+    m = re.fullmatch(_EXPONENT, token)
     if m:
         return 2.0 ** -int(m.group(1))
     try:
@@ -208,7 +207,7 @@ def _parse_delta_token(token: str) -> float:
 def parse_deltas(spec: str):
     """Parse ``2^-a..2^-b`` dyadic ranges or comma lists of deltas."""
     spec = spec.strip()
-    m = re.fullmatch(r"2\^-(\d+)\.\.2\^-(\d+)", spec)
+    m = re.fullmatch(rf"{_EXPONENT}\.\.{_EXPONENT}", spec)
     if m:
         a, b = int(m.group(1)), int(m.group(2))
         if b < a:
@@ -275,11 +274,10 @@ def problem_from_config(cfg: dict):
     jumps must take that form, which ``SdeProblem.__post_init__`` checks: a
     drift given as one expression (``where``, ``sign``, ...) is not checked
     and must be continuous off the surface.  The factory is
-    ``ExampleEntry.transform``: it raises a ValueError for a problem without
-    a transform, and DegenerateDiffusionError (a ValueError) if the
-    diffusion vanishes at a breakpoint.  A number, or an entry of a
-    list of them, must be a JSON number: a bool or a string is refused.
-    Other keys, such as a drift bound left in an older config, are ignored.
+    ``ExampleEntry.transform``; see ``problems.transform_of``.  A number, or
+    an entry of a list of them, must be a JSON number: a bool or a string is
+    refused.  Other keys, such as a drift bound left in an older config, are
+    ignored.
     """
     try:
         dimension = cfg["dimension"]
@@ -316,7 +314,7 @@ def _load_config(path: str):
 def _resolve_problem(example, config_path):
     """Problem and its transform factory from an example name or config file.
 
-    Only ``verify-transform`` builds the transform, so the other commands
+    Only ``verify_transform`` builds the transform, so the other commands
     also run problems whose diffusion vanishes at a breakpoint.
     """
     if (example is None) == (config_path is None):
@@ -371,7 +369,11 @@ def _trajectory(problem, params, master_seed, index=0):
 
 
 def _dump_trajectory(problem, delta, master_seed, out_dir: Path):
-    """Write the sample-0 fine-scheme trajectory, rows ``k,tau_k,x1..xd``."""
+    """Write sample 0's path of a fresh forward pass at ``delta``, rows ``k,tau_k,x1..xd``.
+
+    It is the sample-0 path of ``verify_transform``'s adaptive pass at ``delta``,
+    not the fine run of ``run_experiment``, which is bridged against the coarse knots.
+    """
     params = StepSizeParams.for_problem(problem, delta)
     times, states, _ = _trajectory(problem, params, master_seed)
     _write_rows(
@@ -474,8 +476,8 @@ def cmd_occupation(example, config_path, epsilons, delta, samples, seed, workers
     with _estimator_errors("occupation"):
         problem, _ = _resolve_problem(example, config_path)
         eps_values = parse_epsilons(epsilons)
-        params = StepSizeParams.for_problem(problem, _parse_delta_token(delta))
-        vals = occupation_values(problem, params, eps_values, samples, seed, workers)
+        delta_value = _parse_delta_token(delta)
+        vals = occupation_values(problem, delta_value, eps_values, samples, seed, workers)
         _write_rows(
             out_dir, "occupation.csv", ["epsilon", "occupation", "occupation_stderr"],
             ((eps, *_mean_stderr(row)) for eps, row in zip(eps_values, vals)),
@@ -497,13 +499,8 @@ def cmd_verify_transform(example, config_path, deltas, samples, seed, workers, o
     transform; writes verify.csv with per-delta mean squared gaps.
     """
     with _estimator_errors("verify-transform"):
-        problem, build_transform = _resolve_problem(example, config_path)
-        delta_values = parse_deltas(deltas)
-        try:
-            transform = build_transform()
-        except (ArithmeticError, ValueError) as exc:  # DegenerateDiffusionError among them
-            raise click.UsageError(f"no transform for this problem: {exc}") from exc
-        rows = verify_transform(problem, transform, delta_values, samples, seed, workers)
+        problem, _ = _resolve_problem(example, config_path)
+        rows = verify_transform(problem, parse_deltas(deltas), samples, seed, workers)
         header = ["delta", "mean_sq", "stderr"]
         _write_rows(out_dir, "verify.csv", header, ([row[c] for c in header] for row in rows))
 

@@ -4,8 +4,8 @@ The quantities of interest are per-step-size rows of coupled mean-square
 differences (the scheme at delta against the scheme at 2*delta on the same
 Brownian path, compared at the horizon), expected step counts, and optional
 occupation times near the discontinuity surface.  The three estimators take
-``(problem, ..., samples, master_seed, workers=1)`` and check every input
-before any batch runs or any warning is logged.
+``(problem, ..., samples, master_seed, workers=1)`` with plain numbers between,
+and check every input before any batch runs or any warning is logged.
 
 Samples are simulated in fixed-size batches by the vectorized kernels in
 ``_engine``; because every Gaussian draw is keyed by (sample index, knot
@@ -29,8 +29,8 @@ from itertools import repeat
 import numpy as np
 
 from . import _engine
+from .problems import transform_of
 from .solver import StepSizeParams
-from .transform1d import Transform1D
 
 _BATCH = 512
 
@@ -139,14 +139,15 @@ def _map_batches(job, payload, samples, workers):
     Each output has its sample axis moved last and is made contiguous, so
     a (samples, rungs) column comes back as one row of samples per rung.
     """
-    spans = [(a, min(a + _BATCH, samples)) for a in range(0, samples, _BATCH)]
-    if workers > 1 and len(spans) > 1:
-        starts, stops = zip(*spans)
+    starts = range(0, samples, _BATCH)
+    stops = (min(a + _BATCH, samples) for a in starts)  # made as the batches run
+    batches = -(-samples // _BATCH)
+    if workers > 1 and batches > 1:
         # the pool starts all its processes at once: no more than there are batches
-        with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
             parts = list(pool.map(job, repeat(payload), starts, stops))
     else:
-        parts = [job(payload, a, b) for a, b in spans]
+        parts = [job(payload, a, b) for a, b in zip(starts, stops)]
     return [np.ascontiguousarray(np.moveaxis(np.concatenate(c), 0, -1)) for c in zip(*parts)]
 
 
@@ -243,36 +244,37 @@ def run_experiment(
     )
 
 
-def occupation_values(problem, params, epsilon, samples, master_seed, workers=1):
-    """Per-sample occupation times near the surface, in index order.
+def occupation_values(problem, delta, epsilons, samples, master_seed, workers=1):
+    """Per-sample occupation times near the surface at ``delta``, in index order.
 
-    ``epsilon`` is one tube half-width, giving shape (samples,), or a
-    sequence of them, giving one row per epsilon from one pooled job; each
-    must lie in (0, eps0/2).
+    ``epsilons`` is a non-empty sequence of tube half-widths, each in
+    (0, eps0/2); the result has one row per epsilon, shape
+    (len(epsilons), samples), from one pooled job.
     """
+    params = StepSizeParams.for_problem(problem, float(delta))
     samples, master_seed = _check_counts(samples, master_seed, workers)
-    epsilons = _nonempty_floats(np.atleast_1d(epsilon), "epsilon")
+    epsilons = _nonempty_floats(epsilons, "epsilon")
     _check_occupation_epsilons(problem, epsilons)
     _warn_outside_regime([params])
     (vals,) = _map_batches(
         _occupation_job, (problem, (params,), epsilons, master_seed), samples, workers
     )
-    return vals[0] if np.ndim(epsilon) else vals[0, 0]
+    return vals[0]
 
 
-def verify_transform(problem, transform: Transform1D, deltas, samples, master_seed, workers=1):
+def verify_transform(problem, deltas, samples, master_seed, workers=1):
     """Mean squared benchmark gap per delta.
 
     For each delta, compares the adaptive scheme against an equidistant
-    Euler run of the transformed equation mapped back to original
+    Euler run of the problem's ``transform_of``, mapped back to original
     coordinates; every delta runs in one pooled job.  Returns a list of dict
     rows with keys ``delta``, ``mean_sq`` and ``stderr``.
     """
-    if problem.dimension != 1:
-        raise ValueError("transform verification requires a one-dimensional problem")
     samples, master_seed = _check_counts(samples, master_seed, workers)
     deltas = _nonempty_floats(deltas, "delta")
-    _warn_outside_regime(StepSizeParams.for_problem(problem, d) for d in deltas)
+    params = [StepSizeParams.for_problem(problem, d) for d in deltas]
+    transform = transform_of(problem)
+    _warn_outside_regime(params)
     (vals,) = _map_batches(
         _verify_job, (problem, transform, deltas, master_seed), samples, workers
     )

@@ -114,6 +114,23 @@ _EX2_DRIFT = PiecewiseDrift1D(
 )
 
 
+def transform_of(problem: SdeProblem) -> Transform1D:
+    """The transform built from the problem's own lifted drift and diffusion.
+
+    A ValueError if there is none: the problem is not scalar with a piecewise
+    drift, or its diffusion vanishes or fails (say, divides by zero) at a breakpoint.
+    """
+    drift, sigma = problem.drift, problem.diffusion
+    if not (isinstance(drift, _Lift1D) and isinstance(drift.f, PiecewiseDrift1D)
+            and isinstance(sigma, _LiftDiffusion1D)):
+        raise ValueError("the problem is not scalar with a piecewise drift; transform "
+                         "verification needs a one-dimensional problem with piecewise drift")
+    try:
+        return Transform1D(drift.f, sigma.f, eps0=problem.eps0)
+    except ArithmeticError as exc:
+        raise ValueError(f"no transform for this problem: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExampleEntry:
     """Registry record: a named problem."""
@@ -122,13 +139,8 @@ class ExampleEntry:
     problem: SdeProblem
 
     def transform(self) -> Transform1D:
-        """The transform built from the problem's own lifted drift and diffusion."""
-        drift, sigma = self.problem.drift, self.problem.diffusion
-        if not (isinstance(drift, _Lift1D) and isinstance(drift.f, PiecewiseDrift1D)
-                and isinstance(sigma, _LiftDiffusion1D)):
-            raise ValueError(f"{self.name} is not scalar with a piecewise drift; transform "
-                             "verification needs a one-dimensional problem with piecewise drift")
-        return Transform1D(drift.f, sigma.f, eps0=self.problem.eps0)
+        """``transform_of(self.problem)``."""
+        return transform_of(self.problem)
 
 
 def _build_registry():

@@ -172,8 +172,8 @@ class Transform1D:
 
     The jump strength at each breakpoint, for unit upward normal, is half
     the drift jump (left limit minus right limit) divided by the squared
-    diffusion there; a diffusion that vanishes at a breakpoint raises
-    ``DegenerateDiffusionError``.
+    diffusion there; a diffusion that vanishes at a breakpoint, or whose
+    square underflows to 0 there, raises ``DegenerateDiffusionError``.
     """
 
     def __init__(self, drift: PiecewiseDrift1D, sigma: Callable, eps0: float):
@@ -185,7 +185,7 @@ class Transform1D:
         alphas = []
         for b, left, right in zip(drift.breakpoints, drift.left_limits, drift.right_limits):
             sig = float(sigma(b))
-            if sig == 0.0:
+            if sig * sig == 0.0:
                 raise DegenerateDiffusionError(f"diffusion vanishes at breakpoint {b}")
             alphas.append((left - right) / (2.0 * sig * sig))
         self._alphas = np.asarray(alphas, dtype=float)

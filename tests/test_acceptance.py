@@ -218,9 +218,8 @@ def test_msq_cost_order_read_rejects_wrong_orders():
 
 def test_criterion_06_occupation_linearity():
     problem = get_example("example1").problem
-    params = StepSizeParams.for_problem(problem, 2.0**-6)
-    wide = occupation_values(problem, params, 0.1, _SAMPLES, _SEED)
-    narrow = occupation_values(problem, params, 0.05, _SAMPLES, _SEED)
+    wide = occupation_values(problem, 2.0**-6, (0.1,), _SAMPLES, _SEED)
+    narrow = occupation_values(problem, 2.0**-6, (0.05,), _SAMPLES, _SEED)
     ratio = float(np.mean(wide) / np.mean(narrow))
     ok = 1.4 <= ratio <= 2.6
     _criterion(
@@ -242,9 +241,7 @@ def test_criterion_07_transform_oracle():
         sides = transform.value(np.array([xi - 1e-9, xi + 1e-9]))
         mu_g, _ = transform.transformed_coeffs(sides)
         jump_gap = max(jump_gap, abs(float(mu_g[1] - mu_g[0])))
-    rows = verify_transform(
-        entry.problem, transform, (2.0**-3, 2.0**-5, 2.0**-7), 4000, _SEED
-    )
+    rows = verify_transform(entry.problem, (2.0**-3, 2.0**-5, 2.0**-7), 4000, _SEED)
     gaps = [row["mean_sq"] for row in rows]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     ok = round_trip < 1e-10 and jump_gap < 1e-6 and decreasing

@@ -129,6 +129,22 @@ def test_parse_deltas_refuses_a_range_past_the_smallest_float():
     assert "which is 0 as a float" in _all_text(result)
 
 
+_LONG_EXPONENT = "2^-" + "1" * 5000
+
+
+@pytest.mark.parametrize("spec, token", [
+    (f"0.25,{_LONG_EXPONENT}", _LONG_EXPONENT),
+    (f"2^-2..{_LONG_EXPONENT}", f"2^-2..{_LONG_EXPONENT}"),
+], ids=["list", "range"])
+def test_delta_exponent_past_4300_digits_is_refused_by_name(spec, token):
+    # int() reads at most 4300 digits; a longer exponent is not a delta
+    with pytest.raises(click.BadParameter, match="cannot parse delta"):
+        parse_deltas(spec)
+    result = _invoke(["run", "example1", "--deltas", spec, "--samples", "4"])
+    assert result.exit_code == 2
+    assert f"cannot parse delta {token!r}" in _all_text(result)
+
+
 def test_parse_epsilons():
     assert parse_epsilons("0.1,0.05") == (0.1, 0.05)
     with pytest.raises(click.BadParameter):
@@ -351,6 +367,20 @@ def test_verify_transform_rejects_degenerate_diffusion(tmp_path):
     )
     assert result.exit_code == 2
     assert "diffusion vanishes at breakpoint 0.5" in _all_text(result)
+    assert not (tmp_path / "verify.csv").exists()
+
+
+@pytest.mark.parametrize("diffusion, message", [
+    ("1e-200", "diffusion vanishes at breakpoint 0.5"),  # its square underflows to 0
+    ("1/(x - 0.5)", "float division by zero"),
+], ids=["underflow", "division"])
+def test_verify_transform_config_without_a_transform_exits_2(tmp_path, diffusion, message):
+    config = _write_config(tmp_path, dict(_CONFIG_1D, diffusion=diffusion))
+    result = _invoke(
+        ["verify-transform", "--config", str(config), "--samples", "4", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert message in _all_text(result)
     assert not (tmp_path / "verify.csv").exists()
 
 

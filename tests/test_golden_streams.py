@@ -23,7 +23,6 @@ from adaptive_em.montecarlo import (
     verify_transform,
 )
 from adaptive_em.problems import get_example
-from adaptive_em.solver import StepSizeParams
 
 
 def _digest(values):
@@ -68,8 +67,7 @@ def test_run_experiment_report_golden():
 
 def test_occupation_values_golden():
     problem = get_example("example3").problem
-    params = StepSizeParams.for_problem(problem, 2.0**-4)
-    vals = occupation_values(problem, params, 0.1, 64, 3)
+    vals = occupation_values(problem, 2.0**-4, (0.1,), 64, 3)[0]
     assert _digest(vals) == (
         "fdef9e44f5e474d8a8ec4ed05e8bbd9f5b3ad9f1c092a1ef8432fcaf5e49d08b"
     )
@@ -77,7 +75,7 @@ def test_occupation_values_golden():
 
 def test_verify_transform_golden():
     entry = get_example("example2")
-    (row,) = verify_transform(entry.problem, entry.transform(), [2.0**-4], 64, 5)
+    (row,) = verify_transform(entry.problem, [2.0**-4], 64, 5)
     assert _digest([row["delta"], row["mean_sq"], row["stderr"]]) == (
         "ad747abb32096dbb8679941a983b698eb4d7c3d9fc4d135a39d5df061148cfb7"
     )

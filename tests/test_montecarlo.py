@@ -326,7 +326,7 @@ def test_each_command_starts_one_pool_per_job(monkeypatch):
     assert [len(r["occupation"]) for r in rows] == [2, 2]
     assert len(starts) == 2
     entry = get_example("example2")
-    verify_transform(entry.problem, entry.transform(), (0.25, 0.125, 0.0625), 600, 4, workers=2)
+    verify_transform(entry.problem, (0.25, 0.125, 0.0625), 600, 4, workers=2)
     assert len(starts) == 3
 
 
@@ -367,40 +367,36 @@ def test_equidistant_steps_matches_finest_resolution():
 
 def test_occupation_zero_far_from_surface():
     prob = _constant_problem(10.0)
-    params = StepSizeParams.for_problem(prob, 0.125)
-    assert np.mean(occupation_values(prob, params, 0.02, 8, 1)) == 0.0
+    assert np.mean(occupation_values(prob, 0.125, (0.02,), 8, 1)) == 0.0
 
 
 def test_occupation_covers_horizon_on_surface():
     prob = _constant_problem(0.0)
-    params = StepSizeParams.for_problem(prob, 0.125)
-    occ = occupation_values(prob, params, 0.02, 8, 1)
-    np.testing.assert_array_equal(occ, np.ones(8))
+    occ = occupation_values(prob, 0.125, (0.02,), 8, 1)
+    np.testing.assert_array_equal(occ, np.ones((1, 8)))
 
 
 def test_occupation_epsilon_precondition():
-    params = StepSizeParams.for_problem(EX1, 0.125)
     with pytest.raises(ValueError):
-        occupation_values(EX1, params, 0.2, 8, 1)  # eps0/2 for example1
+        occupation_values(EX1, 0.125, (0.2,), 8, 1)  # eps0/2 for example1
     with pytest.raises(ValueError):
-        occupation_values(EX1, params, 0.0, 8, 1)
+        occupation_values(EX1, 0.125, (0.0,), 8, 1)
     with pytest.raises(ValueError):
-        occupation_values(EX1, params, (0.1, 0.2), 8, 1)
+        occupation_values(EX1, 0.125, (0.1, 0.2), 8, 1)
 
 
 def test_occupation_values_takes_a_sequence_of_epsilons():
     # one row per epsilon, each the values of a one-epsilon call
-    params = StepSizeParams.for_problem(EX1, 0.125)
-    rows = occupation_values(EX1, params, (0.1, 0.05, 0.15), 40, 3)
+    rows = occupation_values(EX1, 0.125, (0.1, 0.05, 0.15), 40, 3)
     assert rows.shape == (3, 40)
     for eps, row in zip((0.1, 0.05, 0.15), rows):
-        assert row.tobytes() == occupation_values(EX1, params, eps, 40, 3).tobytes()
+        (alone,) = occupation_values(EX1, 0.125, (eps,), 40, 3)
+        assert row.tobytes() == alone.tobytes()
 
 
 def test_occupation_grows_with_tube_width():
-    params = StepSizeParams.for_problem(EX1, 2.0 ** -4)
-    wide = np.mean(occupation_values(EX1, params, 0.1, 1500, 12))
-    narrow = np.mean(occupation_values(EX1, params, 0.05, 1500, 12))
+    wide = np.mean(occupation_values(EX1, 2.0 ** -4, (0.1,), 1500, 12))
+    narrow = np.mean(occupation_values(EX1, 2.0 ** -4, (0.05,), 1500, 12))
     assert 0.0 < narrow < wide < EX1.horizon
 
 
@@ -414,7 +410,7 @@ def test_run_experiment_occupation_rows():
 
 def test_verify_transform_rows_shrink_for_scalar_example():
     entry = get_example("example2")
-    rows = verify_transform(entry.problem, entry.transform(), (0.25, 0.125), 256, 21)
+    rows = verify_transform(entry.problem, (0.25, 0.125), 256, 21)
     assert [r["delta"] for r in rows] == [0.25, 0.125]
     assert rows[0]["mean_sq"] > rows[1]["mean_sq"] > 0.0
     for r in rows:
@@ -422,11 +418,10 @@ def test_verify_transform_rows_shrink_for_scalar_example():
 
 
 def test_verify_transform_requires_scalar_problem():
-    tr = get_example("example1").transform()
     with pytest.raises(ValueError):
-        verify_transform(EX3, tr, (0.25,), 8, 1)
+        verify_transform(EX3, (0.25,), 8, 1)
     with pytest.raises(ValueError):
-        verify_transform_sample(EX3, tr, 0.25, 0, 1)
+        verify_transform_sample(EX3, get_example("example1").transform(), 0.25, 0, 1)
 
 
 @pytest.fixture
@@ -449,78 +444,59 @@ def _rejected_before_running(caplog, call, rule):
 
 @pytest.mark.parametrize("samples", [0, 1])
 def test_estimators_reject_too_few_samples_before_running(no_batch_jobs, caplog, samples):
-    params = StepSizeParams.for_problem(EX1, 0.25)
-    transform = get_example("example2").transform()
     rule = "need at least 2 samples"
     _rejected_before_running(
-        caplog, lambda: occupation_values(EX1, params, 0.1, samples, 1), rule
+        caplog, lambda: occupation_values(EX1, 0.25, (0.1,), samples, 1), rule
     )
-    _rejected_before_running(
-        caplog, lambda: verify_transform(EX2, transform, (0.25,), samples, 1), rule
-    )
+    _rejected_before_running(caplog, lambda: verify_transform(EX2, (0.25,), samples, 1), rule)
     _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), samples, 0), rule)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_estimators_reject_fewer_than_one_worker_before_running(no_batch_jobs, caplog, workers):
-    params = StepSizeParams.for_problem(EX1, 0.25)
-    transform = get_example("example2").transform()
     rule = "need at least 1 worker"
     _rejected_before_running(
-        caplog, lambda: occupation_values(EX1, params, 0.1, 8, 1, workers), rule
+        caplog, lambda: occupation_values(EX1, 0.25, (0.1,), 8, 1, workers), rule
     )
-    _rejected_before_running(
-        caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, 1, workers), rule
-    )
+    _rejected_before_running(caplog, lambda: verify_transform(EX2, (0.25,), 8, 1, workers), rule)
     _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), 8, 0, workers), rule)
 
 
 def test_estimators_reject_empty_sequences_before_running(no_batch_jobs, caplog):
-    params = StepSizeParams.for_problem(EX1, 0.25)
-    transform = get_example("example2").transform()
     _rejected_before_running(
-        caplog, lambda: occupation_values(EX1, params, (), 8, 1), "need at least one epsilon"
+        caplog, lambda: occupation_values(EX1, 0.25, (), 8, 1), "need at least one epsilon"
     )
     _rejected_before_running(
-        caplog, lambda: verify_transform(EX2, transform, (), 8, 1), "need at least one delta"
+        caplog, lambda: verify_transform(EX2, (), 8, 1), "need at least one delta"
     )
 
 
 @pytest.mark.parametrize("samples", [2.5, 8.0])
 def test_estimators_reject_non_integer_samples_before_running(no_batch_jobs, caplog, samples):
-    params = StepSizeParams.for_problem(EX1, 0.25)
-    transform = get_example("example2").transform()
     rule = "samples must be an integer"
     _rejected_before_running(
-        caplog, lambda: occupation_values(EX1, params, 0.1, samples, 1), rule
+        caplog, lambda: occupation_values(EX1, 0.25, (0.1,), samples, 1), rule
     )
-    _rejected_before_running(
-        caplog, lambda: verify_transform(EX2, transform, (0.25,), samples, 1), rule
-    )
+    _rejected_before_running(caplog, lambda: verify_transform(EX2, (0.25,), samples, 1), rule)
     _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), samples, 0), rule)
 
 
 @pytest.mark.parametrize("workers", [1.5, 2.0])
 def test_estimators_reject_non_integer_workers_before_running(no_batch_jobs, caplog, workers):
-    params = StepSizeParams.for_problem(EX1, 0.25)
-    transform = get_example("example2").transform()
     rule = "workers must be an integer"
     _rejected_before_running(
-        caplog, lambda: occupation_values(EX1, params, 0.1, 8, 1, workers), rule
+        caplog, lambda: occupation_values(EX1, 0.25, (0.1,), 8, 1, workers), rule
     )
-    _rejected_before_running(
-        caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, 1, workers), rule
-    )
+    _rejected_before_running(caplog, lambda: verify_transform(EX2, (0.25,), 8, 1, workers), rule)
     _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), 8, 0, workers), rule)
 
 
 def test_estimators_accept_numpy_integer_counts():
     assert (run_experiment(EX2, (0.25,), np.int64(8), 0, np.int32(1)).rows
             == run_experiment(EX2, (0.25,), 8, 0, 1).rows)
-    params = StepSizeParams.for_problem(EX2, 0.25)
     np.testing.assert_array_equal(
-        occupation_values(EX2, params, 0.1, np.int64(8), 1, np.int64(1)),
-        occupation_values(EX2, params, 0.1, 8, 1, 1),
+        occupation_values(EX2, 0.25, (0.1,), np.int64(8), 1, np.int64(1)),
+        occupation_values(EX2, 0.25, (0.1,), 8, 1, 1),
     )
 
 
@@ -529,15 +505,11 @@ def test_estimators_accept_numpy_integer_seeds():
     assert type(report.master_seed) is int
     assert report.rows == run_experiment(EX2, (0.25,), 4, 3).rows
     assert json.loads(json.dumps(report.to_json_dict()))["master_seed"] == 3
-    params = StepSizeParams.for_problem(EX2, 0.25)
     np.testing.assert_array_equal(
-        occupation_values(EX2, params, 0.1, 4, np.uint64(3)),
-        occupation_values(EX2, params, 0.1, 4, 3),
+        occupation_values(EX2, 0.25, (0.1,), 4, np.uint64(3)),
+        occupation_values(EX2, 0.25, (0.1,), 4, 3),
     )
-    transform = get_example("example2").transform()
-    assert verify_transform(EX2, transform, (0.25,), 4, np.int32(3)) == verify_transform(
-        EX2, transform, (0.25,), 4, 3
-    )
+    assert verify_transform(EX2, (0.25,), 4, np.int32(3)) == verify_transform(EX2, (0.25,), 4, 3)
 
 
 def test_seeds_key_paths_modulo_two_to_the_64():
@@ -550,14 +522,38 @@ def test_seeds_key_paths_modulo_two_to_the_64():
 
 @pytest.mark.parametrize("seed", [1.5, 3.0, "3"])
 def test_estimators_reject_non_integer_seeds_before_running(no_batch_jobs, caplog, seed):
-    params = StepSizeParams.for_problem(EX1, 0.25)
-    transform = get_example("example2").transform()
     rule = "master_seed must be an integer"
-    _rejected_before_running(caplog, lambda: occupation_values(EX1, params, 0.1, 8, seed), rule)
-    _rejected_before_running(
-        caplog, lambda: verify_transform(EX2, transform, (0.25,), 8, seed), rule
-    )
+    _rejected_before_running(caplog, lambda: occupation_values(EX1, 0.25, (0.1,), 8, seed), rule)
+    _rejected_before_running(caplog, lambda: verify_transform(EX2, (0.25,), 8, seed), rule)
     _rejected_before_running(caplog, lambda: run_experiment(EX1, (0.25,), 8, seed), rule)
+
+
+def test_occupation_checks_the_step_budget_before_running(no_batch_jobs, caplog):
+    # delta**2 = 1e-18 is below half an ulp of example1's horizon 1
+    rule = "too small for horizon"
+    _rejected_before_running(caplog, lambda: occupation_values(EX1, 1e-9, (0.1,), 8, 1), rule)
+
+
+def test_verify_transform_needs_a_transform_before_running(no_batch_jobs, caplog):
+    # delta = 1/4 is outside example3's analyzed regime as well
+    _rejected_before_running(caplog, lambda: verify_transform(EX3, (0.25,), 8, 1), "not scalar")
+
+
+def test_batch_spans_are_made_as_the_batches_run(monkeypatch):
+    # a list of the spans of 10**12 samples would take about 250 GB before
+    # the first batch; made one at a time, the first batch fails at once
+    def first_batch_fails(*args):
+        raise RuntimeError("first batch")
+
+    monkeypatch.setattr(montecarlo, "_coupled_job", first_batch_fails)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first batch"):
+            run_experiment(EX1, (0.25,), 10**12, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_numpy_integer_samples_give_a_json_report():

@@ -15,7 +15,6 @@ PUBLIC = {
     "RunawaySimulationError",
     "SdeProblem",
     "SingularFitError",
-    "StepSizeParams",
     "Transform1D",
     "example_names",
     "fit_rate",
@@ -27,7 +26,7 @@ PUBLIC = {
 
 
 def test_all_is_exactly_the_pinned_names_and_each_resolves():
-    assert len(PUBLIC) == 20
+    assert len(PUBLIC) == 19
     assert len(adaptive_em.__all__) == len(set(adaptive_em.__all__))
     assert set(adaptive_em.__all__) == PUBLIC
     for name in adaptive_em.__all__:

@@ -104,7 +104,7 @@ import adaptive_em.cli
 from adaptive_em.montecarlo import verify_transform
 from adaptive_em.problems import get_example
 entry = get_example("example2")
-verify_transform(entry.problem, entry.transform(), [0.25], 2, 0)
+verify_transform(entry.problem, [0.25], 2, 0)
 assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before any fit"
 from adaptive_em.regression import fit_rate
 fit = fit_rate([0.25, 0.125, 0.0625], [1.0, 0.5, 0.25])

@@ -142,14 +142,13 @@ def test_band_warning_emitted_once(caplog):
         for _ in range(2):
             hits = regime_warnings(lambda: run_experiment(prob, (0.25, 0.125), 600, 0, workers))
             assert hits == ["0.125", "0.25", "0.5"]
-    params = StepSizeParams.for_problem(prob, 0.125)
     for _ in range(2):
-        hits = regime_warnings(lambda: occupation_values(prob, params, 0.05, 600, 0, workers=2))
+        hits = regime_warnings(lambda: occupation_values(prob, 0.125, (0.05,), 600, 0, workers=2))
         assert hits == ["0.125"]
     entry = get_example("example2")
     for _ in range(2):
         hits = regime_warnings(
-            lambda: verify_transform(entry.problem, entry.transform(), (0.25, 0.125), 8, 0)
+            lambda: verify_transform(entry.problem, (0.25, 0.125), 8, 0)
         )
         assert hits == ["0.125", "0.25"]
 

@@ -91,6 +91,12 @@ def test_alpha_rejects_zero_diffusion():
         Transform1D(EX1.problem.drift.f, lambda x: 0.0, eps0=0.4)
 
 
+def test_alpha_rejects_diffusion_whose_square_underflows():
+    # 1e-200 squared is 0.0, which the jump strength would divide by
+    with pytest.raises(DegenerateDiffusionError, match="breakpoint 0.0"):
+        Transform1D(EX1.problem.drift.f, lambda x: 1e-200, eps0=0.4)
+
+
 def test_bump_values():
     assert _bump(0.0) == 1.0
     assert _bump(0.5) == 0.31640625
