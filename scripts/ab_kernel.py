@@ -9,16 +9,15 @@ tree A (package seed 1000, the workload's sizes, one process) and records
 the input of every ``Transform1D.transformed_coeffs`` call of its fixed-grid
 pass.  ``--calls`` keeps that many of them, evenly spaced over the pass
 (all of them by default).  Each tree builds the workload's transform, and a
-pair replays the kept inputs through both trees' ``transformed_coeffs``, in
-alternating order, timing each tree's whole replay in process time.  Both
-trees' outputs must be byte-identical; the script exits 1 if they differ.
-Prints each tree's median time per call and the median and quartiles over
-pairs of B's time divided by A's: a ratio inside the quartiles of a tree
-run against itself is not resolved.
+pair replays the kept inputs through the ``transformed_coeffs`` of A, B and
+A' (A loaded again, after B), in the alternating order of
+``ab_jobs.alternate``, timing each whole replay in process time.  All
+outputs must be byte-identical; the script exits 1 if they differ.  Prints
+each load's median time per call and the median and quartiles over pairs of
+B's time divided by A's, beside the A/A read A'/A.
 """
 
 import argparse
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -64,34 +63,19 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--calls", type=int, default=None)
     args = parser.parse_args(argv)
-    trees = [
-        ab_jobs.load_tree(root.resolve(), f"_ab_kernel_{i}")
-        for i, root in enumerate((args.tree_a, args.tree_b))
-    ]
+    trees = ab_jobs.load_trees(args.tree_a, args.tree_b, "_ab_kernel_")
     inputs = capture(trees[0])
     if args.calls is not None and args.calls < len(inputs):
         inputs = [inputs[i] for i in np.linspace(0, len(inputs) - 1, args.calls).astype(int)]
     example = ab_jobs.WORKLOADS[WORKLOAD][0]
     kernels = [pkg.get_example(example).transform().transformed_coeffs for pkg in trees]
-    cpu = ([], [])
-    for p in range(args.pairs):
-        order = (0, 1) if p % 2 == 0 else (1, 0)
-        outs = {}
-        for i in order:
-            s, outs[i] = replay(kernels[i], inputs)
-            cpu[i].append(s / len(inputs))
-        if outs[0] != outs[1]:
-            print(f"pair {p}: the outputs differ", file=sys.stderr)
-            return 1
-        print(f"pair {p}: A {cpu[0][-1] * 1e6:.1f} us  B {cpu[1][-1] * 1e6:.1f} us", flush=True)
-    q1, med, q3 = np.percentile([b / a for a, b in zip(*cpu)], [25, 50, 75])
-    print(f"{WORKLOAD} kernel: outputs identical over {len(inputs)} calls and {args.pairs} pairs")
-    print(
-        f"A median {statistics.median(cpu[0]) * 1e6:.1f} us, "
-        f"B median {statistics.median(cpu[1]) * 1e6:.1f} us per call"
+    return ab_jobs.alternate(
+        [lambda kernel=kernel: replay(kernel, inputs) for kernel in kernels],
+        args.pairs,
+        lambda s: f"{s / len(inputs) * 1e6:.1f} us",
+        f"{WORKLOAD} kernel: outputs identical over {len(inputs)} calls and {args.pairs} pairs"
+        " (times per call)",
     )
-    print(f"median B/A {med:.4f} [quartiles {q1:.4f}, {q3:.4f}]")
-    return 0
 
 
 if __name__ == "__main__":

@@ -8,13 +8,13 @@ so independent per-sample streams need no shared state and batched lockstep
 simulation of many paths reproduces the sequential values bit for bit.
 Uniform words are produced by chained splitmix64 finalizer rounds and mapped
 to normals through the inverse CDF (scipy's ndtri), one fixed method on every
-platform.
+platform.  ``ndtri`` is imported at the first draw, not with this module:
+its import costs more than the rest of the package's start-up together.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
 
@@ -37,6 +37,24 @@ _S10 = _u64(10)
 _ONE = _u64(1)
 _HALF_ULP = np.array(2.0**-54)
 _U_MAX = np.array(1.0 - 2.0**-53)  # the largest float64 below 1
+
+
+def load_ndtri():
+    """Import scipy's ``ndtri`` and bind it as ``_ndtri``; return it.
+
+    A process pool calls this before it forks, so its workers inherit the
+    loaded module rather than each importing it at its first draw.
+    """
+    global _ndtri
+    from scipy.special import ndtri
+
+    _ndtri = ndtri
+    return ndtri
+
+
+def _ndtri(u):
+    # the first draw's stand-in: later calls reach the ufunc directly
+    return load_ndtri()(u)
 
 
 def _mix64(z):
@@ -95,4 +113,4 @@ def keyed_normals(key, knot_index, t_bits, dim: int):
     u = z.astype(np.float64)
     u *= _HALF_ULP
     np.minimum(u, _U_MAX, out=u)
-    return ndtri(u)
+    return _ndtri(u)

@@ -20,6 +20,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import logging
 import math
 import numbers
 import operator
@@ -383,9 +384,32 @@ def _dump_trajectory(problem, delta, master_seed, out_dir: Path):
     )
 
 
+def _log_to_stderr(level):
+    """Log the package at ``level`` to stderr, as bare messages; return the undo.
+
+    Without it the package logs only warnings, through logging's last-resort
+    handler, in the same format.
+    """
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler()  # sys.stderr as it is now
+    old_level = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+
+    def undo():
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
+
+    return undo
+
+
 @click.group()
-def main():
+@click.option("-v", "--log-level", type=click.Choice(["info", "warning", "error"], case_sensitive=False), default=None, help="Level of the adaptive_em log on stderr; by default warnings only. info adds each batch job's size and time.")
+@click.pass_context
+def main(ctx, log_level):
     """Adaptive Euler-Maruyama experiments for drift-discontinuous SDEs."""
+    if log_level is not None:
+        ctx.call_on_close(_log_to_stderr(log_level.upper()))
 
 
 @main.command("run")

@@ -22,17 +22,18 @@ import logging
 import math
 import numbers
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
-from . import _engine
+from . import _engine, brownian
 from .problems import transform_of
 from .solver import StepSizeParams
 
 _BATCH = 512
+_AHEAD = 4  # batches submitted ahead per pool worker
 
 logger = logging.getLogger(__name__)
 
@@ -133,21 +134,46 @@ def _verify_job(payload, start, stop):
     return (by_sample(diff * diff),)
 
 
+def _in_order(pool, job, payload, spans, ahead):
+    """Yield the job's result for each span in order, at most ``ahead`` submitted unread.
+
+    A bounded window keeps memory flat in the number of batches, and a job
+    that fails stops the run after no more than ``ahead`` batches.
+    """
+    pending = deque()
+    try:
+        for a, b in spans:
+            pending.append(pool.submit(job, payload, a, b))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _map_batches(job, payload, samples, workers):
     """Run a batch job over [0, samples) and concatenate in index order.
 
     Each output has its sample axis moved last and is made contiguous, so
     a (samples, rungs) column comes back as one row of samples per rung.
     """
+    t0 = time.perf_counter()
     starts = range(0, samples, _BATCH)
-    stops = (min(a + _BATCH, samples) for a in starts)  # made as the batches run
+    spans = ((a, min(a + _BATCH, samples)) for a in starts)  # made as the batches run
     batches = -(-samples // _BATCH)
-    if workers > 1 and batches > 1:
-        # the pool starts all its processes at once: no more than there are batches
-        with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
-            parts = list(pool.map(job, repeat(payload), starts, stops))
+    # the pool starts all its processes at once: no more than there are batches
+    workers = min(workers, batches)
+    if workers > 1:
+        # loaded before the fork, so the workers inherit it
+        brownian.load_ndtri()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(_in_order(pool, job, payload, spans, _AHEAD * workers))
     else:
-        parts = [job(payload, a, b) for a, b in zip(starts, stops)]
+        parts = [job(payload, a, b) for a, b in spans]
+    logger.info("%s: %d samples in %d batches on %d worker(s), %.3f s", job.__name__,
+                samples, batches, workers, time.perf_counter() - t0)
     return [np.ascontiguousarray(np.moveaxis(np.concatenate(c), 0, -1)) for c in zip(*parts)]
 
 

@@ -49,7 +49,12 @@ def test_same_tree_twice_passes(small, capsys):
     assert ab_kernel.main([str(ROOT), str(ROOT), "--pairs", "2", "--calls", "5"]) == 0
     out = capsys.readouterr().out
     assert "outputs identical over 5 calls and 2 pairs" in out
-    assert "quartiles" in out
+    assert "median B/A" in out
+    assert "median A'/A, the A/A read" in out
+    # one line per pair, each with the three loads' times per call
+    pairs = [line for line in out.splitlines() if line.startswith("pair ")]
+    assert len(pairs) == 2
+    assert all(line.count(" us") == 3 for line in pairs)
 
 
 def test_perturbed_output_fails(small, tmp_path, capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import BrownianPath
 from scipy.special import ndtri
 
+import adaptive_em
 from adaptive_em.brownian import (
     _GOLD,
     _M1,
@@ -254,3 +259,63 @@ def test_distinct_paths_are_uncorrelated():
     z = keyed_normals(keys, kc, tb, 1)[:, 0]
     corr = np.corrcoef(z[:n], z[n:])[0, 1]
     assert abs(corr) < 3 / np.sqrt(n)
+
+
+_LAZY_SCIPY_SPECIAL = """
+import sys
+import numpy as np
+import adaptive_em.cli
+from adaptive_em.brownian import _mix64, keyed_normals, path_key, time_bits
+from adaptive_em.problems import example_names, get_example
+from adaptive_em.regression import fit_rate
+for name in example_names():
+    try:
+        get_example(name).transform()
+    except ValueError:
+        pass  # example3 is planar and has none
+fit = fit_rate([0.25, 0.125, 0.0625], [1.0, 0.5, 0.25])
+assert abs(fit.c3 - 1.0) < 1e-9, fit
+assert "scipy.special" not in sys.modules, "scipy.special loaded before a draw"
+keys = path_key(11, np.arange(64))
+kc = np.arange(1, 65, dtype=np.uint64)
+tb = time_bits(np.linspace(0.01, 1.0, 64))
+z = keyed_normals(keys, kc, tb, 1)
+assert "scipy.special" in sys.modules
+from scipy.special import ndtri
+k = _mix64(_mix64(_mix64(keys ^ (kc * np.uint64(0x9E3779B97F4A7C15))) ^ tb)) >> np.uint64(11)
+u = (k.astype(np.float64) + 0.5) * 2.0**-53
+np.testing.assert_array_equal(z[:, 0], ndtri(u), strict=True)
+"""
+
+_POOL_INHERITS_SCIPY_SPECIAL = """
+import sys
+from adaptive_em import montecarlo
+from adaptive_em.problems import get_example
+loaded = []
+
+class Pool(montecarlo.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+montecarlo.ProcessPoolExecutor = Pool
+montecarlo.run_experiment(get_example("example2").problem, [0.25], 1024, 0, workers=2)
+assert loaded == [True], loaded
+"""
+
+
+def _run_fresh(script):
+    # a fresh interpreter, since this one has loaded scipy.special already
+    src = Path(adaptive_em.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_special_is_loaded_only_by_a_draw():
+    _run_fresh(_LAZY_SCIPY_SPECIAL)
+
+
+def test_pool_loads_scipy_special_before_its_workers_start():
+    # two batches on two workers, which inherit the parent's module
+    _run_fresh(_POOL_INHERITS_SCIPY_SPECIAL)

@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import math
+import re
 
 import click
 import numpy as np
@@ -86,6 +87,56 @@ def test_help_lists_commands():
     assert result.exit_code == 0
     for name in ("run", "fit", "occupation", "verify-transform"):
         assert name in result.output
+
+
+_REGIME_WARNINGS = (
+    "outer band eps1=0.4901 exceeds eps0/4=0.1 at delta=0.5; proceeding outside the analyzed regime\n"
+    "outer band eps1=0.6931 exceeds eps0/4=0.1 at delta=0.25; proceeding outside the analyzed regime\n"
+)
+
+
+@pytest.fixture
+def bare_logging(monkeypatch):
+    # cut off pytest's capturing handlers, as in a plain interpreter: the
+    # package's warnings then reach stderr through logging's last resort
+    monkeypatch.setattr(logging.getLogger("adaptive_em"), "propagate", False)
+
+
+def test_stderr_without_log_level_holds_the_regime_warnings(tmp_path, bare_logging):
+    result = _invoke(["run", "example1", "--deltas", "2^-2", "--samples", "4", "--out", str(tmp_path)])
+    assert result.exit_code == 0, _all_text(result)
+    assert result.stderr == _REGIME_WARNINGS
+
+
+@pytest.mark.parametrize(
+    "option, stderr",
+    [
+        (["--log-level", "warning"], re.escape(_REGIME_WARNINGS)),
+        (["-v", "ERROR"], ""),
+        (
+            ["-v", "info"],
+            re.escape(_REGIME_WARNINGS)
+            + r"_coupled_job: 4 samples in 1 batches on 1 worker\(s\), \d+\.\d{3} s\n",
+        ),
+    ],
+    ids=["warning", "error", "info"],
+)
+def test_log_level_sets_the_package_log(tmp_path, bare_logging, option, stderr):
+    logger = logging.getLogger("adaptive_em")
+    before = (logger.level, list(logger.handlers))
+    result = _invoke(
+        [*option, "run", "example1", "--deltas", "2^-2", "--samples", "4", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, _all_text(result)
+    assert re.fullmatch(stderr, result.stderr), result.stderr
+    # the level and the handler last only as long as the command
+    assert (logger.level, logger.handlers) == before
+
+
+def test_log_level_rejects_an_unknown_level():
+    result = _invoke(["-v", "loud", "run", "example1"])
+    assert result.exit_code == 2
+    assert "loud" in result.stderr
 
 
 def test_parse_deltas_dyadic_range():

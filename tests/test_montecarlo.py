@@ -3,11 +3,12 @@ import json
 import logging
 import math
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from adaptive_em import _engine, montecarlo
+from adaptive_em import _engine, brownian, montecarlo
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
     _coupled_job,
@@ -171,6 +172,7 @@ def test_forward_pass_peak_memory_per_knot():
     deltas = tuple(2.0 ** -k for k in range(2, 9))
     labels, keys, rung, _ = _engine.ladder_lanes(np.arange(256), len(deltas), 1000)
     coarse, _ = _engine.coupled_ladders(EX1, deltas)
+    brownian.load_ndtri()  # the first draw's import is not the pass's memory
     tracemalloc.start()
     try:
         prior = _engine.forward_pass(EX1, coarse, rung, keys, labels=labels)
@@ -344,8 +346,10 @@ def test_pool_starts_no_more_workers_than_batches(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     args = (EX2, (0.25, 0.125), 600, 0)
     solo = run_experiment(*args, workers=1).rows
@@ -553,6 +557,36 @@ def test_batch_spans_are_made_as_the_batches_run(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _batch_fails(payload, start, stop):
+    # module level, so a pool worker can unpickle it
+    raise RuntimeError(f"batch at {start}")
+
+
+def test_pool_submits_a_bounded_window_of_batches(monkeypatch):
+    # a future per batch of 10**12 samples would take about 8 PB before the
+    # first result is read; with a window of a few batches per worker, the
+    # first failing batch stops the run at once
+    sizes = []
+
+    class SizedPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SizedPool)
+    monkeypatch.setattr(montecarlo, "_coupled_job", _batch_fails)
+    brownian.load_ndtri()  # the first draw's import is not the window's memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="batch at 0"):
+            run_experiment(EX1, (0.25,), 10**12, 0, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [2]
     assert peak < 2**20
 
 
