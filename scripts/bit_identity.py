@@ -7,7 +7,8 @@ Usage, with a checkout of the other tree in ``$OTHER``:
 Runs the commands in ``COMMANDS`` against this script's tree and against
 ``$OTHER``, in one fresh interpreter per tree with that tree's ``src`` first
 on ``PYTHONPATH``, each command group writing to its own directory; the
-``config`` group runs the 1-D problem ``CONFIG``, written next to them.  Then it
+``config`` and ``config-2d`` groups run the problems of ``CONFIGS``, written
+next to them.  Then it
 compares every file the two trees wrote, byte for byte, except
 ``report.json``, which is compared after dropping its ``wall_time``.  Prints
 one verdict per file and exits 1 on any difference, on a file only one tree
@@ -25,21 +26,36 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the config-file problem of tests/oracles.py: three breakpoints, expression
-# branches and a state-dependent diffusion.  Each tree's run writes it to
-# config.json in its output root, which {config} names
-CONFIG = {
-    "dimension": 1,
-    "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
-    "drift": {
-        "breakpoints": [-0.5, 0.25, 1.0],
-        "branches": ["1.0", "2*x", "-x*x", "sin(x) - 2"],
+# config-file problems, by the placeholder that names them in COMMANDS; each
+# tree's run writes them to <placeholder>.json in its output root.  config is
+# the problem of tests/oracles.py: three breakpoints, expression branches and a
+# state-dependent diffusion.  config_2d jumps only on its plane, in its first
+# drift component, and has a state-dependent diffusion matrix, so it runs
+# VectorField, MatrixField and Hyperplane
+CONFIGS = {
+    "config": {
+        "dimension": 1,
+        "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
+        "drift": {
+            "breakpoints": [-0.5, 0.25, 1.0],
+            "branches": ["1.0", "2*x", "-x*x", "sin(x) - 2"],
+        },
+        "diffusion": "1 + 0.25*sin(x)",
+        "x0": [0.0],
+        "horizon": 1.0,
+        "eps0": 0.3,
+        "sigma_sup": 1.25,
     },
-    "diffusion": "1 + 0.25*sin(x)",
-    "x0": [0.0],
-    "horizon": 1.0,
-    "eps0": 0.3,
-    "sigma_sup": 1.25,
+    "config_2d": {
+        "dimension": 2,
+        "surface": {"type": "hyperplane", "normal": [0.6, 0.8], "offset": 0.3},
+        "drift": ["where(0.6*x1 + 0.8*x2 < 0.3, 1.0, -1.0) - 0.5*x1", "sin(x1) - x2"],
+        "diffusion": [["1 + 0.25*cos(x2)", "0.0"], ["0.2*x1", "0.5"]],
+        "x0": [0.0, 0.0],
+        "horizon": 1.0,
+        "eps0": 0.3,
+        "sigma_sup": 1.25,
+    },
 }
 
 # output directory: the commands run in it, in order; {out} is that directory
@@ -75,6 +91,12 @@ COMMANDS = {
         ["occupation", "--config", "{config}", "--delta", "2^-4", "--epsilons", "0.05,0.1",
          "--workers", "2", "--out", "{out}"],
     ],
+    "config-2d": [
+        ["run", "--config", "{config_2d}", "--deltas", "2^-2..2^-6", "--samples", "256",
+         "--occupation-epsilons", "0.05,0.1", "--out", "{out}"],
+        ["occupation", "--config", "{config_2d}", "--delta", "2^-4", "--epsilons", "0.05,0.1",
+         "--workers", "2", "--out", "{out}"],
+    ],
 }
 
 # run in the fresh interpreter: argv[1] is the tree's src, argv[2] the jobs
@@ -94,13 +116,13 @@ def run_tree(tree: Path, out: Path) -> bool:
     """Run every command from ``tree`` into ``out``; False if any fails."""
     src = tree / "src"
     out.mkdir(parents=True)
-    config = out / "config.json"
-    config.write_text(json.dumps(CONFIG, indent=2) + "\n")
+    configs = {key: out / f"{key}.json" for key in CONFIGS}
+    for key, path in configs.items():
+        path.write_text(json.dumps(CONFIGS[key], indent=2) + "\n")
     jobs = []
     for name, commands in COMMANDS.items():
         (out / name).mkdir()
-        jobs += [[a.replace("{out}", str(out / name)).replace("{config}", str(config))
-                  for a in cmd] for cmd in commands]
+        jobs += [[a.format(out=out / name, **configs) for a in cmd] for cmd in commands]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _DRIVER, str(src), json.dumps(jobs)],

@@ -39,122 +39,98 @@ from .regression import SingularFitError, fit_rate
 from .solver import SdeProblem, StepSizeParams
 from .transform1d import PiecewiseDrift1D
 
+# the names an expression may read besides its variables: the numpy functions
+# of these names, e and pi
 _EXPR_GLOBALS = {
-    "abs": np.abs,
-    "arctan": np.arctan,
-    "cos": np.cos,
-    "e": math.e,
-    "exp": np.exp,
-    "log": np.log,
-    "maximum": np.maximum,
-    "minimum": np.minimum,
-    "pi": math.pi,
-    "sign": np.sign,
-    "sin": np.sin,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-    "where": np.where,
+    **{name: getattr(np, name) for name in (
+        "abs", "arctan", "cos", "exp", "log", "maximum", "minimum", "sign", "sin", "sqrt",
+        "tanh", "where",
+    )},
+    "e": math.e, "pi": math.pi,
 }
 
-
-# the grammar of a config expression: numbers, names, arithmetic, single
-# comparisons, unary operators, and calls to the functions in _EXPR_GLOBALS;
-# conditions combine with numpy's elementwise & | ~, since `and`, `or`, `not`
-# and chained comparisons call bool() on a batch, which raises
-_EXPR_NODES = (
-    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call,
-    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
-    ast.BitAnd, ast.BitOr,
-    ast.UnaryOp, ast.UAdd, ast.USub, ast.Invert,
-    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
-)
-
-# the arithmetic of constant subexpressions, as eval applies it; an integer power
-# that may pass _MAX_CONST_BITS bits is refused unevaluated (9**9**9 runs for minutes)
+# the arithmetic of a config expression, as eval applies it, which also folds its
+# constant subexpressions; an integer power that may pass _MAX_CONST_BITS bits is
+# refused unevaluated (9**9**9 runs for minutes)
 _CONST_OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
     ast.Pow: operator.pow, ast.BitAnd: operator.and_, ast.BitOr: operator.or_,
     ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Invert: operator.invert,
 }
+_COMPARE_OPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _MAX_CONST_BITS = 1 << 16
+_EVAL_GLOBALS = {"__builtins__": {}, **_EXPR_GLOBALS}
 
 
-def _constant_value(node):
-    """Value of a constant-only subtree, or None if it reads a name or calls."""
+def _checked(node, expr, variables):
+    """Check ``node`` against the grammar; its value if it is a constant subexpression, else None.
+
+    The grammar: numbers, names, the operators of _CONST_OPS, single comparisons
+    and calls to the functions in _EXPR_GLOBALS.  Conditions combine with numpy's
+    elementwise & | ~, since `and`, `or`, `not` and chained comparisons call
+    bool() on a batch, which raises.  A constant subexpression is evaluated, so
+    one that fails raises its ArithmeticError or TypeError here.
+    """
     if isinstance(node, ast.Constant):
+        if type(node.value) not in (int, float):
+            raise ValueError(f"expression {expr!r} has a non-numeric constant {node.value!r}")
         return node.value
-    args = [_constant_value(n) for n in ast.iter_child_nodes(node) if isinstance(n, ast.expr)]
-    if not isinstance(node, (ast.BinOp, ast.UnaryOp)) or None in args:
+    if isinstance(node, ast.Name):
+        if node.id not in variables and node.id not in _EXPR_GLOBALS:
+            raise ValueError(f"expression {expr!r} uses an unknown name {node.id!r}")
+        return None
+    if (isinstance(node, ast.BoolOp) or isinstance(node, ast.Compare) and len(node.ops) > 1
+            or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)):
+        raise ValueError(
+            f"expression {expr!r} uses `and`, `or`, `not` or a chained comparison, "
+            "which fail on a batch of points; combine conditions with &, | and ~"
+        )
+    if isinstance(node, ast.Call):
+        if not (isinstance(node.func, ast.Name) and callable(_EXPR_GLOBALS.get(node.func.id))
+                and not node.keywords):
+            raise ValueError(f"expression {expr!r} calls something other than a listed function")
+        op = None
+    elif isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Compare)):
+        op = node.ops[0] if isinstance(node, ast.Compare) else node.op
+    else:
+        raise ValueError(f"expression {expr!r} uses {type(node).__name__}, which is not allowed")
+    if not isinstance(op, (type(None), *_CONST_OPS, *_COMPARE_OPS)):
+        raise ValueError(f"expression {expr!r} uses {type(op).__name__}, which is not allowed")
+    args = [_checked(n, expr, variables) for n in ast.iter_child_nodes(node) if isinstance(n, ast.expr)]
+    if type(op) not in _CONST_OPS or None in args:
         return None
     a, b = args[0], args[-1]
-    if (isinstance(node.op, ast.Pow) and type(a) is type(b) is int
+    if (isinstance(op, ast.Pow) and type(a) is type(b) is int
             and abs(a) > 1 and b * a.bit_length() > _MAX_CONST_BITS):
         raise OverflowError(f"integer power with over {_MAX_CONST_BITS} bits")
-    return _CONST_OPS[type(node.op)](*args)
-
-
-def _check_expression(expr: str, variables) -> None:
-    """Reject anything outside the config-expression grammar with a ValueError.
-
-    So is a constant subexpression that divides by zero, overflows or is too
-    large to compute: it would fail, or hang, on the first evaluation.
-    """
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"expression {expr!r} is not valid: {exc.msg}") from None
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, (ast.BoolOp, ast.Not))
-            or isinstance(node, ast.Compare) and len(node.ops) > 1
-        ):
-            raise ValueError(
-                f"expression {expr!r} uses `and`, `or`, `not` or a chained comparison, "
-                "which fail on a batch of points; combine conditions with &, | and ~"
-            )
-        if not isinstance(node, _EXPR_NODES):
-            raise ValueError(
-                f"expression {expr!r} uses {type(node).__name__}, which is not allowed"
-            )
-        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
-            raise ValueError(f"expression {expr!r} has a non-numeric constant {node.value!r}")
-        if isinstance(node, ast.Name) and node.id not in variables and node.id not in _EXPR_GLOBALS:
-            raise ValueError(f"expression {expr!r} uses an unknown name {node.id!r}")
-        if isinstance(node, ast.Call) and not (
-            isinstance(node.func, ast.Name)
-            and callable(_EXPR_GLOBALS.get(node.func.id))
-            and not node.keywords
-        ):
-            raise ValueError(
-                f"expression {expr!r} calls something other than a listed function"
-            )
-    try:
-        _constant_value(tree)
-    except (ArithmeticError, TypeError) as exc:
-        raise ValueError(f"expression {expr!r} has a constant that fails: {exc}") from None
+    return _CONST_OPS[type(op)](*args)
 
 
 class ExpressionFunction:
     """Numpy expression over named variables; it pickles as its text.
 
-    The expression and its constant subexpressions are checked when the
-    function is built; see ``_check_expression``.
+    It is checked against the grammar of ``_checked`` when it is built.
     """
 
     def __init__(self, expr: str, variables):
         self.variables = tuple(variables)
-        _check_expression(expr, self.variables)
         self.expr = expr
-        self._code = compile(expr, "<config expression>", "eval")
+        try:
+            tree = ast.parse(expr, mode="eval")
+        except SyntaxError as exc:
+            raise ValueError(f"expression {expr!r} is not valid: {exc.msg}") from None
+        try:
+            _checked(tree.body, expr, self.variables)
+        except (ArithmeticError, TypeError) as exc:
+            raise ValueError(f"expression {expr!r} has a constant that fails: {exc}") from None
+        self._code = compile(tree, "<config expression>", "eval")
 
     def __reduce__(self):
         return ExpressionFunction, (self.expr, self.variables)
 
     def __call__(self, *args):
-        env = dict(_EXPR_GLOBALS)
-        env.update(zip(self.variables, args))
-        return eval(self._code, {"__builtins__": {}}, env)
+        return eval(self._code, _EVAL_GLOBALS, dict(zip(self.variables, args)))
 
 
 class VectorField:
@@ -241,55 +217,76 @@ def _check_numbers(cfg, *keys):
             raise ValueError(f"{key} {what}, not {value!r}")
 
 
+# the shape of a config's expressions, by the number of lists around each string
+_SHAPES = ("a string", "a list of strings", "a list of lists of strings")
+
+
+def _expressions(cfg, key, depth):
+    """``cfg[key]`` if it is a string nested in ``depth`` lists, else a ValueError naming ``key``.
+
+    A string where a list belongs would be read as a list of its characters.
+    """
+    def fits(v, d):
+        return isinstance(v, list) and all(fits(e, d - 1) for e in v) if d else isinstance(v, str)
+
+    if not fits(cfg[key], depth):
+        raise ValueError(f"{key} must be {_SHAPES[depth]}, not {cfg[key]!r}")
+    return cfg[key]
+
+
+def _check_object(value, key):
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, not {value!r}")
+
+
 def _drift_from_config(cfg: dict, dimension: int):
     drift = cfg["drift"]
-    if dimension == 1:
-        if isinstance(drift, str):
-            return _Lift1D(ExpressionFunction(drift, ("x",)))
-        _check_numbers(drift, "breakpoints")
-        return _Lift1D(PiecewiseDrift1D(
-            breakpoints=tuple(float(b) for b in drift["breakpoints"]),
-            branches=tuple(
-                ExpressionFunction(e, ("x",)) for e in drift["branches"]
-            ),
-        ))
-    return VectorField(list(drift))
+    if dimension != 1:
+        return VectorField(_expressions(cfg, "drift", 1))
+    if not isinstance(drift, dict):
+        return _Lift1D(ExpressionFunction(_expressions(cfg, "drift", 0), ("x",)))
+    _check_numbers(drift, "breakpoints")
+    return _Lift1D(PiecewiseDrift1D(
+        breakpoints=tuple(float(b) for b in drift["breakpoints"]),
+        branches=tuple(ExpressionFunction(e, ("x",)) for e in _expressions(drift, "branches", 1)),
+    ))
 
 
 def _diffusion_from_config(cfg: dict, dimension: int):
-    diffusion = cfg["diffusion"]
-    if dimension == 1:
-        return _LiftDiffusion1D(ExpressionFunction(diffusion, ("x",)))
-    return MatrixField(list(diffusion))
+    if dimension != 1:
+        return MatrixField(_expressions(cfg, "diffusion", 2))
+    return _LiftDiffusion1D(ExpressionFunction(_expressions(cfg, "diffusion", 0), ("x",)))
 
 
-def problem_from_config(cfg: dict):
-    """Build (SdeProblem, transform factory) from a config dict.
+def problem_from_config(cfg: dict) -> SdeProblem:
+    """Build the SdeProblem of a config dict.
 
     The schema mirrors SdeProblem: scalar fields ``dimension`` (an integer),
     ``horizon``, ``x0``, ``eps0``, ``sigma_sup``; a ``surface`` object with a
     geometry ``type``; and ``drift``/``diffusion`` as numpy expressions (in
-    ``x`` for one dimension, ``x1..xd`` otherwise).  One-dimensional drifts
-    may instead give ``{"breakpoints": [...], "branches": [...]}``, each jump
-    on the surface, which enables the transform benchmark.  A drift that
-    jumps must take that form, which ``SdeProblem.__post_init__`` checks: a
-    drift given as one expression (``where``, ``sign``, ...) is not checked
-    and must be continuous off the surface.  The factory is
-    ``ExampleEntry.transform``; see ``problems.transform_of``.  A number, or
-    an entry of a list of them, must be a JSON number: a bool or a string is
-    refused.  Other keys, such as a drift bound left in an older config, are
-    ignored.
+    ``x`` for one dimension, ``x1..xd`` otherwise): a string each in one
+    dimension, else a list of strings and a list of lists of strings.
+    One-dimensional drifts may instead give ``{"breakpoints": [...],
+    "branches": [...]}``, each jump on the surface, which enables the
+    transform benchmark (``problems.transform_of``).  A drift that jumps must
+    take that form, which ``SdeProblem.__post_init__`` checks: a drift given
+    as one expression (``where``, ``sign``, ...) is not checked and must be
+    continuous off the surface.  A number, or an entry of a list of them,
+    must be a JSON number: a bool or a string is refused.  Other keys, such
+    as a drift bound left in an older config, are ignored.
     """
     try:
+        _check_object(cfg, "the config")
         dimension = cfg["dimension"]
         # int() alone would run 1.7 and true as one-dimensional problems
         if isinstance(dimension, bool) or dimension != int(dimension):
             raise ValueError(f"dimension must be an integer, not {dimension!r}")
         dimension = int(dimension)
         _check_numbers(cfg, "x0", "horizon", "eps0", "sigma_sup")
+        _check_object(cfg["surface"], "surface")
         _check_numbers(cfg["surface"], "points", "normal", "offset", "center", "radius")
         surface = surface_from_config(cfg["surface"])
-        problem = SdeProblem(
+        return SdeProblem(
             dimension=dimension,
             drift=_drift_from_config(cfg, dimension),
             diffusion=_diffusion_from_config(cfg, dimension),
@@ -301,7 +298,6 @@ def problem_from_config(cfg: dict):
         )
     except (ArithmeticError, KeyError, NameError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad problem config: {exc}") from exc
-    return problem, ExampleEntry("config", problem).transform
 
 
 def _load_config(path: str):
@@ -315,18 +311,21 @@ def _load_config(path: str):
 def _resolve_problem(example, config_path):
     """Problem and its transform factory from an example name or config file.
 
-    Only ``verify_transform`` builds the transform, so the other commands
-    also run problems whose diffusion vanishes at a breakpoint.
+    No command reads the factory: the pair stays only because
+    ``perfbench/workloads.py`` reads ``[0]``.  Only ``verify_transform``
+    builds the transform, so the other commands also run problems whose
+    diffusion vanishes at a breakpoint.
     """
     if (example is None) == (config_path is None):
         raise click.UsageError("give exactly one of EXAMPLE or --config")
-    if example is not None:
+    if example is None:
+        entry = ExampleEntry("config", problem_from_config(_load_config(config_path)))
+    else:
         try:
             entry = get_example(example)
         except KeyError as exc:
             raise click.UsageError(exc.args[0]) from None
-        return entry.problem, entry.transform
-    return problem_from_config(_load_config(config_path))
+    return entry.problem, entry.transform
 
 
 @contextlib.contextmanager

@@ -36,6 +36,7 @@ import numpy as np
 from adaptive_em.brownian import keyed_normals, path_key, time_bits
 from adaptive_em.cli import problem_from_config
 from adaptive_em.montecarlo import equidistant_steps
+from adaptive_em.problems import transform_of
 from adaptive_em.solver import (
     RunawaySimulationError,
     SdeProblem,
@@ -53,7 +54,7 @@ from adaptive_em.transform1d import (
     _psi_second,
 )
 
-CONFIG_PROBLEM, _make_config_transform = problem_from_config(
+CONFIG_PROBLEM = problem_from_config(
     {
         "dimension": 1,
         "surface": {"type": "points1d", "points": [-0.5, 0.25, 1.0]},
@@ -68,7 +69,7 @@ CONFIG_PROBLEM, _make_config_transform = problem_from_config(
         "sigma_sup": 1.25,
     }
 )
-CONFIG_TRANSFORM = _make_config_transform()
+CONFIG_TRANSFORM = transform_of(CONFIG_PROBLEM)
 
 
 def step_size(x, params: StepSizeParams, surface):

@@ -22,7 +22,7 @@ from adaptive_em.cli import (
     parse_epsilons,
     problem_from_config,
 )
-from adaptive_em.problems import get_example
+from adaptive_em.problems import get_example, transform_of
 from adaptive_em.solver import SdeProblem, StepSizeParams
 
 
@@ -203,13 +203,13 @@ def test_parse_epsilons():
 
 
 def test_problem_from_config_round_trip():
-    problem, transform = problem_from_config(_CONFIG_1D)
+    problem = problem_from_config(_CONFIG_1D)
     assert problem.dimension == 1
-    assert transform is not None
-    problem2, transform2 = problem_from_config(_CONFIG_2D)
+    assert transform_of(problem) is not None
+    problem2 = problem_from_config(_CONFIG_2D)
     assert problem2.dimension == 2
     with pytest.raises(ValueError, match="piecewise"):
-        transform2()
+        transform_of(problem2)
 
 
 def test_problem_from_config_rejects_missing_key():
@@ -450,6 +450,54 @@ def test_config_field_of_wrong_size_is_rejected(tmp_path, field, value):
     result = _invoke(["run", "--config", str(config), "--samples", "4", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "bad problem config" in _all_text(result)
+
+
+def _run_config_exits_2(tmp_path, cfg, message):
+    config = _write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    result = _invoke(["run", "--config", str(config), "--deltas", "2^-2", "--samples", "4",
+                      "--out", str(out)])
+    assert result.exit_code == 2, _all_text(result)
+    assert f"bad problem config: {message}" in _all_text(result)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("surface", [[0.5], None, "points1d", 1.0],
+                         ids=["list", "null", "string", "number"])
+def test_config_surface_that_is_not_an_object_exits_2(tmp_path, surface):
+    # a list would reach surface_from_config's .get: an AttributeError, which exits 1
+    _run_config_exits_2(tmp_path, dict(_CONFIG_1D, surface=surface),
+                        f"surface must be an object, not {surface!r}")
+
+
+@pytest.mark.parametrize("cfg", [[_CONFIG_1D], "config", 1.0, None],
+                         ids=["list", "string", "number", "null"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, cfg):
+    _run_config_exits_2(tmp_path, cfg, f"the config must be an object, not {cfg!r}")
+
+
+@pytest.mark.parametrize("cfg, path, value, message", [
+    # a string where a list belongs would be read as a list of its characters
+    pytest.param(_CONFIG_2D, ("diffusion",), "1.0",
+                 "diffusion must be a list of lists of strings, not '1.0'", id="2d-diffusion-string"),
+    pytest.param(_CONFIG_2D, ("diffusion",), ["1.0", "0.0"],
+                 "diffusion must be a list of lists of strings, not ['1.0', '0.0']",
+                 id="2d-diffusion-row"),
+    pytest.param(_CONFIG_2D, ("drift",), "x1", "drift must be a list of strings, not 'x1'",
+                 id="2d-drift-string"),
+    pytest.param(_CONFIG_2D, ("drift",), ["-x1", 1.0],
+                 "drift must be a list of strings, not ['-x1', 1.0]", id="2d-drift-number"),
+    pytest.param(_CONFIG_1D, ("drift", "branches"), "1.0",
+                 "branches must be a list of strings, not '1.0'", id="branches-string"),
+    pytest.param(_CONFIG_1D, ("drift", "branches"), [1.0, "-1.0"],
+                 "branches must be a list of strings, not [1.0, '-1.0']", id="branch-number"),
+    pytest.param(_CONFIG_1D, ("diffusion",), 1.0, "diffusion must be a string, not 1.0",
+                 id="1d-diffusion-number"),
+    pytest.param(_CONFIG_1D, ("drift",), ["1.0"], "drift must be a string, not ['1.0']",
+                 id="1d-drift-list"),
+])
+def test_config_expression_of_the_wrong_shape_exits_2(tmp_path, cfg, path, value, message):
+    _run_config_exits_2(tmp_path, _with(cfg, path, value), message)
 
 
 def test_config_expression_grammar_accepts_operators_and_listed_calls():
@@ -716,9 +764,9 @@ def test_config_drift_jump_off_the_surface_exits_2(tmp_path, caplog, monkeypatch
 
 def test_config_breakpoint_without_a_jump_may_lie_off_the_surface(tmp_path):
     cfg = dict(_CONFIG_1D, drift={"breakpoints": [-0.7, 0.5], "branches": ["1.0", "1.0", "-1.0"]})
-    problem, transform = problem_from_config(cfg)
+    problem = problem_from_config(cfg)
     assert problem.surface.points == (0.5,)
-    assert transform()._alphas.tolist() == [0.0, 1.0]
+    assert transform_of(problem)._alphas.tolist() == [0.0, 1.0]
     config = _write_config(tmp_path, cfg)
     result = _invoke(["run", "--config", str(config), "--deltas", "2^-2", "--samples", "8",
                       "--out", str(tmp_path)])
@@ -988,9 +1036,9 @@ def test_config_with_steep_branches_loads(tmp_path):
     # slope 200 on both sides of the jump at 0, whose strength is 1
     cfg = dict(_CONFIG_1D, surface={"type": "points1d", "points": [0.0]},
                drift={"breakpoints": [0.0], "branches": ["1 - 200*x", "-1 - 200*x"]})
-    problem, transform = problem_from_config(cfg)
+    problem = problem_from_config(cfg)
     assert problem.drift.f.left_limits == (1.0,) and problem.drift.f.right_limits == (-1.0,)
-    assert transform()._alphas.tolist() == [1.0]
+    assert transform_of(problem)._alphas.tolist() == [1.0]
     config = _write_config(tmp_path, cfg)
     result = _invoke(["run", "--config", str(config), "--deltas", "2^-2", "--samples", "8",
                       "--out", str(tmp_path)])

@@ -126,7 +126,7 @@ _EXPRESSION_DRIFT_1D = {
 
 @pytest.mark.parametrize("entry", [
     get_example("example3"),
-    ExampleEntry("config", problem_from_config(_EXPRESSION_DRIFT_1D)[0]),
+    ExampleEntry("config", problem_from_config(_EXPRESSION_DRIFT_1D)),
 ], ids=["example3", "expression-drift"])
 def test_transform_needs_a_scalar_piecewise_drift(entry):
     for words in ("not scalar", "one-dimensional", "piecewise"):
