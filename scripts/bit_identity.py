@@ -7,12 +7,11 @@ Usage, with a checkout of the other tree in ``$OTHER``:
 Runs the commands in ``COMMANDS`` against this script's tree and against
 ``$OTHER``, in one fresh interpreter per tree with that tree's ``src`` first
 on ``PYTHONPATH``, each command group writing to its own directory; the
-``config`` and ``config-2d`` groups run the problems of ``CONFIGS``, written
-next to them.  Then it
-compares every file the two trees wrote, byte for byte, except
-``report.json``, which is compared after dropping its ``wall_time``.  Prints
-one verdict per file and exits 1 on any difference, on a file only one tree
-wrote, or on a command that fails.
+``config``, ``config-2d`` and ``config-circle`` groups run the problems of
+``CONFIGS``, written next to them.  Then it compares every file the two trees
+wrote, byte for byte, except ``report.json``, which is compared after
+dropping its ``wall_time``.  Prints one verdict per file and exits 1 on any
+difference, on a file only one tree wrote, or on a command that fails.
 """
 
 import argparse
@@ -31,7 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # the problem of tests/oracles.py: three breakpoints, expression branches and a
 # state-dependent diffusion.  config_2d jumps only on its plane, in its first
 # drift component, and has a state-dependent diffusion matrix, so it runs
-# VectorField, MatrixField and Hyperplane
+# VectorField, MatrixField and Hyperplane.  config_circle is example3 written
+# as expressions (_CONFIG_2D of tests/test_cli.py), so it runs Circle2D, and
+# the three builds every surface type of a config
 CONFIGS = {
     "config": {
         "dimension": 1,
@@ -55,6 +56,19 @@ CONFIGS = {
         "horizon": 1.0,
         "eps0": 0.3,
         "sigma_sup": 1.25,
+    },
+    "config_circle": {
+        "dimension": 2,
+        "surface": {"type": "circle", "center": [0.0, 0.0], "radius": 1.0},
+        "drift": [
+            "where(x1*x1 + x2*x2 < 1.0, -x1, 1.0)",
+            "where(x1*x1 + x2*x2 < 1.0, x2, 1.0)",
+        ],
+        "diffusion": [["0.5*x1", "0.0"], ["0.5*x2", "0.0"]],
+        "x0": [0.5, 0.5],
+        "horizon": 1.0,
+        "eps0": 0.5,
+        "sigma_sup": 0.75,
     },
 }
 
@@ -96,6 +110,12 @@ COMMANDS = {
          "--occupation-epsilons", "0.05,0.1", "--out", "{out}"],
         ["occupation", "--config", "{config_2d}", "--delta", "2^-4", "--epsilons", "0.05,0.1",
          "--workers", "2", "--out", "{out}"],
+    ],
+    "config-circle": [
+        ["run", "--config", "{config_circle}", "--deltas", "2^-2..2^-5", "--samples", "256",
+         "--dump-trajectories", "--out", "{out}"],
+        ["occupation", "--config", "{config_circle}", "--delta", "2^-4", "--epsilons", "0.05,0.1",
+         "--out", "{out}"],
     ],
 }
 

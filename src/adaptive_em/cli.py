@@ -32,7 +32,7 @@ import click
 import numpy as np
 
 from . import _engine
-from .geometry import surface_from_config
+from .geometry import Circle2D, Hyperplane, PointSet1D
 from .montecarlo import _mean_stderr, _write_csv, occupation_values, run_experiment, verify_transform
 from .problems import ExampleEntry, _Lift1D, _LiftDiffusion1D, get_example
 from .regression import SingularFitError, fit_rate
@@ -118,13 +118,16 @@ class ExpressionFunction:
         self.expr = expr
         try:
             tree = ast.parse(expr, mode="eval")
+            _checked(tree.body, expr, self.variables)
+            self._code = compile(tree, "<config expression>", "eval")
         except SyntaxError as exc:
             raise ValueError(f"expression {expr!r} is not valid: {exc.msg}") from None
-        try:
-            _checked(tree.body, expr, self.variables)
         except (ArithmeticError, TypeError) as exc:
             raise ValueError(f"expression {expr!r} has a constant that fails: {exc}") from None
-        self._code = compile(tree, "<config expression>", "eval")
+        except RecursionError:
+            # ast.parse, the recursive _checked and compile each give out on a
+            # long enough chain of operators
+            raise ValueError(f"expression {expr!r} is nested too deeply") from None
 
     def __reduce__(self):
         return ExpressionFunction, (self.expr, self.variables)
@@ -202,99 +205,116 @@ def parse_epsilons(spec: str):
         raise click.BadParameter(f"cannot parse epsilon list {spec!r}") from None
 
 
-def _check_numbers(cfg, *keys):
-    """Refuse anything but a JSON number, or a list of them, at ``keys`` in ``cfg``.
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
-    float() and numpy would read true as 1.0 and "0.5" as 0.5.  A missing
-    key is left to the code that reads it.
+
+def _nonempty_list_of(shape):
+    return lambda v: isinstance(v, list) and v != [] and all(map(_SHAPES[shape], v))
+
+
+# the shapes a config value may have, by the words that name them.  float() and
+# numpy would read true as 1.0 and "0.5" as 0.5, and a string where a list
+# belongs as a list of its characters.  An integral float is an integer, as
+# "dimension": 2.0 has always run; a list of numbers may be empty, as
+# "breakpoints": [] is a drift without jumps
+_SHAPES = {
+    "an integer": lambda v: _is_number(v) and v % 1 == 0,
+    "a number": _is_number,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "an object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": _nonempty_list_of("a string"),
+    "a list of lists of strings": _nonempty_list_of("a list of strings"),
+}
+
+
+def _get(cfg, key, *shapes):
+    """``cfg[key]`` if it has one of ``shapes``, else a ValueError that names ``key``.
+
+    The message names the first shape, or the entries of a list where a list
+    of numbers belongs.  A missing key raises ``KeyError(key)``.
     """
-    for key in (k for k in keys if k in cfg):
-        value = cfg[key]
-        many = isinstance(value, list)
-        entries = value if many else [value]
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in entries):
-            what = "entries must be numbers" if many else "must be a number"
-            raise ValueError(f"{key} {what}, not {value!r}")
+    value = cfg[key]
+    if any(_SHAPES[shape](value) for shape in shapes):
+        return value
+    if isinstance(value, list) and "a list of numbers" in shapes:
+        raise ValueError(f"{key} entries must be numbers, not {value!r}")
+    raise ValueError(f"{key} must be {shapes[0]}, not {value!r}")
 
 
-# the shape of a config's expressions, by the number of lists around each string
-_SHAPES = ("a string", "a list of strings", "a list of lists of strings")
+# each surface type: its class and the shape of each of its keys, which are
+# the class's arguments
+_SURFACES = {
+    "points1d": (PointSet1D, {"points": "a list of numbers"}),
+    "hyperplane": (Hyperplane, {"normal": "a list of numbers", "offset": "a number"}),
+    "circle": (Circle2D, {"center": "a list of numbers", "radius": "a number"}),
+}
 
 
-def _expressions(cfg, key, depth):
-    """``cfg[key]`` if it is a string nested in ``depth`` lists, else a ValueError naming ``key``.
+def _surface_from_config(surface: dict):
+    """Build the surface of a config's ``surface`` object, whose ``type`` keys ``_SURFACES``.
 
-    A string where a list belongs would be read as a list of its characters.
+    A key of another type is ignored once its shape is checked.
     """
-    def fits(v, d):
-        return isinstance(v, list) and all(fits(e, d - 1) for e in v) if d else isinstance(v, str)
-
-    if not fits(cfg[key], depth):
-        raise ValueError(f"{key} must be {_SHAPES[depth]}, not {cfg[key]!r}")
-    return cfg[key]
-
-
-def _check_object(value, key):
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be an object, not {value!r}")
+    kind = _get(surface, "type", "a string")
+    if kind not in _SURFACES:
+        raise ValueError(f"unknown surface type: {kind!r}")
+    given = {key: _get(surface, key, shape)
+             for _, shapes in _SURFACES.values() for key, shape in shapes.items() if key in surface}
+    cls, shapes = _SURFACES[kind]
+    return cls(**{key: given[key] for key in shapes})
 
 
 def _drift_from_config(cfg: dict, dimension: int):
-    drift = cfg["drift"]
     if dimension != 1:
-        return VectorField(_expressions(cfg, "drift", 1))
-    if not isinstance(drift, dict):
-        return _Lift1D(ExpressionFunction(_expressions(cfg, "drift", 0), ("x",)))
-    _check_numbers(drift, "breakpoints")
+        return VectorField(_get(cfg, "drift", "a list of strings"))
+    drift = _get(cfg, "drift", "a string", "an object")
+    if isinstance(drift, str):
+        return _Lift1D(ExpressionFunction(drift, ("x",)))
     return _Lift1D(PiecewiseDrift1D(
-        breakpoints=tuple(float(b) for b in drift["breakpoints"]),
-        branches=tuple(ExpressionFunction(e, ("x",)) for e in _expressions(drift, "branches", 1)),
+        breakpoints=_get(drift, "breakpoints", "a list of numbers"),
+        branches=[ExpressionFunction(e, ("x",)) for e in _get(drift, "branches", "a list of strings")],
     ))
 
 
 def _diffusion_from_config(cfg: dict, dimension: int):
     if dimension != 1:
-        return MatrixField(_expressions(cfg, "diffusion", 2))
-    return _LiftDiffusion1D(ExpressionFunction(_expressions(cfg, "diffusion", 0), ("x",)))
+        return MatrixField(_get(cfg, "diffusion", "a list of lists of strings"))
+    return _LiftDiffusion1D(ExpressionFunction(_get(cfg, "diffusion", "a string"), ("x",)))
 
 
 def problem_from_config(cfg: dict) -> SdeProblem:
     """Build the SdeProblem of a config dict.
 
-    The schema mirrors SdeProblem: scalar fields ``dimension`` (an integer),
-    ``horizon``, ``x0``, ``eps0``, ``sigma_sup``; a ``surface`` object with a
-    geometry ``type``; and ``drift``/``diffusion`` as numpy expressions (in
-    ``x`` for one dimension, ``x1..xd`` otherwise): a string each in one
-    dimension, else a list of strings and a list of lists of strings.
-    One-dimensional drifts may instead give ``{"breakpoints": [...],
-    "branches": [...]}``, each jump on the surface, which enables the
+    The schema mirrors SdeProblem: an integer ``dimension``; numbers
+    ``horizon``, ``eps0`` and ``sigma_sup``; ``x0``, a list of numbers or,
+    in one dimension, a number; a ``surface`` object whose ``type`` names a
+    row of ``_SURFACES``; and ``drift``/``diffusion`` as numpy expressions
+    (in ``x`` for one dimension, ``x1..xd`` otherwise): a string each in one
+    dimension, else a non-empty list of strings and a non-empty list of
+    non-empty lists of strings.  One-dimensional drifts may instead give
+    ``{"breakpoints": [...], "branches": [...]}``, a list of numbers and a
+    non-empty list of strings, each jump on the surface, which enables the
     transform benchmark (``problems.transform_of``).  A drift that jumps must
     take that form, which ``SdeProblem.__post_init__`` checks: a drift given
     as one expression (``where``, ``sign``, ...) is not checked and must be
-    continuous off the surface.  A number, or an entry of a list of them,
-    must be a JSON number: a bool or a string is refused.  Other keys, such
-    as a drift bound left in an older config, are ignored.
+    continuous off the surface.  ``_get`` reads every key and refuses a value
+    of another shape by the key's name.  Other keys, such as a drift bound
+    left in an older config, are ignored.
     """
     try:
-        _check_object(cfg, "the config")
-        dimension = cfg["dimension"]
-        # int() alone would run 1.7 and true as one-dimensional problems
-        if isinstance(dimension, bool) or dimension != int(dimension):
-            raise ValueError(f"dimension must be an integer, not {dimension!r}")
-        dimension = int(dimension)
-        _check_numbers(cfg, "x0", "horizon", "eps0", "sigma_sup")
-        _check_object(cfg["surface"], "surface")
-        _check_numbers(cfg["surface"], "points", "normal", "offset", "center", "radius")
-        surface = surface_from_config(cfg["surface"])
+        cfg = _get({"the config": cfg}, "the config", "an object")
+        dimension = int(_get(cfg, "dimension", "an integer"))
         return SdeProblem(
             dimension=dimension,
             drift=_drift_from_config(cfg, dimension),
             diffusion=_diffusion_from_config(cfg, dimension),
-            surface=surface,
-            x0=np.asarray(cfg["x0"], dtype=float),
-            horizon=float(cfg["horizon"]),
-            eps0=float(cfg["eps0"]),
-            sigma_sup=float(cfg["sigma_sup"]),
+            surface=_surface_from_config(_get(cfg, "surface", "an object")),
+            x0=np.asarray(_get(cfg, "x0", "a number", "a list of numbers"), dtype=float),
+            horizon=float(_get(cfg, "horizon", "a number")),
+            eps0=float(_get(cfg, "eps0", "a number")),
+            sigma_sup=float(_get(cfg, "sigma_sup", "a number")),
         )
     except (ArithmeticError, KeyError, NameError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad problem config: {exc}") from exc
@@ -351,11 +371,14 @@ def _write_rows(out_dir, name, header, rows):
     click.echo(f"wrote {target}")
 
 
-def _trajectory(problem, params, master_seed, index=0):
-    """Grid times, states and step count of one path from a one-lane forward pass.
+def _dump_trajectory(problem, delta, master_seed, out_dir: Path):
+    """Write sample 0's path of a one-lane forward pass at ``delta``, rows ``k,tau_k,x1..xd``.
 
     The nodes are ``(0, x0)`` and then every step's end, so the last one is
-    at or past the horizon, exactly as the estimators step the path.
+    at or past the horizon, exactly as the estimators step the path.  It is
+    the sample-0 path of ``verify_transform``'s adaptive pass at ``delta``,
+    not the fine run of ``run_experiment``, which is bridged against the
+    coarse knots.
     """
     times, states = [0.0], [problem.x0]
 
@@ -363,19 +386,9 @@ def _trajectory(problem, params, master_seed, index=0):
         times.append(t_next[0])
         states.append(xn[0])
 
-    labels, keys, rung, _ = _engine.ladder_lanes([index], 1, master_seed)
-    out = _engine.forward_pass(problem, (params,), rung, keys, labels, observe=record)
-    return np.array(times), np.array(states), int(out["n"][0])
-
-
-def _dump_trajectory(problem, delta, master_seed, out_dir: Path):
-    """Write sample 0's path of a fresh forward pass at ``delta``, rows ``k,tau_k,x1..xd``.
-
-    It is the sample-0 path of ``verify_transform``'s adaptive pass at ``delta``,
-    not the fine run of ``run_experiment``, which is bridged against the coarse knots.
-    """
+    labels, keys, rung, _ = _engine.ladder_lanes([0], 1, master_seed)
     params = StepSizeParams.for_problem(problem, delta)
-    times, states, _ = _trajectory(problem, params, master_seed)
+    _engine.forward_pass(problem, (params,), rung, keys, labels, observe=record)
     _write_rows(
         out_dir, f"trajectory_delta_{delta!r}.csv",
         ["k", "tau_k"] + [f"x{j + 1}" for j in range(problem.dimension)],

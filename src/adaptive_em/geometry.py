@@ -149,19 +149,3 @@ class Circle2D(Hypersurface):
     def distance(self, x):
         return np.abs(self._radial(x) - self.radius)
 
-
-def surface_from_config(config: dict) -> Hypersurface:
-    """Build a surface from a config dict with a ``type`` key.
-
-    ``{"type": "points1d", "points": [...]}``, ``{"type": "hyperplane",
-    "normal": [...], "offset": ...}`` or ``{"type": "circle", "center":
-    [x, y], "radius": ...}``; the other keys are the constructor's arguments.
-    """
-    kind = config.get("type")
-    if kind == "points1d":
-        return PointSet1D(points=tuple(config["points"]))
-    if kind == "hyperplane":
-        return Hyperplane(normal=tuple(config["normal"]), offset=config["offset"])
-    if kind == "circle":
-        return Circle2D(center=tuple(config["center"]), radius=config["radius"])
-    raise ValueError(f"unknown surface type: {kind!r}")

@@ -22,6 +22,7 @@ from adaptive_em.cli import (
     parse_epsilons,
     problem_from_config,
 )
+from adaptive_em.geometry import Circle2D, Hyperplane, PointSet1D
 from adaptive_em.problems import get_example, transform_of
 from adaptive_em.solver import SdeProblem, StepSizeParams
 
@@ -206,6 +207,8 @@ def test_problem_from_config_round_trip():
     problem = problem_from_config(_CONFIG_1D)
     assert problem.dimension == 1
     assert transform_of(problem) is not None
+    # in one dimension x0 may be a bare number
+    assert problem_from_config(dict(_CONFIG_1D, x0=0.0)).x0.tolist() == [0.0]
     problem2 = problem_from_config(_CONFIG_2D)
     assert problem2.dimension == 2
     with pytest.raises(ValueError, match="piecewise"):
@@ -307,6 +310,21 @@ def test_config_dimension_sizes_no_field(tmp_path, monkeypatch):
                  "normal entries must be numbers, not [True, 0]", id="normal"),
     pytest.param(_HYPERPLANE_2D, ("surface", "offset"), False,
                  "offset must be a number, not False", id="offset"),
+    # a number where a list belongs, and a list where a number belongs
+    pytest.param(_CONFIG_1D, ("drift", "breakpoints"), 0.5,
+                 "breakpoints must be a list of numbers, not 0.5", id="breakpoints-number"),
+    pytest.param(_CONFIG_1D, ("surface", "points"), 0.0,
+                 "points must be a list of numbers, not 0.0", id="points-number"),
+    pytest.param(_CONFIG_2D, ("surface", "center"), 0.0,
+                 "center must be a list of numbers, not 0.0", id="center-number"),
+    pytest.param(_HYPERPLANE_2D, ("surface", "normal"), 1.0,
+                 "normal must be a list of numbers, not 1.0", id="normal-number"),
+    pytest.param(_CONFIG_1D, ("horizon",), [1.0], "horizon must be a number, not [1.0]",
+                 id="horizon-list"),
+    pytest.param(_CONFIG_2D, ("surface", "radius"), [1.0], "radius must be a number, not [1.0]",
+                 id="radius-list"),
+    pytest.param(_HYPERPLANE_2D, ("surface", "offset"), [0.0],
+                 "offset must be a number, not [0.0]", id="offset-list"),
 ])
 def test_config_bool_or_string_for_a_number_exits_2(tmp_path, cfg, path, value, message):
     # float() and numpy would read true as 1.0 and "0.5" as 0.5
@@ -334,6 +352,27 @@ def test_config_non_finite_surface_exits_2(tmp_path, surface, field):
     assert result.exit_code == 2
     assert f"{field} must be a finite" in _all_text(result)
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_surface_from_config():
+    cases = [
+        ({"type": "points1d", "points": [0.0, 1.0]}, PointSet1D(points=(0.0, 1.0))),
+        (
+            {"type": "hyperplane", "normal": [0.0, 1.0], "offset": 0.25},
+            Hyperplane(normal=(0.0, 1.0), offset=0.25),
+        ),
+        (
+            {"type": "circle", "center": [0.5, -0.5], "radius": 2.0},
+            Circle2D(center=(0.5, -0.5), radius=2.0),
+        ),
+    ]
+    for config, surface in cases:
+        assert cli._surface_from_config(config) == surface
+
+
+def test_config_rejects_unknown_type():
+    with pytest.raises(ValueError):
+        cli._surface_from_config({"type": "moebius"})
 
 
 def test_problem_from_config_rejects_unknown_surface():
@@ -465,7 +504,7 @@ def _run_config_exits_2(tmp_path, cfg, message):
 @pytest.mark.parametrize("surface", [[0.5], None, "points1d", 1.0],
                          ids=["list", "null", "string", "number"])
 def test_config_surface_that_is_not_an_object_exits_2(tmp_path, surface):
-    # a list would reach surface_from_config's .get: an AttributeError, which exits 1
+    # a list would reach _surface_from_config, which reads it by key: a TypeError
     _run_config_exits_2(tmp_path, dict(_CONFIG_1D, surface=surface),
                         f"surface must be an object, not {surface!r}")
 
@@ -495,6 +534,18 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, cfg):
                  id="1d-diffusion-number"),
     pytest.param(_CONFIG_1D, ("drift",), ["1.0"], "drift must be a string, not ['1.0']",
                  id="1d-drift-list"),
+    # an empty list would load a field with no component
+    pytest.param(_CONFIG_2D, ("drift",), [], "drift must be a list of strings, not []",
+                 id="2d-drift-empty"),
+    pytest.param(_CONFIG_2D, ("diffusion",), [],
+                 "diffusion must be a list of lists of strings, not []", id="2d-diffusion-empty"),
+    pytest.param(_CONFIG_2D, ("diffusion",), [[]],
+                 "diffusion must be a list of lists of strings, not [[]]", id="2d-diffusion-empty-row"),
+    pytest.param(_CONFIG_1D, ("drift", "branches"), [], "branches must be a list of strings, not []",
+                 id="branches-empty"),
+    # a chain of operators too long for the recursive parse, check or compile
+    *(pytest.param(_CONFIG_1D, ("diffusion",), expr, f"expression {expr!r} is nested too deeply",
+                   id=f"nested-{n}") for n in (600, 3000) for expr in ["1" + "+x" * n]),
 ])
 def test_config_expression_of_the_wrong_shape_exits_2(tmp_path, cfg, path, value, message):
     _run_config_exits_2(tmp_path, _with(cfg, path, value), message)
@@ -509,6 +560,7 @@ def test_config_expression_grammar_accepts_operators_and_listed_calls():
     assert float(f(1.0, 4.0)) == 2.0 / math.pi
     batch = f(np.array([-2.0, 1.0, -2.0]), np.array([0.0, 4.0, 1.0]))
     assert list(batch) == [2.0, 2.0 / math.pi, 1.0 / math.pi]
+    assert float(ExpressionFunction("1" + "+x" * 450, ("x",))(1.0)) == 451.0
     g = ExpressionFunction("where((x > 0) & ~(x >= 1) | (x == 5), 1.0, 0.0)", ("x",))
     assert list(g(np.array([-1.0, 0.5, 1.0, 5.0]))) == [0.0, 1.0, 0.0, 1.0]
 

@@ -4,12 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from adaptive_em.geometry import (
-    Circle2D,
-    Hyperplane,
-    PointSet1D,
-    surface_from_config,
-)
+from adaptive_em.geometry import Circle2D, Hyperplane, PointSet1D
 
 
 def test_pointset_distance_examples():
@@ -106,24 +101,3 @@ def test_distance_rejects_dimension_mismatch():
     s = Circle2D(center=(0.0, 0.0), radius=1.0)
     with pytest.raises(ValueError):
         s.distance(np.array([1.0, 2.0, 3.0]))
-
-
-def test_surface_from_config():
-    cases = [
-        ({"type": "points1d", "points": [0.0, 1.0]}, PointSet1D(points=(0.0, 1.0))),
-        (
-            {"type": "hyperplane", "normal": [0.0, 1.0], "offset": 0.25},
-            Hyperplane(normal=(0.0, 1.0), offset=0.25),
-        ),
-        (
-            {"type": "circle", "center": [0.5, -0.5], "radius": 2.0},
-            Circle2D(center=(0.5, -0.5), radius=2.0),
-        ),
-    ]
-    for config, surface in cases:
-        assert surface_from_config(config) == surface
-
-
-def test_config_rejects_unknown_type():
-    with pytest.raises(ValueError):
-        surface_from_config({"type": "moebius"})

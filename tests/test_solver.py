@@ -9,7 +9,6 @@ import pytest
 
 import oracles
 from adaptive_em import _engine
-from adaptive_em.cli import _trajectory
 from adaptive_em.geometry import PointSet1D
 from adaptive_em.montecarlo import (
     occupation_values,
@@ -34,9 +33,22 @@ def _sequential(problem, params, master_seed, index):
     return traj.times, traj.states, traj.step_count
 
 
-# the sequential oracle and the one-lane lockstep behind --dump-trajectories:
-# each returns (grid times, states, step count) of one sample path
-RUNNERS = (_sequential, _trajectory)
+def _lockstep(problem, params, master_seed, index):
+    # the one-lane forward pass that --dump-trajectories writes out, for any sample
+    times, states = [0.0], [problem.x0]
+
+    def record(act, tc, wc, x, mu, sig, dist, dist_end, t_next, xn):
+        times.append(t_next[0])
+        states.append(xn[0])
+
+    labels, keys, rung, _ = _engine.ladder_lanes([index], 1, master_seed)
+    out = _engine.forward_pass(problem, (params,), rung, keys, labels, observe=record)
+    return np.array(times), np.array(states), int(out["n"][0])
+
+
+# the sequential oracle and the engine's one-lane lockstep: each returns
+# (grid times, states, step count) of one sample path
+RUNNERS = (_sequential, _lockstep)
 
 
 def _params(delta=DELTA16, eps0=3.0, sigma_sup=1.0):
