@@ -12,7 +12,7 @@ Each pass supplies three parts:
 
 - a Brownian source for the path value at the next grid time: a fresh
   increment (:func:`_fresh`), recorded as a knot by :func:`forward_pass`
-  (in a ragged store sized by the lane-steps taken) and followed by a
+  (in a linked store written in drawing order) and followed by a
   midpoint draw in :func:`occupation_pass`, or in :func:`bridged_pass` a
   bridge (:func:`_bridge`) against the knots of an earlier forward pass,
   or a fresh increment past the last knot;
@@ -25,11 +25,13 @@ Each pass supplies three parts:
 The knot store is the one record of a forward path: each knot past time 0
 took one draw, so the next draw counter is one more than the number of
 knots, and the one knot at the horizon holds the path value there.  The
-forward pass logs each iteration's knots by reference, then scatters the
-log lane by lane into the preallocated store, freeing each entry once it
-is written.  So the pass peaks at the log plus the store, twice the
-store's 8 (1 + d) bytes per knot, plus a few hundred bytes of array
-headers per iteration.
+forward pass writes each iteration's knots once, as slices at the end of
+flat time, value and link arrays, and links each lane's new knot from its
+previous one; the horizon knot of an overshooting step is appended and
+spliced in before the overshoot knot.  The arrays grow in place by a
+quarter and are trimmed at the end, so the pass peaks at the store's
+8 (2 + d) bytes per knot plus at most a quarter of slack.  The walker of a
+later pass follows the links of each lane.
 
 :func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
 transformed coordinates and shares the knot walker and the bridge rule.
@@ -236,100 +238,113 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
 
     ``params``, ``rung`` and ``observe`` are as in :func:`_adaptive_lockstep`.
     Returns a dict with per-lane step counts ``n``, the state at the horizon
-    ``x_T``, and the knots past time 0 in a ragged store, which gives the path
-    value at the horizon ``w_T`` and the next draw counter ``kc``: lane ``i``
-    owns the strictly increasing times ``kt[start[i]:end[i]]``, the horizon
-    once among them, and the path values in the same rows of ``kw``.  A
-    lane's knot count is its step count, plus one for the horizon knot when
-    its last step overshoots, so the store is sized before it is filled from
-    the log.
+    ``x_T``, and the knots past time 0 in a linked store, which gives the path
+    value at the horizon ``w_T`` and the next draw counter ``kc``.  The store
+    holds the knot times ``kt`` and path values ``kw`` in drawing order; lane
+    ``i``'s knots start at ``head[i]`` and each links to the lane's next one
+    by ``nxt``, -1 after the last, in strictly increasing times with the
+    horizon once among them.  A lane's knot count is its step count, plus
+    one for the horizon knot when its last step overshoots.
     """
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
     counters = _Counters(keys, np.ones(n, dtype=np.uint64))
-    # references to each knot drawn, in drawing order; nothing writes to them
-    log_lane, log_t, log_w = [], [], []
-    # one knot per step, plus the horizon knot of a lane whose last step overshoots
-    count = np.zeros(n, dtype=np.int64)
+    # written once, in drawing order, and grown in place by a quarter
+    kt, kw, nxt = np.empty(n), np.empty((n, d)), np.empty(n, dtype=np.int64)
+    size = 0
+    # every lane steps in the first iteration, so its knot there heads it,
+    # unless a horizon knot is spliced in before it
+    head = np.arange(n)
+    last = np.empty(n, dtype=np.int64)
+    # the live lanes' knots before this iteration's, None in the first
+    prev = None
+    # the horizon knot spliced in before a lane's overshoot knot, else -1
+    spliced = np.full(n, -1, dtype=np.int64)
+
+    def append(t, w):
+        nonlocal size
+        stop = size + w.shape[0]
+        if stop > kt.size:
+            cap = max(stop, kt.size + kt.size // 4)
+            # a realloc: the store is never viewed, so no copy stays behind
+            for a in (kt, kw, nxt):
+                a.resize((cap, *a.shape[1:]), refcheck=False)
+        kt[size:stop] = t
+        kw[size:stop] = w
+        new = np.arange(size, stop)
+        size = stop
+        return new
 
     def draw(act, tc, wc, h, t_next):
+        nonlocal prev
         wn = _fresh(tc, wc, t_next, counters.normals(t_next, d))
-        log_lane.append(act)
-        log_t.append(t_next)
-        log_w.append(wn)
+        first = not size
+        new = append(t_next, wn)
+        if not first:
+            prev = last[act]
+            nxt[prev] = new
+        last[act] = new
         return wn
 
     def bridge_to_horizon(act, sel, tc, wc, t_next, wn):
         z = counters.normals_of(sel, horizon, d)
         wt = _bridge(tc[sel], wc[sel], t_next[sel], wn[sel], horizon, z)
-        # logged before this iteration's knots, so it lands before the overshoot
-        log_lane.insert(-1, act[sel])
-        log_t.insert(-1, horizon)
-        log_w.insert(-1, wt)
-        count[act[sel]] = 1
+        lanes = act[sel]
+        at = append(horizon, wt)
+        # between the lane's previous knot and this iteration's overshoot knot
+        nxt[at] = last[lanes]
+        if prev is None:
+            head[lanes] = at
+        else:
+            nxt[prev[sel]] = at
+        spliced[lanes] = at
         return wt
 
     steps, x_T = _adaptive_lockstep(
         problem, params, rung, labels, (counters,), draw, bridge_to_horizon, observe
     )
-    count += steps
-    end = np.cumsum(count)
-    start = end - count
-    # scatter the log lane by lane in drawing order, which is each lane's
-    # time order; an entry is freed once written, so only the log and the
-    # store grow with the knots
-    kt = np.empty(end[-1])
-    kw = np.empty((end[-1], d))
-    pos = start.copy()
-    for j, lane in enumerate(log_lane):
-        p = pos[lane]
-        kt[p] = log_t[j]
-        kw[p] = log_w[j]
-        pos[lane] = p + 1
-        log_lane[j] = log_t[j] = log_w[j] = None
+    nxt[last] = -1
+    for a in (kt, kw, nxt):
+        a.resize((size, *a.shape[1:]), refcheck=False)
+    over = spliced >= 0
     return {
         "n": steps,
         "x_T": x_T,
-        # each lane has one knot at the horizon, and the store is in lane order
-        "w_T": kw[kt == horizon],
+        "w_T": kw[np.where(over, spliced, last)],
         "kt": kt,
         "kw": kw,
-        "start": start,
-        "end": end,
-        # knot 0 takes no draw and every logged knot takes one
-        "kc": (count + 1).astype(np.uint64),
+        "nxt": nxt,
+        "head": head,
+        # knot 0 takes no draw and every other knot takes one
+        "kc": (steps + over + 1).astype(np.uint64),
     }
 
 
 class _KnotWalker:
     """Forward walk over recorded knots for strictly increasing queries.
 
-    Keeps, per live lane, the index ``ptr`` of the first recorded knot past
-    the latest query and that knot's time and value, so a query that passes
+    Keeps, per live lane, the index ``cur`` of the first recorded knot past
+    the latest query, or -1 once the lane has passed its last knot, and the
+    time and value of that knot, or of the last knot, so a query that passes
     no knot gathers nothing.  A query returns the bracketing data and flags
-    exact hits on existing knots.  ``prior`` is the ragged knot store of
-    :func:`forward_pass`; ``keep(live)`` compacts the walker with the live
-    lanes.
+    exact hits on existing knots.  ``prior`` is the linked knot store of
+    :func:`forward_pass`, walked from ``head`` through ``nxt``;
+    ``keep(live)`` compacts the walker with the live lanes.
     """
 
     def __init__(self, prior):
         self.kt = prior["kt"]
         self.kw = prior["kw"]
-        self.last = prior["end"] - 1
-        self.ptr = prior["start"].copy()
-        self._load()
-
-    def _load(self):
-        # the knot at ptr, or the last knot of a lane that passed them all
-        g = np.minimum(self.ptr, self.last)
-        self.u_t = self.kt[g]
-        self.u_w = self.kw[g]
-        self.has_right = self.ptr <= self.last
-        self.due = np.where(self.has_right, self.u_t, _INF)
+        self.nxt = prior["nxt"]
+        self.cur = prior["head"].copy()
+        self.u_t = self.kt[self.cur]
+        self.u_w = self.kw[self.cur]
+        self.has_right = np.ones(self.cur.size, dtype=bool)
+        self.due = self.u_t
 
     def keep(self, live):
-        for name in ("last", "ptr", "u_t", "u_w", "has_right", "due"):
+        for name in ("cur", "u_t", "u_w", "has_right", "due"):
             setattr(self, name, getattr(self, name)[live])
 
     def bracket(self, t_node, w_node, t_next):
@@ -347,8 +362,17 @@ class _KnotWalker:
             # lanes in can pass their next knot: it becomes the left side
             pt = np.where(can, self.u_t, pt)
             pw = np.where(can[:, None], self.u_w, pw)
-            self.ptr += can
-            self._load()
+            self.cur = np.where(can, self.nxt.take(self.cur), self.cur)
+            u_t, u_w = self.kt.take(self.cur), self.kw.take(self.cur, axis=0)
+            self.has_right = self.cur >= 0
+            if np.count_nonzero(self.has_right) == self.cur.size:
+                self.due = u_t
+            else:
+                # a lane past its last knot keeps that knot and is never due
+                u_t = np.where(self.has_right, u_t, self.u_t)
+                u_w = np.where(self.has_right[:, None], u_w, self.u_w)
+                self.due = np.where(self.has_right, u_t, _INF)
+            self.u_t, self.u_w = u_t, u_w
             can = self.due <= t_next
         return pt, pw, self.u_t, self.u_w, self.has_right
 
@@ -357,8 +381,11 @@ def bridged_pass(problem, params, rung, keys, prior, labels):
     """Adaptive scheme on paths conditioned on previously recorded knots.
 
     ``prior`` is the dict returned by :func:`forward_pass` for the same
-    keys; its knots (which include the horizon) pin the path, and new times
-    are bridged against them.  ``params`` and ``rung`` are as in
+    keys; its knots (which include the horizon) pin the path.  A
+    :class:`_KnotWalker` follows each lane's links through them, new times
+    are bridged against the two knots around them, and the draw counters go
+    on from ``kc``; a lane whose step overshoots the horizon reads its value
+    there from ``w_T``.  ``params`` and ``rung`` are as in
     :func:`_adaptive_lockstep`.  Returns per-lane step counts and the state
     at the horizon.
     """

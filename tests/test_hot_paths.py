@@ -383,11 +383,16 @@ def test_knot_walker_matches_searchsorted(data):
         sorted(data.draw(st.sets(st.integers(1, 40), max_size=12), label="knots") | {16})
         for _ in range(n)
     ]
-    count = np.array([len(k) for k in ticks])
-    end = np.cumsum(count)
-    kt = np.concatenate(ticks) / 16.0
+    # the store in drawing order: round j holds the j-th knot of each lane
+    # that has one, linked from the lane's knot of round j - 1
+    order = sorted((j, i) for i in range(n) for j in range(len(ticks[i])))
+    kt = np.array([ticks[i][j] for j, i in order]) / 16.0
     kw = np.stack([np.arange(kt.size) + 0.5, -kt], axis=1)
-    walker = _engine._KnotWalker({"kt": kt, "kw": kw, "start": end - count, "end": end})
+    at = {key: a for a, key in enumerate(order)}
+    head = np.array([at[0, i] for i in range(n)])
+    nxt = np.array([at.get((j + 1, i), -1) for j, i in order])
+    walker = _engine._KnotWalker({"kt": kt, "kw": kw, "nxt": nxt, "head": head})
+    lane_at = [np.array([at[j, i] for j in range(len(ticks[i]))]) for i in range(n)]
     lanes = np.arange(n)
     t_node = np.zeros(n)
     w_node = np.zeros((n, 2))
@@ -398,8 +403,7 @@ def test_knot_walker_matches_searchsorted(data):
         t_next = t_node + np.array(ticks_ahead) / 16.0
         got = walker.bracket(t_node, w_node, t_next)
         rows = [
-            _bracket_reference(kt[end[i] - count[i]:end[i]], kw[end[i] - count[i]:end[i]],
-                               t_node[j], w_node[j], t_next[j])
+            _bracket_reference(kt[lane_at[i]], kw[lane_at[i]], t_node[j], w_node[j], t_next[j])
             for j, i in enumerate(lanes)
         ]
         for g, want in zip(got, zip(*rows)):

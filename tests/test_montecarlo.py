@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import logging
@@ -109,9 +110,18 @@ def test_batched_coupled_matches_sequential():
                 assert n_coarse[i, r] == s_c
 
 
+def _lane_knots(prior, lane):
+    """Store indices of one lane's knots, from its head through nxt to -1."""
+    at, walked = prior["head"][lane], []
+    while at >= 0:
+        walked.append(at)
+        at = prior["nxt"][at]
+    return np.array(walked, dtype=np.int64)
+
+
 def test_forward_pass_ragged_knots_match_the_path():
-    # two rungs pooled, rung-major; each lane's slice of the knot store is
-    # the sequential path's knots after the coarse run and the horizon query
+    # two rungs pooled, rung-major; each lane's linked knots are the
+    # sequential path's knots after the coarse run and the horizon query
     deltas = (0.25, 0.0625)
     count = 5
     for prob in (EX1, EX3):
@@ -120,13 +130,14 @@ def test_forward_pass_ragged_knots_match_the_path():
         params = tuple(StepSizeParams.for_problem(prob, d) for d in deltas)
         keys = _engine.path_key(13, idx)
         prior = _engine.forward_pass(prob, params, rung, keys, labels=idx)
-        assert prior["kt"].shape == (prior["end"][-1],)
-        assert prior["kw"].shape == (prior["end"][-1], prob.dimension)
-        np.testing.assert_array_equal(prior["start"][1:], prior["end"][:-1])
-        assert prior["start"][0] == 0
-        for lane in range(idx.size):
-            kt = prior["kt"][prior["start"][lane]:prior["end"][lane]]
-            kw = prior["kw"][prior["start"][lane]:prior["end"][lane]]
+        lanes = [_lane_knots(prior, lane) for lane in range(idx.size)]
+        # every knot of the store belongs to exactly one lane
+        np.testing.assert_array_equal(np.sort(np.concatenate(lanes)), np.arange(prior["kt"].size))
+        assert prior["nxt"].shape == prior["kt"].shape
+        assert prior["kw"].shape == (prior["kt"].size, prob.dimension)
+        for lane, at in enumerate(lanes):
+            kt = prior["kt"][at]
+            kw = prior["kw"][at]
             assert np.all(np.diff(kt) > 0.0)
             assert np.count_nonzero(kt == prob.horizon) == 1
             path = BrownianPath(prob.dimension, 13, int(idx[lane]))
@@ -152,23 +163,50 @@ def test_forward_pass_store_gives_counter_and_horizon_value():
         params = tuple(StepSizeParams.for_problem(prob, d) for d in ladder)
         prior = _engine.forward_pass(prob, params, rung, keys, labels=labels)
         assert prior["kc"].dtype == np.uint64
-        np.testing.assert_array_equal(prior["kc"], 1 + prior["end"] - prior["start"])
-        for lane in range(labels.size):
-            kt = prior["kt"][prior["start"][lane]:prior["end"][lane]]
-            kw = prior["kw"][prior["start"][lane]:prior["end"][lane]]
-            (at,) = np.flatnonzero(kt == prob.horizon)
-            assert prior["w_T"][lane].tobytes() == kw[at].tobytes()
+        lanes = [_lane_knots(prior, lane) for lane in range(labels.size)]
+        np.testing.assert_array_equal(prior["kc"], [1 + at.size for at in lanes])
+        for lane, at in enumerate(lanes):
+            kt = prior["kt"][at]
+            kw = prior["kw"][at]
+            (h,) = np.flatnonzero(kt == prob.horizon)
+            assert prior["w_T"][lane].tobytes() == kw[h].tobytes()
             # one knot per step, and one inserted only before an overshoot
             overshoot = kt[-1] > prob.horizon
             assert kt.size == prior["n"][lane] + overshoot
-            assert at == kt.size - 1 - overshoot
+            assert h == kt.size - 1 - overshoot
             if prob is far:
                 assert not overshoot and prior["n"][lane] == 16
 
 
+def test_first_step_past_the_horizon_heads_the_lane_with_the_horizon_knot():
+    # with horizon 0.3 each coarse lane of rung 0.25 takes one step of 0.5,
+    # so its horizon knot is spliced in before its first knot, as its head
+    prob = dataclasses.replace(EX1, horizon=0.3)
+    tr = get_example("example1").transform()
+    deltas = (0.25, 0.125)
+    count = 6
+    labels, keys, rung, _ = _engine.ladder_lanes(np.arange(count), len(deltas), 9)
+    coarse, _ = _engine.coupled_ladders(prob, deltas)
+    prior = _engine.forward_pass(prob, coarse, rung, keys, labels=labels)
+    for lane in range(count):
+        at = _lane_knots(prior, lane)
+        assert prior["kt"][at].tolist() == [0.3, 0.5]
+        assert prior["kw"][at[0]].tobytes() == prior["w_T"][lane].tobytes()
+    sq, n_fine, n_coarse = _coupled_job((prob, deltas, 9), 0, count)
+    (vals,) = _verify_job((prob, tr, deltas, 9), 0, count)
+    assert np.all(n_coarse[:, 0] == 1)
+    for r, delta in enumerate(deltas):
+        for i in range(count):
+            assert (sq[i, r], n_fine[i, r], n_coarse[i, r]) == coupled_difference_sample(
+                prob, delta, i, 9
+            )
+            assert vals[i, r] == verify_transform_sample(prob, tr, delta, i, 9)
+
+
 def test_forward_pass_peak_memory_per_knot():
-    # the ladder-ex1 benchmark's coarse pass: the knot log and the store it
-    # is scattered into are the only arrays that grow with the knots
+    # the ladder-ex1 benchmark's coarse pass: the knot store, grown in place
+    # by a quarter, is the only array that grows with the knots, so its
+    # 24 bytes per knot plus a quarter of slack bound the peak
     deltas = tuple(2.0 ** -k for k in range(2, 9))
     labels, keys, rung, _ = _engine.ladder_lanes(np.arange(256), len(deltas), 1000)
     coarse, _ = _engine.coupled_ladders(EX1, deltas)
@@ -180,8 +218,8 @@ def test_forward_pass_peak_memory_per_knot():
     finally:
         tracemalloc.stop()
     knots = prior["kt"].size
-    assert prior["kt"].nbytes + prior["kw"].nbytes == 16 * knots
-    assert peak <= 46 * knots, f"{peak / knots:.1f} bytes per knot"
+    assert prior["kt"].nbytes + prior["kw"].nbytes + prior["nxt"].nbytes == 24 * knots
+    assert peak <= 30 * knots, f"{peak / knots:.1f} bytes per knot"
 
 
 def test_batched_occupation_matches_sequential():
