@@ -10,12 +10,15 @@ second time, after B, as A'.  A pair runs the workload's batch job once from
 each of A, B and A', forward or reversed in alternate pairs: the pooled
 ``_coupled_job`` for ``ladder-ex1`` and ``_verify_job`` for ``transform-ex2``,
 at the sizes in ``perfbench/workloads.py`` (this script's tree) and package
-seed 1000, in one process without workers.  All outputs must be
-byte-identical; the script exits 1 if they differ.  Prints each load's
-median CPU seconds and the median and quartiles over pairs of B's time
-divided by A's, and beside it the A/A read A'/A: a tree loaded later can
-run slower by itself (about 2 % has been seen), so a B/A that A'/A matches
-shows the load order, not the change.
+seed 1000, in one process without workers.  Before the pairs, each load's
+job runs once untimed under ``tracemalloc`` and the script prints its
+traced peak in MB, so a memory change reads A, B and A' in the same
+command.  All outputs must be byte-identical; the script exits 1 if they
+differ.  Prints each load's median CPU seconds and the median and
+quartiles over pairs of B's time divided by A's, and beside it the A/A
+read A'/A: a tree loaded later can run slower by itself (about 2 % has
+been seen), so a B/A that A'/A matches shows the load order, not the
+change.
 Separate processes on a busy machine drift apart by tens of percent;
 alternating in one process cancels most of that drift.
 """
@@ -25,6 +28,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 
 SEED = 1000
+# the three loads, in the order load_trees returns them
+LOADS = ("A", "B", "A'")
 # name: (example, deltas, samples)
 WORKLOADS = {
     name: (w.example, w.delta_values(), w.samples) for name, w in workloads.WORKLOADS.items()
@@ -73,6 +79,17 @@ def timed(job):
     return time.process_time() - c0, [np.ascontiguousarray(v).tobytes() for v in out]
 
 
+def traced_peak_mb(package, job) -> float:
+    """The ``tracemalloc`` peak of one untimed run of ``job``, in MB."""
+    package.brownian.load_ndtri()  # the first draw's import is not the job's memory
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def load_trees(tree_a: Path, tree_b: Path, prefix: str) -> list:
     """Packages A, B and A' (A loaded again, after B), in that order."""
     return [
@@ -88,7 +105,6 @@ def alternate(runs, pairs: int, show, header: str) -> int:
     pair runs all three, forward in even pairs and reversed in odd ones.
     ``show`` formats seconds, and ``header`` opens the summary.
     """
-    names = ("A", "B", "A'")
     cpu = ([], [], [])
     for p in range(pairs):
         outs = []
@@ -99,9 +115,9 @@ def alternate(runs, pairs: int, show, header: str) -> int:
         if any(out != outs[0] for out in outs):
             print(f"pair {p}: the outputs differ", file=sys.stderr)
             return 1
-        print(f"pair {p}: " + "  ".join(f"{n} {show(c[-1])}" for n, c in zip(names, cpu)), flush=True)
+        print(f"pair {p}: " + "  ".join(f"{n} {show(c[-1])}" for n, c in zip(LOADS, cpu)), flush=True)
     print(header)
-    print(", ".join(f"{n} median {show(statistics.median(c))}" for n, c in zip(names, cpu)))
+    print(", ".join(f"{n} median {show(statistics.median(c))}" for n, c in zip(LOADS, cpu)))
     for i, label in ((1, "B/A"), (2, "A'/A, the A/A read")):
         q1, med, q3 = np.percentile([x / a for a, x in zip(cpu[0], cpu[i])], [25, 50, 75])
         print(f"median {label} {med:.4f} [quartiles {q1:.4f}, {q3:.4f}]")
@@ -115,7 +131,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="ladder-ex1")
     parser.add_argument("--pairs", type=int, default=5)
     args = parser.parse_args(argv)
-    jobs = [make_job(pkg, args.workload) for pkg in load_trees(args.tree_a, args.tree_b, "_ab_tree_")]
+    packages = load_trees(args.tree_a, args.tree_b, "_ab_tree_")
+    jobs = [make_job(pkg, args.workload) for pkg in packages]
+    for name, pkg, job in zip(LOADS, packages, jobs):
+        print(f"{name} traced peak {traced_peak_mb(pkg, job):.2f} MB", flush=True)
     return alternate(
         [lambda job=job: timed(job) for job in jobs],
         args.pairs,

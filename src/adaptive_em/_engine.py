@@ -28,10 +28,12 @@ knots, and the one knot at the horizon holds the path value there.  The
 forward pass writes each iteration's knots once, as slices at the end of
 flat time, value and link arrays, and links each lane's new knot from its
 previous one; the horizon knot of an overshooting step is appended and
-spliced in before the overshoot knot.  The arrays grow in place by a
-quarter and are trimmed at the end, so the pass peaks at the store's
-8 (2 + d) bytes per knot plus at most a quarter of slack.  The walker of a
-later pass follows the links of each lane.
+spliced in before the overshoot knot.  The links are int32, and become
+int64 once if the store grows past ``_LINK_LIMIT`` knots.  The arrays grow
+in place by an eighth and are trimmed at the end, so the pass peaks at the
+store's 4 (3 + 2 d) bytes per knot (20 for ``d = 1``) plus at most an
+eighth of slack.  The walker of a later pass follows the links of each
+lane.
 
 :func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
 transformed coordinates and shares the knot walker and the bridge rule.
@@ -60,6 +62,9 @@ from .solver import (
 )
 
 _INF = np.array(np.inf)
+
+# the most knots a forward pass links in int32; a larger store links in int64
+_LINK_LIMIT = np.iinfo(np.int32).max
 
 
 def _drift(problem, x):
@@ -244,14 +249,16 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     ``i``'s knots start at ``head[i]`` and each links to the lane's next one
     by ``nxt``, -1 after the last, in strictly increasing times with the
     horizon once among them.  A lane's knot count is its step count, plus
-    one for the horizon knot when its last step overshoots.
+    one for the horizon knot when its last step overshoots.  ``nxt`` is
+    int32, or int64 once the store has more than ``_LINK_LIMIT`` knots: the
+    links are widened once, by the append that passes that count.
     """
     n = keys.size
     d = problem.dimension
     horizon = problem.horizon
     counters = _Counters(keys, np.ones(n, dtype=np.uint64))
-    # written once, in drawing order, and grown in place by a quarter
-    kt, kw, nxt = np.empty(n), np.empty((n, d)), np.empty(n, dtype=np.int64)
+    # written once, in drawing order, and grown in place by an eighth
+    kt, kw, nxt = np.empty(n), np.empty((n, d)), np.empty(n, dtype=np.int32)
     size = 0
     # every lane steps in the first iteration, so its knot there heads it,
     # unless a horizon knot is spliced in before it
@@ -263,10 +270,12 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     spliced = np.full(n, -1, dtype=np.int64)
 
     def append(t, w):
-        nonlocal size
+        nonlocal size, nxt
         stop = size + w.shape[0]
+        if stop > _LINK_LIMIT and nxt.dtype != np.int64:
+            nxt = nxt.astype(np.int64)
         if stop > kt.size:
-            cap = max(stop, kt.size + kt.size // 4)
+            cap = max(stop, kt.size + kt.size // 8)
             # a realloc: the store is never viewed, so no copy stays behind
             for a in (kt, kw, nxt):
                 a.resize((cap, *a.shape[1:]), refcheck=False)
@@ -330,7 +339,10 @@ class _KnotWalker:
     no knot gathers nothing.  A query returns the bracketing data and flags
     exact hits on existing knots.  ``prior`` is the linked knot store of
     :func:`forward_pass`, walked from ``head`` through ``nxt``;
-    ``keep(live)`` compacts the walker with the live lanes.
+    ``keep(live)`` compacts the walker with the live lanes.  ``cur`` starts
+    as a copy of the native-integer ``head``, and ``np.where`` promotes the
+    int32 links it reads, so ``cur`` stays native and the gathers by it
+    convert no indices.
     """
 
     def __init__(self, prior):

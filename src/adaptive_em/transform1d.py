@@ -117,6 +117,11 @@ def _zero_where(val, mask):
     return np.where(mask, _ZERO, val)
 
 
+def _ufunc_like(out):
+    # a 0-d result as a numpy scalar, as a ufunc returns it; arrays as they are
+    return out[()] if out.ndim == 0 else out
+
+
 def _bump(u):
     # the quartic bump (1+u)^4 (1-u)^4 at u >= 0, zero past 1 (a NaN u stays
     # NaN); powers spelled out as products so scalar and batched evaluations
@@ -174,6 +179,10 @@ class Transform1D:
     the drift jump (left limit minus right limit) divided by the squared
     diffusion there; a diffusion that vanishes at a breakpoint, or whose
     square underflows to 0 there, raises ``DegenerateDiffusionError``.
+
+    Every public method returns ``numpy.float64`` for a Python float or a
+    0-d array, as a numpy ufunc does, and an array of the input's shape for
+    an array.
     """
 
     def __init__(self, drift: PiecewiseDrift1D, sigma: Callable, eps0: float):
@@ -246,15 +255,15 @@ class Transform1D:
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         if self._bp.size == 0:
-            return np.ones_like(x)
+            return _ufunc_like(np.ones_like(x))
         return self._bend(*self._local(x))[0]
 
     def second_derivative(self, x):
         """Piecewise second derivative; right-hand branch at breakpoints."""
         x = np.asarray(x, dtype=float)
         if self._bp.size == 0:
-            return np.zeros_like(x)
-        return self._bend(*self._local(x))[1]
+            return _ufunc_like(np.zeros_like(x))
+        return _ufunc_like(self._bend(*self._local(x))[1])
 
     def _newton(self, z, pick, s, r):
         # safeguarded Newton for in-bump points z of the bumps pick, at offset
@@ -327,7 +336,7 @@ class Transform1D:
         Each bump interval maps onto itself, so points outside all bump
         intervals come back unchanged.
         """
-        return self._invert(z)[0]
+        return _ufunc_like(self._invert(z)[0])
 
     def transformed_coeffs(self, z):
         """Drift and diffusion of the transformed equation at ``z``.

@@ -20,7 +20,8 @@ sample: ``coupled_difference_sample`` for ``_coupled_job``,
 to agree bit for bit.
 
 ``FrozenInverse`` keeps an earlier form of the transform's Newton inversion,
-against which the current one must also agree bit for bit.
+against which the current one must also agree bit for bit; it returns the
+types the public methods return.
 
 ``CONFIG_PROBLEM`` and ``CONFIG_TRANSFORM`` are a config-file problem with
 three breakpoints, expression branches and a state-dependent diffusion,
@@ -409,9 +410,12 @@ class FrozenInverse:
         """Invert the forward map to residual ``_TOL`` by safeguarded Newton.
 
         Each bump interval maps onto itself, so points outside all bump
-        intervals come back unchanged.
+        intervals come back unchanged.  A float or a 0-d array gives a
+        ``numpy.float64``, as a ufunc does and as ``Transform1D.inverse``
+        returns it.
         """
-        return self._invert(z)[0]
+        x = self._invert(z)[0]
+        return x[()] if x.ndim == 0 else x
 
     def transformed_coeffs(self, z):
         """Drift and diffusion of the transformed equation at ``z``.

@@ -41,6 +41,11 @@ def small(monkeypatch):
 def test_same_tree_twice_passes(small, workload, capsys):
     assert ab_jobs.main([str(ROOT), str(ROOT), "--workload", workload, "--pairs", "2"]) == 0
     out = capsys.readouterr().out
+    # one traced peak per load, before the timed pairs
+    peaks = [line.split() for line in out.splitlines() if " traced peak " in line]
+    assert [p[0] for p in peaks] == ["A", "B", "A'"]
+    assert all(p[4] == "MB" and float(p[3]) > 0.0 for p in peaks)
+    assert out.index("A' traced peak") < out.index("pair 0:")
     assert "outputs identical over 2 pairs" in out
     assert "median B/A" in out
     assert "median A'/A, the A/A read" in out

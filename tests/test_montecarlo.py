@@ -205,8 +205,9 @@ def test_first_step_past_the_horizon_heads_the_lane_with_the_horizon_knot():
 
 def test_forward_pass_peak_memory_per_knot():
     # the ladder-ex1 benchmark's coarse pass: the knot store, grown in place
-    # by a quarter, is the only array that grows with the knots, so its
-    # 24 bytes per knot plus a quarter of slack bound the peak
+    # by an eighth, is the only array that grows with the knots, so its
+    # 20 bytes per knot (two float64 and an int32 link) plus an eighth of
+    # slack, 22.5 bytes, bound the peak
     deltas = tuple(2.0 ** -k for k in range(2, 9))
     labels, keys, rung, _ = _engine.ladder_lanes(np.arange(256), len(deltas), 1000)
     coarse, _ = _engine.coupled_ladders(EX1, deltas)
@@ -218,8 +219,45 @@ def test_forward_pass_peak_memory_per_knot():
     finally:
         tracemalloc.stop()
     knots = prior["kt"].size
-    assert prior["kt"].nbytes + prior["kw"].nbytes + prior["nxt"].nbytes == 24 * knots
-    assert peak <= 30 * knots, f"{peak / knots:.1f} bytes per knot"
+    assert prior["kt"].nbytes + prior["kw"].nbytes + prior["nxt"].nbytes == 20 * knots
+    assert peak <= 23 * knots, f"{peak / knots:.1f} bytes per knot"
+
+
+def test_links_widen_to_int64_past_the_link_limit(monkeypatch):
+    # a limit above the lane count but below the knot count widens the
+    # links partway through the pass; the store and every output stay
+    deltas = (0.25, 0.125, 0.0625)
+    count = 8
+    labels, keys, rung, _ = _engine.ladder_lanes(np.arange(count), len(deltas), 31)
+    params = tuple(StepSizeParams.for_problem(EX1, d) for d in deltas)
+    tr = get_example("example1").transform()
+    limit = 64
+    narrow = _engine.forward_pass(EX1, params, rung, keys, labels=labels)
+    assert narrow["nxt"].dtype == np.int32
+    assert labels.size < limit < narrow["kt"].size
+    jobs = (_coupled_job((EX1, deltas, 31), 0, count), _verify_job((EX1, tr, deltas, 31), 0, count))
+
+    monkeypatch.setattr(_engine, "_LINK_LIMIT", limit)
+    passes = []
+    forward_pass = _engine.forward_pass
+
+    def recording(*args, **kwargs):
+        passes.append(forward_pass(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(_engine, "forward_pass", recording)
+    wide = recording(EX1, params, rung, keys, labels=labels)
+    assert wide["nxt"].dtype == np.int64
+    for lane in range(labels.size):
+        np.testing.assert_array_equal(_lane_knots(wide, lane), _lane_knots(narrow, lane))
+    for name in ("kt", "kw", "head", "w_T", "kc", "n", "x_T"):
+        assert wide[name].tobytes() == narrow[name].tobytes()
+    widened = (_coupled_job((EX1, deltas, 31), 0, count), _verify_job((EX1, tr, deltas, 31), 0, count))
+    # the coupled job's coarse pass and the verify job's pass both widened
+    assert len(passes) == 3
+    assert all(p["nxt"].dtype == np.int64 and p["kt"].size > limit for p in passes)
+    for want, got in zip(jobs, widened):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_batched_occupation_matches_sequential():

@@ -224,28 +224,46 @@ def test_identity_transform_without_breakpoints():
     np.testing.assert_allclose(sg_g, np.ones_like(z))
 
 
+@pytest.mark.parametrize("breakpoints", [True, False])
+def test_scalar_inputs_give_numpy_scalars_as_a_ufunc_does(breakpoints):
+    # a float or a 0-d array gives numpy.float64 from every method, with or
+    # without breakpoints; an array keeps its shape
+    if breakpoints:
+        tr = EX1.transform()
+    else:
+        tr = Transform1D(PiecewiseDrift1D(breakpoints=(), branches=(np.cos,)), _unit_sigma, 1.0)
+    for m in ("value", "derivative", "second_derivative", "inverse", "transformed_coeffs"):
+        for z in (0.05, np.array(0.05), np.zeros((2, 3)).T):
+            out = getattr(tr, m)(z)
+            for v in out if isinstance(out, tuple) else (out,):
+                if np.ndim(z):
+                    assert isinstance(v, np.ndarray) and v.shape == (3, 2), m
+                else:
+                    assert type(v) is np.float64, m
+
+
 # sha256 prefixes of each public method's outputs at the edge inputs below:
 # the type, dtype, shape and bytes of every output, in input order
 _EDGE_DIGESTS = {
     "example1": {
         "value": "6ba947304bc5f206",
         "derivative": "6f5573c3fcebe42a",
-        "second_derivative": "072995530867aef4",
-        "inverse": "4dba445d627cec0f",
+        "second_derivative": "a4923bc6102a2bf5",
+        "inverse": "881fcc3b7931832b",
         "transformed_coeffs": "ebfa54bc4281fc7b",
     },
     "example2": {
         "value": "182f20b8e7139a48",
         "derivative": "6654873b5f7cc1ad",
-        "second_derivative": "d0ba2692368d7a41",
-        "inverse": "14c2dff6dc85c959",
+        "second_derivative": "4f6e2c5548da6499",
+        "inverse": "fff2c9fa84505f6a",
         "transformed_coeffs": "49ef5c5e9c5b0df1",
     },
     "config": {
         "value": "5c42526fc4b4fb63",
         "derivative": "dd0416239cac7b3e",
-        "second_derivative": "26c55c2521c87d86",
-        "inverse": "bd54163041ec9142",
+        "second_derivative": "396f10d544cbd3c1",
+        "inverse": "6f1febf14c587547",
         "transformed_coeffs": "cbfb1734993180f1",
     },
 }
