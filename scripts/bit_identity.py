@@ -7,10 +7,10 @@ Usage, with a checkout of the other tree in ``$OTHER``:
 Runs the commands in ``COMMANDS`` against this script's tree and against
 ``$OTHER``, in one fresh interpreter per tree with that tree's ``src`` first
 on ``PYTHONPATH``, each command group writing to its own directory; the
-``config``, ``config-2d`` and ``config-circle`` groups run the problems of
-``CONFIGS``, written next to them.  Then it compares every file the two trees
-wrote, byte for byte, except ``report.json``, which is compared after
-dropping its ``wall_time``.  Prints one verdict per file and exits 1 on any
+``config``, ``config-2d``, ``config-circle`` and ``config-short`` groups run
+the problems of ``CONFIGS``, written next to them.  Then it compares every
+file the two trees wrote, byte for byte, except ``report.json``, which is
+compared after dropping its ``wall_time``.  Prints one verdict per file and exits 1 on any
 difference, on a file only one tree wrote, or on a command that fails.
 """
 
@@ -32,7 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # drift component, and has a state-dependent diffusion matrix, so it runs
 # VectorField, MatrixField and Hyperplane.  config_circle is example3 written
 # as expressions (_CONFIG_2D of tests/test_cli.py), so it runs Circle2D, and
-# the three builds every surface type of a config
+# the three builds every surface type of a config.  config_short is example1
+# written as expressions with horizon 0.3, so a lane whose first step, of 0.5,
+# overshoots the horizon has the knots 0, 0.3 and 0.5
 CONFIGS = {
     "config": {
         "dimension": 1,
@@ -69,6 +71,16 @@ CONFIGS = {
         "horizon": 1.0,
         "eps0": 0.5,
         "sigma_sup": 0.75,
+    },
+    "config_short": {
+        "dimension": 1,
+        "surface": {"type": "points1d", "points": [0.0, 1.0]},
+        "drift": {"breakpoints": [0.0, 1.0], "branches": ["-2.0", "x*x", "2/x - 3/(x*x)"]},
+        "diffusion": "0.5*(1 + 1/(1 + x*x))",
+        "x0": [1.5],
+        "horizon": 0.3,
+        "eps0": 0.4,
+        "sigma_sup": 1.0,
     },
 }
 
@@ -116,6 +128,13 @@ COMMANDS = {
          "--dump-trajectories", "--out", "{out}"],
         ["occupation", "--config", "{config_circle}", "--delta", "2^-4", "--epsilons", "0.05,0.1",
          "--out", "{out}"],
+    ],
+    # the coarse rung 2 * 2^-2 and the verify rung 2^-1 both step 0.5 from x0
+    "config-short": [
+        ["run", "--config", "{config_short}", "--deltas", "2^-2..2^-3", "--samples", "256",
+         "--out", "{out}"],
+        ["verify-transform", "--config", "{config_short}", "--deltas", "2^-1,2^-2,2^-3",
+         "--samples", "256", "--out", "{out}"],
     ],
 }
 

@@ -22,18 +22,18 @@ Each pass supplies three parts:
 - an optional observer of each step, which accumulates the trapezoidal
   occupation time or records the grid nodes of one path.
 
-The knot store is the one record of a forward path: each knot past time 0
-took one draw, so the next draw counter is one more than the number of
-knots, and the one knot at the horizon holds the path value there.  The
-forward pass writes each iteration's knots once, as slices at the end of
-flat time, value and link arrays, and links each lane's new knot from its
-previous one; the horizon knot of an overshooting step is appended and
-spliced in before the overshoot knot.  The links are int32, and become
-int64 once if the store grows past ``_LINK_LIMIT`` knots.  The arrays grow
-in place by an eighth and are trimmed at the end, so the pass peaks at the
-store's 4 (3 + 2 d) bytes per knot (20 for ``d = 1``) plus at most an
-eighth of slack.  The walker of a later pass follows the links of each
-lane.
+The knot store is the one record of a forward path: it starts with each
+lane's knot 0 at time 0, which takes no draw, and each later knot took one
+draw, so the next draw counter is the lane's number of knots, and the one
+knot at the horizon holds the path value there.  The forward pass writes
+each iteration's knots once, as slices at the end of flat time, value and
+link arrays, and links each lane's new knot from its previous one; the
+horizon knot of an overshooting step is appended and spliced in before the
+overshoot knot.  The links are int32, and become int64 once if the store
+grows past ``_LINK_LIMIT`` knots.  The arrays grow in place by an eighth
+and are trimmed at the end, so the pass peaks at the store's 4 (3 + 2 d)
+bytes per knot (20 for ``d = 1``) plus at most an eighth of slack.  The
+walker of a later pass follows the links of each lane.
 
 :func:`equidistant_transformed_pass` keeps its own fixed-grid loop in
 transformed coordinates and shares the knot walker and the bridge rule.
@@ -60,8 +60,6 @@ from .solver import (
     _step_budget,
     step_size_from_distance,
 )
-
-_INF = np.array(np.inf)
 
 # the most knots a forward pass links in int32; a larger store links in int64
 _LINK_LIMIT = np.iinfo(np.int32).max
@@ -132,21 +130,19 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
     w = np.zeros((n, d))
     dist = np.asarray(problem.surface.distance(x), dtype=float)
     spans = _live_spans(rung, len(params))
-    # the smallest budget of the live rungs; only past it is a rung named
-    budget = min((budgets[r] for r, _, _ in spans), default=0)
     # live lanes start together and step once per iteration, so they all
     # have taken k steps
     k = 0
     while act.size:
-        if k >= budget:
-            for r, a, _ in spans:
-                if k >= budgets[r]:
-                    raise RunawaySimulationError(
-                        f"sample {labels[act[a]]} exceeded {budgets[r]} steps "
-                        f"at delta={params[r].delta:.4g}"
-                    )
+        h = []
+        for r, a, b in spans:
+            if k >= budgets[r]:
+                raise RunawaySimulationError(
+                    f"sample {labels[act[a]]} exceeded {budgets[r]} steps "
+                    f"at delta={params[r].delta:.4g}"
+                )
+            h.append(step_size_from_distance(dist[a:b], params[r]))
         k += 1
-        h = [step_size_from_distance(dist[a:b], params[r]) for r, a, b in spans]
         h = h[0] if len(h) == 1 else np.concatenate(h)
         t_next = t + h
         crossed = t_next >= horizon
@@ -180,7 +176,6 @@ def _adaptive_lockstep(problem, params, rung, labels, carried, draw, horizon_val
             for c in carried:
                 c.keep(live)
             spans = _live_spans(rung[act], len(params))
-            budget = min((budgets[r] for r, _, _ in spans), default=0)
     return steps, x_T
 
 
@@ -243,13 +238,14 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
 
     ``params``, ``rung`` and ``observe`` are as in :func:`_adaptive_lockstep`.
     Returns a dict with per-lane step counts ``n``, the state at the horizon
-    ``x_T``, and the knots past time 0 in a linked store, which gives the path
-    value at the horizon ``w_T`` and the next draw counter ``kc``.  The store
-    holds the knot times ``kt`` and path values ``kw`` in drawing order; lane
-    ``i``'s knots start at ``head[i]`` and each links to the lane's next one
-    by ``nxt``, -1 after the last, in strictly increasing times with the
-    horizon once among them.  A lane's knot count is its step count, plus
-    one for the horizon knot when its last step overshoots.  ``nxt`` is
+    ``x_T``, and the knots in a linked store, which gives the path value at
+    the horizon ``w_T`` and the next draw counter ``kc``.  The store holds
+    the knot times ``kt`` and path values ``kw`` in drawing order; entry
+    ``i`` is lane ``i``'s knot 0 (time 0, value 0), and each knot links to
+    the lane's next one by ``nxt``, -1 after the last, in strictly
+    increasing times with the horizon once among them.  A lane's knot count
+    ``kc`` is one for knot 0, plus its step count, plus one for the horizon
+    knot when its last step overshoots.  ``nxt`` is
     int32, or int64 once the store has more than ``_LINK_LIMIT`` knots: the
     links are widened once, by the append that passes that count.
     """
@@ -257,14 +253,12 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     d = problem.dimension
     horizon = problem.horizon
     counters = _Counters(keys, np.ones(n, dtype=np.uint64))
-    # written once, in drawing order, and grown in place by an eighth
-    kt, kw, nxt = np.empty(n), np.empty((n, d)), np.empty(n, dtype=np.int32)
-    size = 0
-    # every lane steps in the first iteration, so its knot there heads it,
-    # unless a horizon knot is spliced in before it
-    head = np.arange(n)
-    last = np.empty(n, dtype=np.int64)
-    # the live lanes' knots before this iteration's, None in the first
+    # written once, in drawing order, and grown in place by an eighth;
+    # lane i's knot 0 (time 0, value 0, no draw) is entry i
+    kt, kw, nxt = np.zeros(n), np.zeros((n, d)), np.empty(n, dtype=np.int32)
+    size = n
+    last = np.arange(n)
+    # the live lanes' knots before this iteration's, set by each draw
     prev = None
     # the horizon knot spliced in before a lane's overshoot knot, else -1
     spliced = np.full(n, -1, dtype=np.int64)
@@ -288,11 +282,9 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
     def draw(act, tc, wc, h, t_next):
         nonlocal prev
         wn = _fresh(tc, wc, t_next, counters.normals(t_next, d))
-        first = not size
         new = append(t_next, wn)
-        if not first:
-            prev = last[act]
-            nxt[prev] = new
+        prev = last[act]
+        nxt[prev] = new
         last[act] = new
         return wn
 
@@ -303,10 +295,7 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
         at = append(horizon, wt)
         # between the lane's previous knot and this iteration's overshoot knot
         nxt[at] = last[lanes]
-        if prev is None:
-            head[lanes] = at
-        else:
-            nxt[prev[sel]] = at
+        nxt[prev[sel]] = at
         spliced[lanes] = at
         return wt
 
@@ -324,7 +313,6 @@ def forward_pass(problem, params, rung, keys, labels, observe=None):
         "kt": kt,
         "kw": kw,
         "nxt": nxt,
-        "head": head,
         # knot 0 takes no draw and every other knot takes one
         "kc": (steps + over + 1).astype(np.uint64),
     }
@@ -335,28 +323,28 @@ class _KnotWalker:
 
     Keeps, per live lane, the index ``cur`` of the first recorded knot past
     the latest query, or -1 once the lane has passed its last knot, and the
-    time and value of that knot, or of the last knot, so a query that passes
-    no knot gathers nothing.  A query returns the bracketing data and flags
-    exact hits on existing knots.  ``prior`` is the linked knot store of
-    :func:`forward_pass`, walked from ``head`` through ``nxt``;
-    ``keep(live)`` compacts the walker with the live lanes.  ``cur`` starts
-    as a copy of the native-integer ``head``, and ``np.where`` promotes the
-    int32 links it reads, so ``cur`` stays native and the gathers by it
-    convert no indices.
+    time and value of that knot, so a query that passes no knot gathers
+    nothing.  Past the last knot the right time is ``+inf`` and the right
+    value is not read.  A query returns the bracketing data and flags exact
+    hits on existing knots.  ``prior`` is the linked knot store of
+    :func:`forward_pass`, walked through ``nxt`` from the knot after each
+    lane's knot 0; ``keep(live)`` compacts the walker with the live lanes.
+    ``cur`` starts as a native-integer copy of those first links, and
+    ``np.where`` promotes the int32 links it reads, so ``cur`` stays native
+    and the gathers by it convert no indices.
     """
 
     def __init__(self, prior):
         self.kt = prior["kt"]
         self.kw = prior["kw"]
         self.nxt = prior["nxt"]
-        self.cur = prior["head"].copy()
+        self.cur = self.nxt[: prior["kc"].size].astype(np.intp)
         self.u_t = self.kt[self.cur]
         self.u_w = self.kw[self.cur]
         self.has_right = np.ones(self.cur.size, dtype=bool)
-        self.due = self.u_t
 
     def keep(self, live):
-        for name in ("cur", "u_t", "u_w", "has_right", "due"):
+        for name in ("cur", "u_t", "u_w", "has_right"):
             setattr(self, name, getattr(self, name)[live])
 
     def bracket(self, t_node, w_node, t_next):
@@ -369,23 +357,19 @@ class _KnotWalker:
         any of them.
         """
         pt, pw = t_node, w_node
-        can = self.due <= t_next
+        can = self.u_t <= t_next
         while np.count_nonzero(can):
             # lanes in can pass their next knot: it becomes the left side
             pt = np.where(can, self.u_t, pt)
             pw = np.where(can[:, None], self.u_w, pw)
             self.cur = np.where(can, self.nxt.take(self.cur), self.cur)
-            u_t, u_w = self.kt.take(self.cur), self.kw.take(self.cur, axis=0)
             self.has_right = self.cur >= 0
-            if np.count_nonzero(self.has_right) == self.cur.size:
-                self.due = u_t
-            else:
-                # a lane past its last knot keeps that knot and is never due
-                u_t = np.where(self.has_right, u_t, self.u_t)
-                u_w = np.where(self.has_right[:, None], u_w, self.u_w)
-                self.due = np.where(self.has_right, u_t, _INF)
-            self.u_t, self.u_w = u_t, u_w
-            can = self.due <= t_next
+            self.u_t = self.kt.take(self.cur)
+            self.u_w = self.kw.take(self.cur, axis=0)
+            if np.count_nonzero(self.has_right) < self.cur.size:
+                # a lane past its last knot has its right time at +inf
+                self.u_t[~self.has_right] = np.inf
+            can = self.u_t <= t_next
         return pt, pw, self.u_t, self.u_w, self.has_right
 
 

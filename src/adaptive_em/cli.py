@@ -444,7 +444,7 @@ def cmd_run(example, config_path, deltas, samples, seed, workers, occupation_eps
     with _estimator_errors("run"):
         problem, _ = _resolve_problem(example, config_path)
         delta_values = parse_deltas(deltas)
-        eps_values = parse_epsilons(occupation_epsilons) if occupation_epsilons else ()
+        eps_values = parse_epsilons(occupation_epsilons) if occupation_epsilons is not None else ()
         report = run_experiment(problem, delta_values, samples, seed, workers, eps_values)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -625,18 +625,25 @@ def test_run_rejects_wide_occupation_epsilon(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+# the error of each epsilon list, by the list
+_EPSILON_ERRORS = {"-0.1": "epsilon -0.1 outside (0, eps0/2)", "": "cannot parse epsilon list ''"}
+
+
 @pytest.mark.parametrize(
     "args, written",
     [
         (["occupation", "example1", "--epsilons", "-0.1"], "occupation.csv"),
         (["run", "example1", "--deltas", "2^-2", "--occupation-epsilons", "-0.1"], "report.csv"),
+        (["occupation", "example1", "--epsilons", ""], "occupation.csv"),
+        (["run", "example1", "--deltas", "2^-2", "--occupation-epsilons", ""], "report.csv"),
     ],
 )
 def test_negative_epsilon_is_rejected_by_the_library_rule(tmp_path, args, written):
-    # the CLI parses the numbers; the (0, eps0/2) rule has its one copy in the library
+    # the CLI parses the numbers; the (0, eps0/2) rule has its one copy in the
+    # library.  An empty list is no list, for both commands alike
     result = _invoke([*args, "--samples", "4", "--out", str(tmp_path)])
     assert result.exit_code == 2
-    assert "epsilon -0.1 outside (0, eps0/2)" in _all_text(result)
+    assert _EPSILON_ERRORS[args[-1]] in _all_text(result)
     assert not (tmp_path / written).exists()
 
 

@@ -358,15 +358,16 @@ def test_newton_stops_at_exactly_the_tolerance():
 
 
 def _bracket_reference(kt, kw, t_node, w_node, t_next):
-    # one lane: the last knot in (t_node, t_next] if any, else the node, and
-    # the first knot past t_next, or the last knot when there is none
+    # one lane's knots past knot 0: the last knot in (t_node, t_next] if
+    # any, else the node, and the first knot past t_next, or +inf and the
+    # last knot's value, which is not read, when there is none
     j = int(np.searchsorted(kt, t_next, side="right"))
     passed = j > int(np.searchsorted(kt, t_node, side="right"))
     g = min(j, kt.size - 1)
     return (
         kt[j - 1] if passed else t_node,
         kw[j - 1] if passed else w_node,
-        kt[g],
+        kt[j] if j < kt.size else np.inf,
         kw[g],
         j < kt.size,
     )
@@ -383,16 +384,19 @@ def test_knot_walker_matches_searchsorted(data):
         sorted(data.draw(st.sets(st.integers(1, 40), max_size=12), label="knots") | {16})
         for _ in range(n)
     ]
-    # the store in drawing order: round j holds the j-th knot of each lane
-    # that has one, linked from the lane's knot of round j - 1
+    # the store in drawing order: entry i is lane i's knot 0 (round 0), and
+    # round j holds the j-th knot of each lane that has one, linked from the
+    # lane's knot of round j - 1
+    ticks = [[0, *lane] for lane in ticks]
     order = sorted((j, i) for i in range(n) for j in range(len(ticks[i])))
     kt = np.array([ticks[i][j] for j, i in order]) / 16.0
     kw = np.stack([np.arange(kt.size) + 0.5, -kt], axis=1)
+    kw[:n] = 0.0
     at = {key: a for a, key in enumerate(order)}
-    head = np.array([at[0, i] for i in range(n)])
     nxt = np.array([at.get((j + 1, i), -1) for j, i in order])
-    walker = _engine._KnotWalker({"kt": kt, "kw": kw, "nxt": nxt, "head": head})
-    lane_at = [np.array([at[j, i] for j in range(len(ticks[i]))]) for i in range(n)]
+    kc = np.array([len(lane) for lane in ticks], dtype=np.uint64)
+    walker = _engine._KnotWalker({"kt": kt, "kw": kw, "nxt": nxt, "kc": kc})
+    lane_at = [np.array([at[j, i] for j in range(1, len(ticks[i]))]) for i in range(n)]
     lanes = np.arange(n)
     t_node = np.zeros(n)
     w_node = np.zeros((n, 2))
@@ -406,8 +410,12 @@ def test_knot_walker_matches_searchsorted(data):
             _bracket_reference(kt[lane_at[i]], kw[lane_at[i]], t_node[j], w_node[j], t_next[j])
             for j, i in enumerate(lanes)
         ]
-        for g, want in zip(got, zip(*rows)):
-            assert_equal(g, np.array(want))
+        want = [np.array(v) for v in zip(*rows)]
+        has_right = want[4]
+        # past the last knot only the right time, +inf, is part of the contract
+        for k in (0, 1, 2, 4):
+            assert_equal(got[k], want[k])
+        assert_equal(got[3][has_right], want[3][has_right])
         keep = np.array(
             data.draw(st.lists(st.booleans(), min_size=lanes.size, max_size=lanes.size), label="keep")
         )

@@ -111,8 +111,8 @@ def test_batched_coupled_matches_sequential():
 
 
 def _lane_knots(prior, lane):
-    """Store indices of one lane's knots, from its head through nxt to -1."""
-    at, walked = prior["head"][lane], []
+    """Store indices of one lane's knots past knot 0, from nxt[lane] to -1."""
+    at, walked = prior["nxt"][lane], []
     while at >= 0:
         walked.append(at)
         at = prior["nxt"][at]
@@ -131,11 +131,16 @@ def test_forward_pass_ragged_knots_match_the_path():
         keys = _engine.path_key(13, idx)
         prior = _engine.forward_pass(prob, params, rung, keys, labels=idx)
         lanes = [_lane_knots(prior, lane) for lane in range(idx.size)]
-        # every knot of the store belongs to exactly one lane
-        np.testing.assert_array_equal(np.sort(np.concatenate(lanes)), np.arange(prior["kt"].size))
+        # lane i's knot 0 is entry i, and every later knot belongs to exactly one lane
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(lanes)), np.arange(idx.size, prior["kt"].size)
+        )
         assert prior["nxt"].shape == prior["kt"].shape
         assert prior["kw"].shape == (prior["kt"].size, prob.dimension)
         for lane, at in enumerate(lanes):
+            assert prior["kt"][lane] == 0.0
+            assert np.all(prior["kw"][lane] == 0.0)
+            assert prior["kc"][lane] == 1 + at.size
             kt = prior["kt"][at]
             kw = prior["kw"][at]
             assert np.all(np.diff(kt) > 0.0)
@@ -178,9 +183,9 @@ def test_forward_pass_store_gives_counter_and_horizon_value():
                 assert not overshoot and prior["n"][lane] == 16
 
 
-def test_first_step_past_the_horizon_heads_the_lane_with_the_horizon_knot():
+def test_first_step_past_the_horizon_splices_the_horizon_knot_after_knot_0():
     # with horizon 0.3 each coarse lane of rung 0.25 takes one step of 0.5,
-    # so its horizon knot is spliced in before its first knot, as its head
+    # so its horizon knot is spliced in between knot 0 and its first knot
     prob = dataclasses.replace(EX1, horizon=0.3)
     tr = get_example("example1").transform()
     deltas = (0.25, 0.125)
@@ -189,9 +194,9 @@ def test_first_step_past_the_horizon_heads_the_lane_with_the_horizon_knot():
     coarse, _ = _engine.coupled_ladders(prob, deltas)
     prior = _engine.forward_pass(prob, coarse, rung, keys, labels=labels)
     for lane in range(count):
-        at = _lane_knots(prior, lane)
-        assert prior["kt"][at].tolist() == [0.3, 0.5]
-        assert prior["kw"][at[0]].tobytes() == prior["w_T"][lane].tobytes()
+        at = np.concatenate([[lane], _lane_knots(prior, lane)])
+        assert prior["kt"][at].tolist() == [0.0, 0.3, 0.5]
+        assert prior["kw"][at[1]].tobytes() == prior["w_T"][lane].tobytes()
     sq, n_fine, n_coarse = _coupled_job((prob, deltas, 9), 0, count)
     (vals,) = _verify_job((prob, tr, deltas, 9), 0, count)
     assert np.all(n_coarse[:, 0] == 1)
@@ -250,7 +255,7 @@ def test_links_widen_to_int64_past_the_link_limit(monkeypatch):
     assert wide["nxt"].dtype == np.int64
     for lane in range(labels.size):
         np.testing.assert_array_equal(_lane_knots(wide, lane), _lane_knots(narrow, lane))
-    for name in ("kt", "kw", "head", "w_T", "kc", "n", "x_T"):
+    for name in ("kt", "kw", "w_T", "kc", "n", "x_T"):
         assert wide[name].tobytes() == narrow[name].tobytes()
     widened = (_coupled_job((EX1, deltas, 31), 0, count), _verify_job((EX1, tr, deltas, 31), 0, count))
     # the coupled job's coarse pass and the verify job's pass both widened
